@@ -16,8 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import ParseError, PreconditionViolation, ZeroInput
-from .laurent import ONE, ZERO, LaurentPoly, laurent_to_str, qshift
+from .errors import ParseError, PreconditionViolation
+from .laurent import ONE, ZERO, LaurentPoly, qshift
 from .scalars import get_q
 
 
@@ -214,10 +214,11 @@ def epsilon(x: AqElement) -> AqElement:
 def fourier(x: AqElement) -> AqElement:
     """Automorphism with z |-> s, s |-> z^-1; its fourth power is the identity."""
     acc = {}
+    q = get_q()
     for j, i, c in x.monomials():
         # c z^j s^i |-> c s^j z^-i = c q^{-ij} z^-i s^j
         row = acc.setdefault(j, {})
-        row[-i] = row.get(-i, Fraction(0)) + c * get_q() ** (-i * j)
+        row[-i] = row.get(-i, Fraction(0)) + c * q ** (-i * j)
     out = {}
     for sexp, zmap in acc.items():
         lo = min(zmap)
@@ -234,41 +235,24 @@ def sigma_conj(x: AqElement, k: int) -> AqElement:
 
 
 # -- z-normal form ----------------------------------------------------------
+#
+# fourier sends x_k(s) z^k to x_k(z^-1) s^k, so it carries the z-normal form
+# to the s-normal form: z-widths become s-widths.
+
+
+def _reflect(f: LaurentPoly) -> LaurentPoly:
+    """f(z^-1)."""
+    return LaurentPoly(1 - f.lo - len(f.coeffs), f.coeffs[::-1])
 
 
 def to_z_form(x: AqElement) -> dict[int, LaurentPoly]:
     """{k: x_k(s)} with x = sum x_k(s) z^k; coefficients are polys in s."""
-    acc: dict[int, dict[int, Fraction]] = {}
-    q = get_q()
-    for j, i, c in x.monomials():
-        # c z^j s^i, pulled to s^i z^j form: z^j s^i = q^{-ij} * (s^i z^j) means
-        # c z^j s^i = (c q^{-ij} s^i) z^j
-        row = acc.setdefault(j, {})
-        row[i] = row.get(i, Fraction(0)) + c * q ** (-i * j)
-    out = {}
-    for k, smap in acc.items():
-        lo, hi = min(smap), max(smap)
-        f = LaurentPoly(lo, [smap.get(t, Fraction(0)) for t in range(lo, hi + 1)])
-        if not f.is_zero():
-            out[k] = f
-    return out
+    return {k: _reflect(f) for k, f in fourier(x).terms()}
 
 
 def from_z_form(zf: dict[int, LaurentPoly]) -> AqElement:
-    acc: dict[int, dict[int, Fraction]] = {}
-    q = get_q()
-    for k, g in zf.items():
-        for i, c in g.terms():
-            # (c s^i) z^k = c q^{ik} z^k s^i
-            row = acc.setdefault(i, {})
-            row[k] = row.get(k, Fraction(0)) + c * q ** (i * k)
-    out = {}
-    for i, zmap in acc.items():
-        lo, hi = min(zmap), max(zmap)
-        f = LaurentPoly(lo, [zmap.get(t, Fraction(0)) for t in range(lo, hi + 1)])
-        if not f.is_zero():
-            out[i] = f
-    return AqElement(out)
+    """Inverse of to_z_form: fourier sends g(z) s^-k to g(s) z^k."""
+    return fourier(AqElement({-k: g for k, g in zf.items()}))
 
 
 # -- degrees and goodness ----------------------------------------------------
@@ -361,8 +345,10 @@ def sigma_divide(r: AqElement, w: AqElement, bottom: bool = False):
     g_total = ONE
     h_total = AqElement.zero()
     cur = r
-    while not cur.is_zero() and degrees(cur).deg_sigma >= dw:
+    while not cur.is_zero():
         csup = cur.sigma_support()
+        if csup[-1] - csup[0] < dw:
+            break
         l = csup[0] if bottom else csup[-1]
         factor = qshift(wk, l - k)
         piece = AqElement({l - k: cur.coefficient(l)})
@@ -375,7 +361,10 @@ def sigma_divide(r: AqElement, w: AqElement, bottom: bool = False):
 def z_divide(r: AqElement, w: AqElement, bottom: bool = False):
     """Mirror of sigma_divide in z-normal form: (g, h, rem) with g in K[s,s^-1]
     (returned as a Laurent polynomial in s), g*r = h*w + rem and
-    deg_z(rem) < deg_z(w)."""
+    deg_z(rem) < deg_z(w).
+
+    This is sigma_divide on the fourier images, pulled back along
+    fourier^-1, which sends y_j(z) s^j to y_j(s^-1) z^j."""
     if w.is_zero():
         raise PreconditionViolation("division by zero")
     if r.is_zero():
@@ -383,48 +372,12 @@ def z_divide(r: AqElement, w: AqElement, bottom: bool = False):
     dw = degrees(w).deg_z
     if degrees(r).deg_z < dw:
         raise PreconditionViolation("divisor has larger z-degree than dividend")
-    zw = to_z_form(w)
-    k = min(zw) if bottom else max(zw)
-    wk = zw[k]
+    g, h, rem = sigma_divide(fourier(r), fourier(w), bottom)
 
-    def smul(g, form):
-        # left multiply a z-form by g(s): coefficient-wise
-        return {j: g * f for j, f in form.items()}
+    def back(y):
+        return from_z_form({j: _reflect(f) for j, f in y.terms()})
 
-    def piecemul(a, t, form):
-        # (a(s) z^t) * form: a(s) f_j(q^-t s) z^{t+j}
-        out = {}
-        for j, f in form.items():
-            piece = a * qshift(f, -t)
-            if not piece.is_zero():
-                out[t + j] = piece
-        return out
-
-    def sub(f1, f2):
-        out = dict(f1)
-        for j, f in f2.items():
-            g = out.get(j, ZERO) - f
-            if g.is_zero():
-                out.pop(j, None)
-            else:
-                out[j] = g
-        return out
-
-    def width(form):
-        return max(form) - min(form)
-
-    g_total = ONE
-    h_total: dict[int, LaurentPoly] = {}
-    cur = to_z_form(r)
-    while cur and width(cur) >= dw:
-        l = min(cur) if bottom else max(cur)
-        factor = qshift(wk, -(l - k))
-        a = cur[l]
-        cur = sub(smul(factor, cur), piecemul(a, l - k, zw))
-        g_total = factor * g_total
-        h_total = smul(factor, h_total)
-        h_total[l - k] = h_total.get(l - k, ZERO) + a
-    return g_total, from_z_form(h_total), from_z_form(cur)
+    return _reflect(g), back(h), back(rem)
 
 
 # -- text form ----------------------------------------------------------------

@@ -33,6 +33,7 @@ from .modules import (
     MatrixModule,
     Torsion,
     Unknown,
+    _plain,
     dual,
     hom,
     module_from_json,
@@ -67,10 +68,6 @@ def _emit(args, payload, text_lines=None) -> None:
             print(line)
     else:
         print(json.dumps(payload, sort_keys=True))
-
-
-def _plain(v):
-    return None if isinstance(v, Unknown) else v
 
 
 def cmd_eval(args) -> int:
@@ -251,9 +248,6 @@ def _add_common(parser, after_command: bool) -> None:
     parser.add_argument(
         "--bound-z", type=int, default=d(8), help="z-width search bound"
     )
-    parser.add_argument(
-        "--window", type=int, default=d(12), help="solver support window"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,7 +333,7 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, PreconditionViolation) as e:
         print(f"error: invalid q: {e}", file=sys.stderr)
         return 2
-    args.bounds = SearchBounds(args.bound_sigma, args.bound_z, args.window)
+    args.bounds = SearchBounds(args.bound_sigma, args.bound_z)
     if args.command == "pic" and args.op in ("mul", "eq") and args.b is None:
         print("error: pic {mul,eq} needs two arguments", file=sys.stderr)
         return 2

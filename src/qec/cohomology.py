@@ -23,6 +23,7 @@ from .modules import (
     SigmaMatrix,
     Torsion,
     Unknown,
+    _plain,
     hom,
     jordan_structure,
     pic_trivial,
@@ -46,14 +47,11 @@ class CohomologyReport:
         self.certified = certified
         self.window_used = window_used
 
-    def _plain(self, v):
-        return None if isinstance(v, Unknown) else v
-
     def to_json(self):
         return {
-            "h0": self._plain(self.h0),
-            "h1": self._plain(self.h1),
-            "chi": self._plain(self.chi),
+            "h0": _plain(self.h0),
+            "h1": _plain(self.h1),
+            "chi": _plain(self.chi),
             "certified": self.certified,
             "window_used": self.window_used,
         }

@@ -22,7 +22,6 @@ from .errors import UnknownSuite
 from .modules import (
     Good,
     MatrixModule,
-    Torsion,
     Unknown,
     dual,
     rank_A,
@@ -32,7 +31,6 @@ from .modules import (
 )
 from .samples import (
     rand_aq,
-    rand_good,
     rand_module,
     rand_sigma_good,
     rand_sigma_matrix,
@@ -65,7 +63,7 @@ def _is_unknown(*values) -> bool:
     return any(isinstance(v, Unknown) for v in values)
 
 
-def _division_case(rng, ci, tally):
+def _division_case(rng, ci, tally, bounds):
     a = rand_aq(rng, 3, 2)
     b = rand_aq(rng, 2, 2)
     z_mode = ci % 2 == 1
@@ -100,7 +98,7 @@ def _division_case(rng, ci, tally):
     tally.ok()
 
 
-def _riemann_roch_case(rng, ci, tally):
+def _riemann_roch_case(rng, ci, tally, bounds):
     M = rand_module(rng, "lltg")
     rep = cohomology(M)
     rk = rank_S(M)
@@ -113,7 +111,7 @@ def _riemann_roch_case(rng, ci, tally):
     tally.ok()
 
 
-def _serre_case(rng, ci, tally):
+def _serre_case(rng, ci, tally, bounds):
     M = rand_module(rng, "lltg")
     Md = dual(M)
     a, b = cohomology(M), cohomology(Md)
@@ -133,7 +131,7 @@ def _serre_case(rng, ci, tally):
     tally.ok()
 
 
-def _euler_symmetry_case(rng, ci, tally, bounds=None):
+def _euler_symmetry_case(rng, ci, tally, bounds):
     M = rand_module(rng, "lltg")
     N = rand_module(rng, "lltg")
     x = euler_form(M, N, bounds)
@@ -147,7 +145,7 @@ def _euler_symmetry_case(rng, ci, tally, bounds=None):
     tally.ok()
 
 
-def _chi_rank_case(rng, ci, tally, bounds=None):
+def _chi_rank_case(rng, ci, tally, bounds):
     M = rand_module(rng, "ltgm")
     if isinstance(M, MatrixModule) and M.T.n > 2:
         M = rand_torsion(rng)
@@ -168,7 +166,7 @@ def _chi_rank_case(rng, ci, tally, bounds=None):
     tally.ok()
 
 
-def _tensor_rank_case(rng, ci, tally, bounds=None):
+def _tensor_rank_case(rng, ci, tally, bounds):
     if rng.random() < 0.5:
         N = rand_module(rng, "l")
     else:
@@ -184,7 +182,7 @@ def _tensor_rank_case(rng, ci, tally, bounds=None):
     tally.ok()
 
 
-def _duality_case(rng, ci, tally):
+def _duality_case(rng, ci, tally, bounds):
     p = rand_sigma_good(rng, t_max=3)
     r, D = good_dual(p)
     dp, dr = degrees(p), degrees(r)
@@ -203,7 +201,7 @@ def _duality_case(rng, ci, tally):
     tally.ok()
 
 
-def _rigidity_case(rng, ci, tally):
+def _rigidity_case(rng, ci, tally, bounds):
     roll = rng.random()
     if roll < 0.4:
         M = MatrixModule(rand_sigma_matrix(rng, n_max=3))
@@ -231,9 +229,6 @@ def suite_names():
     return sorted(_SUITES)
 
 
-_BOUNDED = {"euler_symmetry", "chi_rank", "tensor_rank"}
-
-
 def verify_suite(name: str, cases: int = 100, seed: int = 0, bounds=None) -> dict:
     """Run one named suite and return its report dict."""
     if name not in _SUITES:
@@ -242,8 +237,5 @@ def verify_suite(name: str, cases: int = 100, seed: int = 0, bounds=None) -> dic
     tally = _Tally(name, seed, cases)
     case = _SUITES[name]
     for ci in range(cases):
-        if name in _BOUNDED:
-            case(rng, ci, tally, bounds)
-        else:
-            case(rng, ci, tally)
+        case(rng, ci, tally, bounds)
     return tally.report

@@ -136,6 +136,25 @@ def test_z_form_round_trip(rng):
             assert degrees(x).deg_z == max(zf) - min(zf)
 
 
+@pytest.mark.parametrize(
+    "q,text,want",
+    [
+        (Fraction(2), "z^2*s + 3*z*s^-1 - 2 + z^-1*s^2",
+         {-1: "4*s^2", 0: "-2", 1: "6*s^-1", 2: "1/4*s"}),
+        (Fraction(3), "z^3 - 2*z*s + s^-2", {0: "s^-2", 1: "-2/3*s", 3: "1"}),
+        (Fraction(-1, 2), "z^2*s + 3*z*s^-1 - 2 + z^-1*s^2",
+         {-1: "1/4*s^2", 0: "-2", 1: "-3/2*s^-1", 2: "4*s"}),
+        (Fraction(-1, 2), "z^3 - 2*z*s + s^-2", {0: "s^-2", 1: "4*s", 3: "1"}),
+    ],
+)
+def test_to_z_form_fixed_outputs(q, text, want):
+    with using_q(q):
+        x = parse(text)
+        zf = to_z_form(x)
+        assert {k: laurent_to_str(f, var="s") for k, f in zf.items()} == want
+        assert from_z_form(zf) == x
+
+
 def test_unit_arithmetic():
     u = AqElement.monomial(Fraction(-3, 2), 2, -1)
     assert u.is_unit()

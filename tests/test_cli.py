@@ -32,7 +32,7 @@ L13_DESC = '{"kind":"line","c":"1","m":3}'
 TORSION_DESC = '{"kind":"torsion","blocks":[{"lambda":"1","size":2}]}'
 GOOD_BAD_DESC = '{"kind":"good","p":"z - s - s^-1"}'
 MATRIX_DESC = '{"kind":"matrix","entries":[["z","1"],["0","1"]]}'
-TIGHT = ["--bound-sigma", "1", "--bound-z", "0", "--window", "2"]
+TIGHT = ["--bound-sigma", "1", "--bound-z", "0"]
 
 
 def run(capsys, *argv):
@@ -93,6 +93,34 @@ def test_div_z_mode_json(capsys):
     code, payload, _ = run_json(capsys, "div", "--mode", "z", "z^2 - 4", "z - 2")
     assert code == 0
     assert payload == {"g": "1", "g_unit": True, "h": "2 + z", "rem": "0"}
+
+
+# (q, r, w, bottom) -> (g, h, rem) of `qec div --mode z`
+Z_DIV_CASES = [
+    ("2", "z^2*s + 3*z*s^-1 - 2 + z^-1*s^2", "2*z*s - s^-1 + z^-1", False,
+     ("1/2*s^2", "7/2 + z*s^2", "7/2*s^-1 - 7/2*z^-1 - 5/4*s^2 + 1/8*z^-1*s^4")),
+    ("2", "z^2*s + 3*z*s^-1 - 2 + z^-1*s^2", "2*z*s - s^-1 + z^-1", True,
+     ("1", "-2*z + 8*z*s + 4*s^2", "z*s^-1 + 8*z + 5*z^2*s - 32*z^2*s^2 - 32*z*s^3")),
+    ("3", "s*z^2 - z + 5", "3*z*s^2 + s", False,
+     ("1/81*s^4", "-10/27*s^2 + 9*z*s^3", "10/27*s^3 + 5/81*s^4")),
+    ("3", "s*z^2 - z + 5", "3*z*s^2 + s", True,
+     ("1/3*s^2", "5/3*s - 3*z*s - 15*z*s^2", "270*z^2*s^3 + 405*z^2*s^4")),
+    ("-1/2", "z^3 - 2*z*s + s^-2", "z^2 - s", False,
+     ("1", "z", "s^-2 - z*s")),
+    ("-1/2", "z^3 - 2*z*s + s^-2", "z^2 - s", True,
+     ("-2*s^2", "2*s^-1 - z*s^2", "-8*z^2*s^-1 + 1/32*z^3*s^2")),
+    ("-1/2", "s*z^2 - z + 5", "3*z*s^2 + s", False,
+     ("576*s^4", "-46*s^2 - 3/2*z*s^3", "46*s^3 + 2880*s^4")),
+]
+
+
+@pytest.mark.parametrize("q,r,w,bottom,want", Z_DIV_CASES)
+def test_div_z_mode_fixed_outputs(capsys, q, r, w, bottom, want):
+    argv = ["--q=" + q, "div", "--mode", "z", *(["--bottom"] if bottom else []), r, w]
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert (payload["g"], payload["h"], payload["rem"]) == want
+    assert payload["g_unit"] is True
 
 
 def test_div_text_lines(capsys):

@@ -116,6 +116,25 @@ def test_tensor_lines_and_torsion():
     assert rank_A(fast) == rank_A(A) * rank_A(B)
 
 
+def _kronecker_oracle(M, N):
+    """The Jordan data of the Kronecker matrix of two torsion modules."""
+    return Torsion(jordan_structure(to_matrix(M).mat.kron(to_matrix(N).mat)))
+
+
+def test_torsion_tensor_clebsch_gordan_matches_kronecker(rng):
+    for _ in range(40):
+        M = rand_torsion(rng, max_blocks=2, max_size=2)
+        N = rand_torsion(rng, max_blocks=2, max_size=2)
+        assert tensor(M, N) == _kronecker_oracle(M, N)
+        assert hom(M, N) == _kronecker_oracle(dual(M), N)
+
+
+def test_torsion_tensor_large_primes():
+    M = Torsion([(1000000007, 1)])
+    N = Torsion([(998244353, 1)])
+    assert tensor(M, N) == Torsion([(998244353 * 1000000007, 1)])
+
+
 def test_tensor_good_line_twist():
     M = Good(parse("s - 1"))
     for c, m in ((Fraction(3), 1), (Fraction(1, 2), -2), (Fraction(-5), 0)):
