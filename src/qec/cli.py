@@ -151,7 +151,7 @@ def cmd_hom(args) -> int:
 
 def cmd_coh(args) -> int:
     M = _module_arg(args.descriptor)
-    rep = cohomology(M)
+    rep = cohomology(M, args.bounds)
     payload = rep.to_json()
     _emit(
         args,

@@ -11,11 +11,9 @@ the answer certified, stagnation is reported as uncertified.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .errors import NonSplitSpectrum, PreconditionViolation
+from .errors import NonSplitSpectrum, PreconditionViolation, SearchExhausted
 from .laurent import LaurentPoly
-from .linalg import nullspace
+from .linalg import coefficient_rows, nullspace
 from .modules import (
     Good,
     LineBundle,
@@ -24,14 +22,16 @@ from .modules import (
     Torsion,
     Unknown,
     _plain,
+    _window_images,
+    _window_vector,
     hom,
     jordan_structure,
     pic_trivial,
     rank_A,
     rank_S,
+    sigma_apply,
     to_matrix,
 )
-from .scalars import get_qparam
 
 WINDOW_START = 8
 WINDOW_STEP = 4
@@ -71,51 +71,19 @@ def fixed_space(T: SigmaMatrix, window: int):
     """
     if window < 0:
         raise PreconditionViolation("window must be >= 0")
-    n = T.mat.n
-    q = get_qparam().value
-    exps = list(range(-window, window + 1))
-    pos = {(r, j): r * len(exps) + (j + window) for r in range(n) for j in exps}
-    ncols = n * len(exps)
-
-    lo = min((e.bot for row in T.mat.rows for e in row if not e.is_zero()),
-             default=0)
-    hi = max((e.top for row in T.mat.rows for e in row if not e.is_zero()),
-             default=0)
-
-    rows = []
-    for i in range(n):
-        for e in range(-window + min(lo, 0), window + max(hi, 0) + 1):
-            row = [Fraction(0)] * ncols
-            touched = False
-            for r in range(n):
-                t = T.mat.rows[i][r]
-                if t.is_zero():
-                    continue
-                for j in exps:
-                    c = t.coeff(e - j)
-                    if c:
-                        row[pos[(r, j)]] += c * q**j
-                        touched = True
-            if -window <= e <= window:
-                row[pos[(i, e)]] -= 1
-                touched = True
-            if touched:
-                rows.append(row)
-
-    basis = []
-    for vec in nullspace(rows, ncols):
-        f = []
-        for r in range(n):
-            chunk = vec[r * len(exps): (r + 1) * len(exps)]
-            f.append(LaurentPoly(-window, chunk))
-        basis.append(tuple(f))
+    images = _window_images(T, window)
+    for t, img in enumerate(images):
+        # unknown t is the coefficient of z^j in component r
+        r, j = divmod(t, 2 * window + 1)
+        img[r] = img[r] - LaurentPoly.monomial(1, j - window)
+    rows = coefficient_rows(images)
+    basis = [
+        tuple(_window_vector(vec, T.n, window))
+        for vec in nullspace(list(rows.values()), len(images))
+    ]
     # exact certificate: T f(qz) == f(z)
-    from .laurent import qshift
-
     for f in basis:
-        fq = [qshift(g, 1) for g in f]
-        img = T.mat.apply(fq)
-        assert list(img) == list(f)
+        assert sigma_apply(T, f, 1) == list(f)
     return basis
 
 
@@ -164,20 +132,22 @@ def _scaled_constant_report(m, rows, n):
     hence h0 = 0; rank_S is |m| * n by multiplicativity across the torsion
     factor.  m = 0: the module is torsion, so rank_S = 0 and the fixed space
     has one line per Jordan block of C with q-power-class-trivial eigenvalue.
+    None when the Jordan data of C cannot be read off exactly.
     """
     if m != 0:
         return CohomologyReport(0, abs(m) * n, -abs(m) * n, True, 0)
     try:
         blocks = jordan_structure(rows)
-    except NonSplitSpectrum:
+    except (NonSplitSpectrum, SearchExhausted):
         return None
     h = _torsion_h(Torsion(tuple(blocks)))
     return CohomologyReport(h, h, 0, True, 0)
 
 
-def cohomology(M) -> CohomologyReport:
+def cohomology(M, bounds=None) -> CohomologyReport:
     """Exact closed forms for line bundles and torsion modules; the window
-    protocol for the rest.  h1 = h0 + rank_S throughout."""
+    protocol for the rest, with rank_S searched under `bounds`.
+    h1 = h0 + rank_S throughout."""
     if isinstance(M, LineBundle):
         if pic_trivial(M):
             return CohomologyReport(1, 1, 0, True, 0)
@@ -205,7 +175,7 @@ def cohomology(M) -> CohomologyReport:
                 return rep
     if isinstance(M, (Good, MatrixModule)):
         T = to_matrix(M)
-        rkS = rank_S(M)
+        rkS = rank_S(M, bounds)
         cap = rank_A(M)
         h0, certified, window = stabilized_h0(T, cap)
         if isinstance(rkS, Unknown):

@@ -12,11 +12,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .aq import AqElement, degrees, sigma_divide, unit_normalize
-from .errors import PreconditionViolation, SearchExhausted, ZeroInput
-from .laurent import ONE, ZERO, LaurentPoly, qshift
-from .linalg import charpoly, mat_inverse, mat_mul, nullspace, rational_roots, rref
-from .modules import Good, SigmaMatrix, aq_act, sigma_apply, to_matrix
+from .aq import AqElement, degrees, sigma_divide
+from .errors import PreconditionViolation, SearchExhausted
+from .laurent import ONE, ZERO, LaurentPoly, echelon
+from .linalg import charpoly, coefficient_rows, nullspace, rational_roots
+from .modules import (
+    Good,
+    SigmaMatrix,
+    _window_images,
+    _window_vector,
+    aq_act,
+    sigma_apply,
+    to_matrix,
+)
 from .scalars import get_q
 
 
@@ -95,37 +103,6 @@ def membership_principal(r: AqElement, p: AqElement) -> bool:
     return rem.is_zero()
 
 
-# -- rank certificates over the fraction field --------------------------------
-
-
-def _laurent_rank(rows) -> int:
-    """Rank of a rectangular matrix of LaurentPoly entries over the fraction
-    field, by cross-multiplication elimination (no divisions)."""
-    m = [list(row) for row in rows]
-    rank = 0
-    col = 0
-    ncols = len(m[0]) if m else 0
-    while rank < len(m) and col < ncols:
-        piv = None
-        for i in range(rank, len(m)):
-            if not m[i][col].is_zero():
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        for i in range(rank + 1, len(m)):
-            if m[i][col].is_zero():
-                continue
-            f = m[i][col]
-            m[i] = [a * pv - b * f for a, b in zip(m[i], m[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 def minimal_annihilator_width(T: SigmaMatrix, v, cap: int):
     """Smallest s-width of a nonzero annihilator of v, or None if > cap.
 
@@ -136,8 +113,8 @@ def minimal_annihilator_width(T: SigmaMatrix, v, cap: int):
     for d in range(1, cap + 1):
         orbit.append(sigma_apply(T, orbit[-1], 1))
         # columns are the orbit vectors; dependence <=> rank <= d
-        rows = [[orbit[j][i] for j in range(len(orbit))] for i in range(T.n)]
-        if _laurent_rank(rows) <= d:
+        rank, _, _ = echelon(list(zip(*orbit)))
+        if rank <= d:
             return d
     return None
 
@@ -160,26 +137,11 @@ def annihilator_space(T: SigmaMatrix, v, d: int, zd: int):
     orbit = [list(v)]
     for _ in range(d):
         orbit.append(sigma_apply(T, orbit[-1], 1))
-    # global output exponent range
-    lo, hi = 0, zd
-    for w in orbit:
-        for f in w:
-            if not f.is_zero():
-                lo = min(lo, f.bot)
-                hi = max(hi, f.top + zd)
-    height = hi - lo + 1
-    rows = [
-        [Fraction(0)] * ((d + 1) * (zd + 1)) for _ in range(T.n * height)
-    ]
-    for i in range(d + 1):
-        for j in range(zd + 1):
-            cidx = i * (zd + 1) + j
-            for r in range(T.n):
-                f = orbit[i][r]
-                for e, cf in f.terms():
-                    rows[r * height + (e + j - lo)][cidx] = cf
+    # unknown i * (zd + 1) + j is the coefficient of z^j s^i
+    images = [[f.shift(j) for f in w] for w in orbit for j in range(zd + 1)]
+    rows = coefficient_rows(images)
     basis = []
-    for vec in nullspace(rows, (d + 1) * (zd + 1)):
+    for vec in nullspace(list(rows.values()), len(images)):
         x = _pack(vec, d, zd)
         if not x.is_zero():
             # exact re-verification against the module action
@@ -391,108 +353,49 @@ def _cyclic_search(T: SigmaMatrix, bounds, candidate_limit, deep_limit):
 def line_subbundle_probe(T: SigmaMatrix, k_range, window=12):
     """All (c, k, v) with T(z) v(qz) = c z^k v(z), v supported in the window.
 
-    For each k this is a rational generalized eigenproblem; candidate scalars
-    are rational eigenvalues of an exact reduced map, each verified against
-    the full equation.  Returns a list sorted by (k, c); empty means no line
-    subbundle exists inside the searched window.
+    Write A for the in-window rows of v |-> z^-k T(z) v(qz) and rest for the
+    rows outside the window: the equation is A x = c x for x in ker(rest).
+    The canonical kernel basis K is the identity on its free rows, so on
+    x = K u the free rows read H u = c u with H = (A K)[free rows]: the
+    candidate scalars are the rational eigenvalues of H, and each is solved
+    on the full equation A K u = c K u and verified.  Returns a list sorted
+    by (k, c); empty means no line subbundle exists inside the searched
+    window.
     """
     n = T.n
     W = window
-    width = 2 * W + 1
-    dim = n * width
+    images = _window_images(T, W)
     results = []
-    span_lo = min(e.bot for row in T.mat.rows for e in row if not e.is_zero())
-    span_hi = max(e.top for row in T.mat.rows for e in row if not e.is_zero())
     for k in k_range:
-        lo = min(-W + span_lo, k - W)
-        hi = max(W + span_hi, k + W)
-        height = hi - lo + 1
-        # amat: coefficients of T(z) v(qz) per unknown (r, j)
-        amat = [[Fraction(0)] * dim for _ in range(n * height)]
-        q = get_q()
-        for r in range(n):
-            for j in range(-W, W + 1):
-                cidx = r * width + (j + W)
-                scale = q**j
-                for i in range(n):
-                    f = T.mat.rows[i][r]
-                    for e, cf in f.terms():
-                        amat[i * height + (e + j - lo)][cidx] += cf * scale
-        # rows in the image of x |-> z^k x: (component i, exponent k + j)
-        image_rows = {}
-        for i in range(n):
-            for j in range(-W, W + 1):
-                image_rows[i * height + (k + j - lo)] = i * width + (j + W)
-        constraint = [
-            amat[ridx] for ridx in range(n * height) if ridx not in image_rows
-        ]
-        kernel = nullspace(constraint, dim) if constraint else nullspace([], dim)
-        if not kernel:
+        rows = coefficient_rows([[f.shift(-k) for f in img] for img in images])
+        rest = [row for (_, e), row in rows.items() if not -W <= e <= W]
+        basis = nullspace(rest, len(images))
+        if not basis:
             continue
-        wdim = len(kernel)
-        # G: kernel coords -> full space, x |-> (coefficients of T v(qz)
-        # read off at the image rows); Kb: kernel basis as columns
-        kb = [[kernel[t][c] for t in range(wdim)] for c in range(dim)]
-        g = [
-            [
-                sum(
-                    (amat[ridx][c] * kernel[t][c] for c in range(dim)),
-                    Fraction(0),
-                )
-                for t in range(wdim)
-            ]
-            for ridx, _ in sorted(image_rows.items())
-        ]
-        order = [image_rows[ridx] for ridx in sorted(image_rows)]
-        # reorder rows of g to align with kb's row indexing
-        g_full = [[Fraction(0)] * wdim for _ in range(dim)]
-        for row, target in zip(g, order):
-            g_full[target] = row
-        # pick wdim independent rows of kb: pivot columns of its transpose
-        kbt = [[kb[r][t] for r in range(dim)] for t in range(wdim)]
-        _, row_piv = rref(kbt)
-        J = list(row_piv)
-        kb_j = [[kb[r][t] for t in range(wdim)] for r in J]
-        inv = mat_inverse(kb_j)
-        assert inv is not None
-        g_j = [[g_full[r][t] for t in range(wdim)] for r in J]
-        H = mat_mul(inv, g_j)
-        rest = [r for r in range(dim) if r not in set(J)]
-        C = []
-        for r in rest:
-            hrow = [
-                sum(
-                    (kb[r][s] * H[s][t] for s in range(wdim)),
-                    Fraction(0),
-                )
-                for t in range(wdim)
-            ]
-            C.append([g_full[r][t] - hrow[t] for t in range(wdim)])
+        kernel = [_window_vector(x, n, W) for x in basis]
+        # the columns of A K, as Laurent vectors; they vanish outside the window
+        ak = [[f.shift(-k) for f in sigma_apply(T, v, 1)] for v in kernel]
+        ak_rows = coefficient_rows(ak)
+        zero = [Fraction(0)] * len(kernel)
+        H = []
+        for x in basis:
+            # a canonical kernel vector's free column is its last nonzero entry
+            r, j = divmod(max(t for t, c in enumerate(x) if c), 2 * W + 1)
+            H.append(ak_rows.get((r, j - W), zero))
         roots, _ = rational_roots(charpoly(H))
         for c, _mult in roots:
             if c == 0:
                 continue
-            shifted = [
-                [H[i][j] - (c if i == j else 0) for j in range(wdim)]
-                for i in range(wdim)
-            ]
-            stacked = shifted + C
-            for u in nullspace(stacked, wdim):
-                x = [
-                    sum((kb[r][t] * u[t] for t in range(wdim)), Fraction(0))
-                    for r in range(dim)
+            shifted = coefficient_rows(
+                [[g - f * c for g, f in zip(img, v)] for img, v in zip(ak, kernel)]
+            )
+            for u in nullspace(list(shifted.values()), len(kernel)):
+                vec = [
+                    sum((v[r] * ut for v, ut in zip(kernel, u) if ut), ZERO)
+                    for r in range(n)
                 ]
-                vec = []
-                for r in range(n):
-                    vec.append(
-                        LaurentPoly(-W, x[r * width : (r + 1) * width])
-                    )
-                if all(f.is_zero() for f in vec):
-                    continue
                 # exact certificate on the full equation
-                lhs = T.mat.apply([qshift(f, 1) for f in vec])
-                rhs = [f.shift(k) * c for f in vec]
-                assert lhs == rhs
+                assert sigma_apply(T, vec, 1) == [f.shift(k) * c for f in vec]
                 # scale the leading coefficient to 1 for a canonical report
                 lead = None
                 for f in vec:

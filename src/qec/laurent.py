@@ -404,29 +404,44 @@ def _coerce_entry(e):
     raise TypeError(f"bad matrix entry: {e!r}")
 
 
+def echelon(rows):
+    """Fraction-free (Bareiss) elimination of a rectangular matrix over
+    K[z, z^-1], skipping columns without a pivot.  Returns (rank, sign, last
+    pivot): the rank over the fraction field, the sign of the row
+    permutation, and the last pivot, which for a square matrix of full rank
+    is the determinant up to that sign.  Every interior division is exact in
+    K[z, z^-1] and is checked."""
+    m = [list(row) for row in rows]
+    ncols = len(m[0]) if m else 0
+    rank, sign, prev = 0, 1, ONE
+    for c in range(ncols):
+        if rank == len(m):
+            break
+        for i in range(rank, len(m)):
+            if not m[i][c].is_zero():
+                break
+        else:
+            continue
+        if i != rank:
+            m[rank], m[i] = m[i], m[rank]
+            sign = -sign
+        top = m[rank]
+        pivot = top[c]
+        for row in m[rank + 1:]:
+            a = row[c]
+            for j in range(c + 1, ncols):
+                row[j] = divexact(row[j] * pivot - a * top[j], prev)
+        prev = pivot
+        rank += 1
+    return rank, sign, prev
+
+
 def det(mat: LaurentMatrix) -> LaurentPoly:
-    """Determinant by fraction-free (Bareiss) elimination; every interior
-    division is exact in K[z, z^-1] and is checked."""
-    n = mat.n
-    m = [list(row) for row in mat.rows]
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero():
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return ZERO
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = divexact(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
-            m[i][k] = ZERO
-        prev = m[k][k]
-    d = m[n - 1][n - 1]
-    return -d if sign < 0 else d
+    """Determinant: the signed last pivot of `echelon`."""
+    rank, sign, last = echelon(mat.rows)
+    if rank < mat.n:
+        return ZERO
+    return -last if sign < 0 else last
 
 
 def det_and_inverse(mat: LaurentMatrix):

@@ -1,18 +1,24 @@
 """Exact linear algebra over Q with Fraction entries.
 
 Plain Gaussian elimination on lists of lists; nothing here is numerical.
-Characteristic polynomials reuse the fraction-free Laurent determinant, and
-eigenvalues come from exact rational root extraction (trial-division integer
-factorization), so Jordan data is either exactly right or reported as
-non-split.
+Every solver that looks for Laurent-polynomial vectors linearizes through
+`coefficient_rows` and solves with `nullspace`.  Characteristic polynomials
+reuse the fraction-free Laurent determinant, and eigenvalues come from exact
+rational root extraction (bounded trial-division integer factorization), so
+Jordan data is either exactly right, reported as non-split, or reported as
+out of the search bound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from .errors import NonSplitSpectrum
+from .errors import NonSplitSpectrum, SearchExhausted
 from .laurent import LaurentMatrix, LaurentPoly, det
+
+# largest trial divisor rational_roots tries before it gives up on an integer
+TRIAL_DIVISION_LIMIT = 1 << 20
 
 
 def rref(rows):
@@ -52,10 +58,12 @@ def rank(rows):
 
 
 def nullspace(rows, ncols=None):
-    """Basis of the right kernel, one canonical vector per free column."""
+    """Basis of the right kernel, one canonical vector per free column: 1 at
+    its own free column, 0 at the other free columns.  The basis depends only
+    on the kernel, not on the rows that cut it out, and each vector's free
+    column is its last nonzero entry."""
     if not rows:
-        n = ncols or 0
-        return [[Fraction(i == j) for j in range(n)] for i in range(n)]
+        return identity(ncols or 0)
     ncols = ncols if ncols is not None else len(rows[0])
     m, pivots = rref(rows)
     pivot_set = set(pivots)
@@ -71,19 +79,19 @@ def nullspace(rows, ncols=None):
     return basis
 
 
-def solve(rows, rhs):
-    """One exact solution of rows * x = rhs, or None if inconsistent."""
-    if not rows:
-        return []
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    m, pivots = rref(aug)
-    ncols = len(rows[0])
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r][ncols]
-    return x
+def coefficient_rows(images):
+    """Linearize a map on unknowns: images[t] is the vector of Laurent
+    polynomials that unknown t maps to.  Returns {(component, exponent): row}
+    over the unknowns, one row per coefficient some image touches, sorted by
+    (component, exponent)."""
+    rows = {}
+    for t, vec in enumerate(images):
+        for i, f in enumerate(vec):
+            for e, c in f.terms():
+                if (i, e) not in rows:
+                    rows[(i, e)] = [Fraction(0)] * len(images)
+                rows[(i, e)][t] = c
+    return dict(sorted(rows.items()))
 
 
 def mat_mul(a, b):
@@ -94,22 +102,8 @@ def mat_mul(a, b):
     ]
 
 
-def mat_vec(a, v):
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a]
-
-
 def identity(n):
     return [[Fraction(i == j) for j in range(n)] for i in range(n)]
-
-
-def mat_inverse(a):
-    """Exact inverse of a square rational matrix, or None if singular."""
-    n = len(a)
-    aug = [list(map(Fraction, row)) + identity(n)[i] for i, row in enumerate(a)]
-    m, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in m[:n]]
 
 
 def charpoly(a) -> LaurentPoly:
@@ -132,6 +126,11 @@ def _divisors(n):
     factors = {}
     d = 2
     while d * d <= n:
+        if d > TRIAL_DIVISION_LIMIT:
+            raise SearchExhausted(
+                "integer too large to factor by trial division",
+                {"trial_division": TRIAL_DIVISION_LIMIT},
+            )
         while n % d == 0:
             factors[d] = factors.get(d, 0) + 1
             n //= d
@@ -144,12 +143,17 @@ def _divisors(n):
     return sorted(set(divs))
 
 
+def _divides(d, n):
+    return n == 0 if d == 0 else n % d == 0
+
+
 def rational_roots(p: LaurentPoly):
     """All rational roots with multiplicity, plus the degree left unsplit.
 
     Returns (sorted [(root, multiplicity)], remaining_degree).  Root 0 comes
     from a positive valuation; the rest from the rational root theorem after
-    clearing denominators.
+    clearing denominators.  SearchExhausted when factoring an end coefficient
+    would need a trial divisor above TRIAL_DIVISION_LIMIT.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -158,15 +162,20 @@ def rational_roots(p: LaurentPoly):
         roots.append((Fraction(0), p.bot))
     coeffs = list(p.coeffs)  # poly with nonzero constant and leading coeff
     if len(coeffs) > 1:
-        from math import lcm
-
         scale = lcm(*(c.denominator for c in coeffs))
         ints = [int(c * scale) for c in coeffs]
+        at_one = sum(ints)
+        at_minus_one = sum(-c if i % 2 else c for i, c in enumerate(ints))
         cands = set()
         for a in _divisors(ints[0]):
             for b in _divisors(ints[-1]):
-                cands.add(Fraction(a, b))
-                cands.add(Fraction(-a, b))
+                if gcd(a, b) != 1:
+                    continue
+                for r in (a, -a):
+                    # a root r/b in lowest terms makes b*z - r a factor over
+                    # Z (Gauss), so b - r divides P(1) and b + r divides P(-1)
+                    if _divides(b - r, at_one) and _divides(b + r, at_minus_one):
+                        cands.add(Fraction(r, b))
         for r in sorted(cands):
             mult = 0
             while len(coeffs) > 1:

@@ -104,6 +104,23 @@ def sigma_apply(T: SigmaMatrix, vec, k: int = 1):
     return vec
 
 
+def _window_images(T: SigmaMatrix, window: int):
+    """s(z^j e_r) = q^j z^j T[:, r] for r < n and |j| <= window, in
+    component-major order: the unknowns of a window, as linear images."""
+    q = get_q()
+    return [
+        [(f * q**j).shift(j) for f in col]
+        for col in zip(*T.mat.rows)
+        for j in range(-window, window + 1)
+    ]
+
+
+def _window_vector(x, n: int, window: int):
+    """The Laurent vector whose window coordinates (component-major) are x."""
+    width = 2 * window + 1
+    return [LaurentPoly(-window, x[r * width : (r + 1) * width]) for r in range(n)]
+
+
 def aq_act(x: AqElement, T: SigmaMatrix, vec):
     """Act by an algebra element on a coordinate vector: sum x_i(z) s^i(v)."""
     out = [ZERO] * T.n

@@ -217,6 +217,29 @@ def test_coh_strict_uncertified(capsys):
     assert "certified = False" in out
 
 
+def test_coh_honours_search_bounds(capsys):
+    code, out, _ = run(capsys, "coh", MATRIX_DESC, *TIGHT)
+    assert code == 0
+    assert out == (
+        "h0 = 0  h1 = unknown  chi = unknown  certified = False  window = 16\n"
+    )
+    # agrees with mod info under the same bounds
+    code, payload, _ = run_json(capsys, "mod", "info", MATRIX_DESC, *TIGHT)
+    assert payload["rank_S"] is None
+    code, out, _ = run(capsys, "coh", MATRIX_DESC)
+    assert code == 0
+    assert out == "h0 = 0  h1 = 1  chi = -1  certified = False  window = 16\n"
+
+
+def test_coh_large_prime_constant_matrix_answers(capsys):
+    # Jordan data would need trial division far past its bound, so the
+    # closed form steps aside and the window protocol answers
+    desc = '{"kind":"matrix","entries":[["1000000007","0"],["0","998244353"]]}'
+    code, out, _ = run(capsys, "coh", desc)
+    assert code == 0
+    assert out == "h0 = 0  h1 = 0  chi = 0  certified = False  window = 16\n"
+
+
 def test_euler_text_and_json(capsys):
     code, out, _ = run(capsys, "euler", O_DESC, L13_DESC)
     assert code == 0

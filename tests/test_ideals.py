@@ -1,11 +1,13 @@
 """Left-ideal machinery: principal membership, annihilators of cosets in
 cyclic modules, cyclic-vector searches, and the line-subbundle probe."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from qec.aq import AqElement, degrees, parse, sigma_divide, unit_normalize
+from qec.cohomology import fixed_space
 from qec.errors import PreconditionViolation, SearchExhausted
 from qec.ideals import (
     IdealPresentation,
@@ -17,7 +19,8 @@ from qec.ideals import (
     membership_principal,
     minimal_annihilator_width,
 )
-from qec.laurent import ONE, ZERO, LaurentPoly
+from qec.laurent import ONE, ZERO, LaurentPoly, laurent_to_str
+from qec.linalg import rank
 from qec.modules import (
     Good,
     LineBundle,
@@ -25,12 +28,13 @@ from qec.modules import (
     SigmaMatrix,
     Torsion,
     aq_act,
+    dual,
     extension_fixture,
     to_matrix,
 )
 from qec.laurent import LaurentMatrix
-from qec.samples import rand_aq, rand_sigma_good
-from qec.scalars import qpow
+from qec.samples import rand_aq, rand_sigma_good, rand_sigma_matrix
+from qec.scalars import qpow, using_q
 
 
 def test_membership_multiples(rng):
@@ -192,3 +196,83 @@ def test_line_subbundle_probe_line_module():
     T = to_matrix(LineBundle(Fraction(3), 2))
     found = line_subbundle_probe(T, range(-1, 4), window=4)
     assert any(c == 3 and k == 2 for c, k, _ in found)
+
+
+def _show(found):
+    return [
+        f"{c} {k} " + " ; ".join(laurent_to_str(f) for f in v) for c, k, v in found
+    ]
+
+
+# probe outputs recorded before the probe read its reduced map off the
+# canonical kernel basis (seeded rand_sigma_matrix(n_max=2), window 3)
+PROBE_PINNED = [
+    (Fraction(2), 13, [
+        "-16 1 z^3 ; 0", "-8 1 z^2 ; 0", "-8 1 z^3 ; 1/4*z^2", "-4 1 z ; 0",
+        "-4 1 z^2 ; 1/4*z", "-2 1 1 ; 0", "-2 1 z ; 1/4", "-1 1 z^-1 ; 0",
+        "-1 1 1 ; 1/4*z^-1", "-1/2 1 z^-2 ; 0", "-1/2 1 z^-1 ; 1/4*z^-2",
+        "-1/4 1 z^-3 ; 0", "-1/4 1 z^-2 ; 1/4*z^-3",
+    ]),
+    (Fraction(2), 16, [
+        "3/16 0 z^-3 ; -2/5*z^-2 + 8/13*z^-1", "1/4 0 0 ; z^-3",
+        "3/8 0 z^-2 ; -2/5*z^-1 + 8/13", "1/2 0 0 ; z^-2",
+        "3/4 0 z^-1 ; -2/5 + 8/13*z", "1 0 0 ; z^-1",
+        "3/2 0 1 ; -2/5*z + 8/13*z^2", "2 0 0 ; 1",
+        "3 0 z ; -2/5*z^2 + 8/13*z^3", "4 0 0 ; z", "8 0 0 ; z^2",
+        "16 0 0 ; z^3",
+    ]),
+    # a kernel vector with more than one nonzero entry: the reduced map
+    # must read the free row, its last nonzero entry
+    (Fraction(2), 80, [
+        "1/4 0 z^-1 ; -3*z^-3", "1/2 0 1 ; -3*z^-2", "1 0 z ; -3*z^-1",
+        "2 0 z^2 ; -3", "4 0 z^3 ; -3*z", "1/12 1 z^-3 ; 0",
+        "1/6 1 z^-2 ; 0", "1/3 1 z^-1 ; 0", "2/3 1 1 ; 0", "4/3 1 z ; 0",
+        "8/3 1 z^2 ; 0", "16/3 1 z^3 ; 0",
+    ]),
+    (Fraction(-1, 2), 13, [
+        "-8 1 z^-2 ; 0", "-8 1 z^-1 ; -3/8*z^-2", "-2 1 1 ; 0", "-2 1 z ; -3/8",
+        "-1/2 1 z^2 ; 0", "-1/2 1 z^3 ; -3/8*z^2", "1/4 1 z^3 ; 0", "1 1 z ; 0",
+        "1 1 z^2 ; -3/8*z", "4 1 z^-1 ; 0", "4 1 1 ; -3/8*z^-1",
+        "16 1 z^-3 ; 0", "16 1 z^-2 ; -3/8*z^-3",
+    ]),
+    (Fraction(-1, 2), 16, [
+        "-16 0 0 ; z^-3", "-12 0 z^-3 ; 2/5*z^-2 - 4*z^-1", "-4 0 0 ; z^-1",
+        "-3 0 z^-1 ; 2/5 - 4*z", "-1 0 0 ; z", "-3/4 0 z ; 2/5*z^2 - 4*z^3",
+        "-1/4 0 0 ; z^3", "1/2 0 0 ; z^2", "3/2 0 1 ; 2/5*z - 4*z^2",
+        "2 0 0 ; 1", "6 0 z^-2 ; 2/5*z^-1 - 4", "8 0 0 ; z^-2",
+    ]),
+]
+
+
+@pytest.mark.parametrize("q,seed,want", PROBE_PINNED)
+def test_line_subbundle_probe_pinned_outputs(q, seed, want):
+    with using_q(q):
+        T = rand_sigma_matrix(random.Random(seed), n_max=2)
+        assert _show(line_subbundle_probe(T, range(-2, 3), window=3)) == want
+
+
+def _window_coords(vecs, window):
+    return [
+        [f.coeff(e) for f in v for e in range(-window, window + 1)] for v in vecs
+    ]
+
+
+def test_fixed_space_is_the_probe_at_c1_k0(rng):
+    """H^0 is the (c, k) = (1, 0) eigenspace of the probe's equation."""
+    mats = [
+        to_matrix(Torsion(((Fraction(1), 2),))),
+        to_matrix(dual(extension_fixture())),
+        to_matrix(LineBundle(Fraction(1), 0)),
+        SigmaMatrix(LaurentMatrix.from_strs([["2", "0"], ["z", "2"]])),
+    ]
+    mats += [rand_sigma_matrix(rng, n_max=2) for _ in range(8)]
+    nonempty = 0
+    for T in mats:
+        for w in (0, 2, 3):
+            fixed = _window_coords(fixed_space(T, w), w)
+            probe = _window_coords(
+                [v for c, k, v in line_subbundle_probe(T, [0], w) if c == 1], w
+            )
+            assert len(fixed) == len(probe) == rank(fixed + probe)
+            nonempty += bool(fixed)
+    assert nonempty >= 6

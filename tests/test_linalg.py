@@ -1,0 +1,160 @@
+"""Differential tests of the exact linear-algebra kernel against sympy.
+
+sympy is an independent oracle used here only; the library has no runtime
+dependency on it.  Rational matrices exercise `rank`, `nullspace` and
+`charpoly`, products of linear factors exercise `rational_roots`, and Laurent
+matrices exercise `echelon` and `det` over Q(z).
+"""
+
+from fractions import Fraction
+
+import pytest
+import sympy
+from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
+
+from qec.errors import SearchExhausted
+from qec.laurent import ZERO, LaurentMatrix, LaurentPoly, det, echelon
+from qec.linalg import (
+    TRIAL_DIVISION_LIMIT,
+    charpoly,
+    coefficient_rows,
+    nullspace,
+    rank,
+    rational_roots,
+)
+from qec.samples import rand_laurent, rand_scalar
+
+Z = sympy.Symbol("z")
+QZ = QQ.frac_field(Z)
+
+
+def _rand_rational_matrix(rng, nrows, ncols):
+    rows = [[rand_scalar(rng) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and rng.random() < 0.4:
+        # force a dependent row so kernels and rank drops show up
+        a, b, c = rng.randrange(nrows), rng.randrange(nrows), rng.randrange(nrows)
+        f, g = rand_scalar(rng), rand_scalar(rng)
+        rows[a] = [f * x + g * y for x, y in zip(rows[b], rows[c])]
+    return rows
+
+
+def _sym_matrix(rows):
+    return sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
+    )
+
+
+def _frac(r):
+    return Fraction(int(r.p), int(r.q))
+
+
+def test_rank_nullspace_charpoly_match_sympy(rng):
+    for _ in range(120):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        rows = _rand_rational_matrix(rng, nrows, ncols)
+        m = _sym_matrix(rows)
+        assert rank(rows) == m.rank()
+        # sympy's basis is the canonical one: 1 at its free column, 0 at the
+        # others, so the bases must agree vector for vector
+        want = [[_frac(x) for x in v] for v in m.nullspace()]
+        assert nullspace(rows, ncols) == want
+        if nrows == ncols:
+            coeffs = m.charpoly(sympy.Symbol("x")).all_coeffs()
+            want = LaurentPoly(0, [_frac(c) for c in reversed(coeffs)])
+            assert charpoly(rows) == want
+
+
+def test_nullspace_of_no_rows_is_the_identity():
+    assert nullspace([], 3) == [
+        [Fraction(1), 0, 0],
+        [0, Fraction(1), 0],
+        [0, 0, Fraction(1)],
+    ]
+
+
+def _to_qz(f):
+    return QZ.from_sympy(
+        sum(
+            (sympy.Rational(c.numerator, c.denominator) * Z**e for e, c in f.terms()),
+            sympy.Integer(0),
+        )
+    )
+
+
+def _rand_laurent_matrix(rng, nrows, ncols):
+    rows = [
+        [rand_laurent(rng, 2, 2) if rng.random() < 0.8 else ZERO for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    if nrows > 1 and rng.random() < 0.3:
+        a, b = rng.sample(range(nrows), 2)
+        f = rand_laurent(rng, 1, 1)
+        rows[a] = [f * e for e in rows[b]]
+    return rows
+
+
+def test_echelon_rank_and_det_match_sympy_over_qz(rng):
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        rows = _rand_laurent_matrix(rng, nrows, ncols)
+        dm = DomainMatrix([[_to_qz(f) for f in row] for row in rows], (nrows, ncols), QZ)
+        r, sign, _ = echelon(rows)
+        assert r == dm.rank()
+        assert sign in (1, -1)
+        if nrows == ncols:
+            assert _to_qz(det(LaurentMatrix(rows))) == dm.det()
+
+
+def test_echelon_last_pivot_is_signed_det():
+    rows = LaurentMatrix.from_strs([["0", "1"], ["z", "1 + z"]]).rows
+    assert echelon(rows) == (2, -1, LaurentPoly.monomial(1, 1))
+    assert det(LaurentMatrix(rows)) == LaurentPoly.monomial(-1, 1)
+    # a column without a pivot is skipped, not fatal
+    assert echelon([[ZERO, LaurentPoly.const(1)], [ZERO, LaurentPoly.const(2)]])[0] == 1
+    assert echelon([]) == (0, 1, LaurentPoly.const(1))
+
+
+def test_coefficient_rows_sorted_by_component_and_exponent():
+    x = LaurentPoly.monomial(1, 1)
+    images = [[x, LaurentPoly.const(2)], [ZERO, x * x - 3]]
+    rows = coefficient_rows(images)
+    assert list(rows) == [(0, 1), (1, 0), (1, 2)]
+    assert rows[(0, 1)] == [1, 0]
+    assert rows[(1, 0)] == [2, -3]
+    assert rows[(1, 2)] == [0, 1]
+
+
+def test_rational_roots_match_sympy(rng):
+    x = sympy.Symbol("x")
+    for _ in range(150):
+        # products of linear factors (roots +-1 included) and, at times, an
+        # irreducible quadratic that must stay unsplit
+        factors = [
+            sympy.Integer(rng.choice((1, 2, 3, 4, 9))) * x
+            - rng.choice((-6, -3, -2, -1, 1, 2, 3, 5))
+            for _ in range(rng.randint(1, 5))
+        ]
+        if rng.random() < 0.3:
+            factors.append(x**2 - rng.choice((2, 3, 5, -1)))
+        if rng.random() < 0.2:
+            factors.append(x)
+        poly = sympy.Poly(sympy.Mul(*factors), x)
+        # a rational scale puts denominators into the coefficients
+        scale = rand_scalar(rng, nonzero=True)
+        coeffs = [_frac(c) * scale for c in poly.all_coeffs()]
+        roots, left = rational_roots(LaurentPoly(0, list(reversed(coeffs))))
+        want = sorted((_frac(r), m) for r, m in sympy.roots(poly, filter="Q").items())
+        assert roots == want
+        assert left == poly.degree() - sum(m for _, m in want)
+
+
+def test_rational_roots_stops_at_the_trial_division_limit():
+    p, r = 1000000007, 998244353
+    big = LaurentPoly(0, [p * r, -(p + r), 1])
+    with pytest.raises(SearchExhausted) as info:
+        rational_roots(big)
+    assert info.value.bounds == {"trial_division": TRIAL_DIVISION_LIMIT}
+    # small coefficients still factor completely
+    small = LaurentPoly(0, [6, -5, 1])
+    assert rational_roots(small) == ([(Fraction(2), 1), (Fraction(3), 1)], 0)
