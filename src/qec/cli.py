@@ -30,7 +30,6 @@ from .laurent import laurent_to_str
 from .modules import (
     Good,
     LineBundle,
-    MatrixModule,
     Torsion,
     Unknown,
     _plain,
@@ -100,7 +99,7 @@ def cmd_div(args) -> int:
 
 
 def _info_payload(M, bounds) -> dict:
-    rkS = rank_S(M, bounds) if isinstance(M, MatrixModule) else rank_S(M)
+    rkS = rank_S(M, bounds)
     payload = dict(module_to_json(M))
     payload["rank_A"] = rank_A(M)
     payload["rank_S"] = _plain(rkS)
@@ -339,10 +338,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ParseError, ZeroInput, PreconditionViolation, TypeError, KeyError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except UnknownSuite as e:
+    except (
+        ParseError, ZeroInput, PreconditionViolation, UnknownSuite, TypeError, KeyError
+    ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (SearchExhausted, NonSplitSpectrum) as e:

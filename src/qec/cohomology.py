@@ -2,18 +2,22 @@
 index identity h1 = h0 + rank_S, and the Euler form chi(M, N) = -rank_S of
 the internal hom.
 
-H^0 of a matrix-presented module is computed exactly: a fixed vector with
-z-support inside [-w, w] satisfies T(z) f(qz) = f(z), a finite linear system
-over the scalar field once the window w is chosen.  Windows grow until the
-dimension stagnates twice or hits the rank_A ceiling; only the ceiling makes
-the answer certified, stagnation is reported as uncertified.
+H^0(M) = Hom(O, M): a fixed vector is a line subbundle of type (c, k) =
+(1, 0), so H^0 of a matrix-presented module is the window solver
+`modules.window_eigenspace` at that type.  A fixed vector with z-support
+inside [-w, w] satisfies T(z) f(qz) = f(z), a finite linear system over the
+scalar field once the window w is chosen.  Windows grow until the dimension
+stagnates twice or hits the rank_A ceiling; only the ceiling makes the answer
+certified, stagnation is reported as uncertified.
+
+Line bundles, torsion modules and matrices T(z) = z^m C with C constant share
+one closed form (`_scaled_report`).
 """
 
 from __future__ import annotations
 
+from .aq import degrees
 from .errors import NonSplitSpectrum, PreconditionViolation, SearchExhausted
-from .laurent import LaurentPoly
-from .linalg import coefficient_rows, nullspace
 from .modules import (
     Good,
     LineBundle,
@@ -22,16 +26,15 @@ from .modules import (
     Torsion,
     Unknown,
     _plain,
-    _window_images,
-    _window_vector,
+    dual,
     hom,
     jordan_structure,
-    pic_trivial,
     rank_A,
     rank_S,
-    sigma_apply,
     to_matrix,
+    window_eigenspace,
 )
+from .scalars import q_power_class
 
 WINDOW_START = 8
 WINDOW_STEP = 4
@@ -65,26 +68,9 @@ class CohomologyReport:
 
 def fixed_space(T: SigmaMatrix, window: int):
     """Basis of {f : T(z) f(qz) = f(z), supp_z(f) in [-window, window]},
-    each vector a tuple of Laurent polynomials.  The equations run over the
-    full exponent range touched by T and the window, so every returned
-    vector is a genuine fixed vector, not a truncation artifact.
-    """
-    if window < 0:
-        raise PreconditionViolation("window must be >= 0")
-    images = _window_images(T, window)
-    for t, img in enumerate(images):
-        # unknown t is the coefficient of z^j in component r
-        r, j = divmod(t, 2 * window + 1)
-        img[r] = img[r] - LaurentPoly.monomial(1, j - window)
-    rows = coefficient_rows(images)
-    basis = [
-        tuple(_window_vector(vec, T.n, window))
-        for vec in nullspace(list(rows.values()), len(images))
-    ]
-    # exact certificate: T f(qz) == f(z)
-    for f in basis:
-        assert sigma_apply(T, f, 1) == list(f)
-    return basis
+    each vector a tuple of Laurent polynomials: the window solver at
+    (k, c) = (0, 1)."""
+    return [tuple(f) for f in window_eigenspace(T, window, 0, 1)]
 
 
 def stabilized_h0(T: SigmaMatrix, cap: int):
@@ -103,12 +89,6 @@ def stabilized_h0(T: SigmaMatrix, cap: int):
         window += WINDOW_STEP
 
 
-def _torsion_h(M: Torsion) -> int:
-    from .scalars import q_power_class
-
-    return sum(1 for lam, _ in M.blocks if lam == 1 or q_power_class(lam) is not None)
-
-
 def _monomial_scaled(T: SigmaMatrix):
     """(m, rows) when every nonzero entry of T is c z^m with one shared
     exponent m, so that T(z) = z^m C for a constant matrix C; else None."""
@@ -123,43 +103,33 @@ def _monomial_scaled(T: SigmaMatrix):
     return m, [[e.coeff(m) for e in row] for row in T.mat.rows]
 
 
-def _scaled_constant_report(m, rows, n):
-    """Closed form for T(z) = z^m C with C constant invertible (the shape of
-    a line bundle tensored with a torsion module).
+def _scaled_report(m, blocks, n):
+    """Closed form for T(z) = z^m C, C an invertible constant n x n matrix
+    with Jordan blocks `blocks` (read only when m == 0).  A line bundle
+    (c, m) is the case n = 1, blocks [(c, 1)]; a torsion module the case
+    m = 0.
 
     m != 0: a nonzero fixed vector is impossible — C preserves the top
     z-layer of any candidate, so the equation forces top degree N + m = N —
     hence h0 = 0; rank_S is |m| * n by multiplicativity across the torsion
     factor.  m = 0: the module is torsion, so rank_S = 0 and the fixed space
-    has one line per Jordan block of C with q-power-class-trivial eigenvalue.
-    None when the Jordan data of C cannot be read off exactly.
+    has one line per Jordan block whose eigenvalue is a power of q.
     """
     if m != 0:
         return CohomologyReport(0, abs(m) * n, -abs(m) * n, True, 0)
-    try:
-        blocks = jordan_structure(rows)
-    except (NonSplitSpectrum, SearchExhausted):
-        return None
-    h = _torsion_h(Torsion(tuple(blocks)))
+    h = sum(1 for lam, _ in blocks if q_power_class(lam) is not None)
     return CohomologyReport(h, h, 0, True, 0)
 
 
 def cohomology(M, bounds=None) -> CohomologyReport:
-    """Exact closed forms for line bundles and torsion modules; the window
-    protocol for the rest, with rank_S searched under `bounds`.
-    h1 = h0 + rank_S throughout."""
+    """Exact closed forms for line bundles, torsion modules and monomial-scaled
+    matrices; the window protocol for the rest, with rank_S searched under
+    `bounds`.  h1 = h0 + rank_S throughout."""
     if isinstance(M, LineBundle):
-        if pic_trivial(M):
-            return CohomologyReport(1, 1, 0, True, 0)
-        if M.m == 0:
-            return CohomologyReport(0, 0, 0, True, 0)
-        return CohomologyReport(0, abs(M.m), -abs(M.m), True, 0)
+        return _scaled_report(M.m, [(M.c, 1)], 1)
     if isinstance(M, Torsion):
-        b = _torsion_h(M)
-        return CohomologyReport(b, b, 0, True, 0)
+        return _scaled_report(0, M.blocks, M.dim)
     if isinstance(M, Good):
-        from .aq import degrees
-
         deg = degrees(M.p)
         if deg.z_good:
             # a z-good generator makes the module free over S (z-division
@@ -170,9 +140,13 @@ def cohomology(M, bounds=None) -> CohomologyReport:
     if isinstance(M, MatrixModule):
         scaled = _monomial_scaled(M.T)
         if scaled is not None:
-            rep = _scaled_constant_report(*scaled, M.T.n)
-            if rep is not None:
-                return rep
+            m, rows = scaled
+            try:
+                blocks = jordan_structure(rows) if m == 0 else ()
+            except (NonSplitSpectrum, SearchExhausted):
+                pass  # no exact Jordan data: the window protocol decides
+            else:
+                return _scaled_report(m, blocks, M.T.n)
     if isinstance(M, (Good, MatrixModule)):
         T = to_matrix(M)
         rkS = rank_S(M, bounds)
@@ -201,22 +175,10 @@ def euler_form(M, N, bounds=None):
     return -rkS
 
 
-def __getattr__(name):
-    # verify_suite belongs to this module's contract but lives in .suites,
-    # which imports cohomology; the lazy hop breaks the cycle.
-    if name == "verify_suite":
-        from .suites import verify_suite
-
-        return verify_suite
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _hom_rank_S(M, N, bounds=None):
     """rank_S of hom(M, N), using the multiplicativity of rank_S across a
     torsion factor (rank_S(T tensor X) = rank_A(T) * rank_S(X)) before
     falling back to the generator search on the Kronecker matrix."""
-    from .modules import dual
-
     Md = dual(M)
     for A, B in ((Md, N), (N, Md)):
         if isinstance(A, Torsion):

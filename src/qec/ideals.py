@@ -24,6 +24,7 @@ from .modules import (
     aq_act,
     sigma_apply,
     to_matrix,
+    window_eigenspace,
 )
 from .scalars import get_q
 
@@ -231,7 +232,7 @@ class CyclicResult:
         )
 
 
-def _candidate_vectors(n, limit=800):
+def _candidate_vectors(n):
     """Deterministic candidates: 0/1 vectors by weight, then low z-powers."""
     pools = (
         (ZERO, ONE),
@@ -261,7 +262,7 @@ def _candidate_vectors(n, limit=800):
                 continue
             seen.add(v)
             count += 1
-            if count > limit:
+            if count > CANDIDATE_LIMIT:
                 return
             yield v
 
@@ -269,24 +270,24 @@ def _candidate_vectors(n, limit=800):
 # extra s-width explored past the sigma-good generator when pinning the
 # minimal z-width of a two-generator annihilator ideal
 CERT_SLACK = 2
+# candidate vectors tried, and cyclic candidates whose annihilator search
+# may fail, before the search gives up
+CANDIDATE_LIMIT = 800
+DEEP_LIMIT = 24
 
 
-def cyclic_search(T: SigmaMatrix, bounds=None, candidate_limit=800, deep_limit=24):
+def cyclic_search(T: SigmaMatrix, bounds=None):
     """Memoizing front end: the search is deterministic in (T, q, bounds),
-    and rank computations revisit the same matrix repeatedly."""
+    and rank computations revisit the same matrix repeatedly.  The search
+    reads only the s- and z-width bounds, so the cache is keyed on those."""
     bounds = bounds or DEFAULT_BOUNDS
-    key = (
-        get_q(), bounds.deg_sigma, bounds.deg_z, bounds.window,
-        candidate_limit, deep_limit,
-    )
+    key = (get_q(), bounds.deg_sigma, bounds.deg_z)
     if key not in T._cyclic_cache:
-        T._cyclic_cache[key] = _cyclic_search(
-            T, bounds, candidate_limit, deep_limit
-        )
+        T._cyclic_cache[key] = _cyclic_search(T, bounds)
     return T._cyclic_cache[key]
 
 
-def _cyclic_search(T: SigmaMatrix, bounds, candidate_limit, deep_limit):
+def _cyclic_search(T: SigmaMatrix, bounds):
     """Search for a cyclic vector and the ideal data it reveals.
 
     A candidate v is cyclic when v, s(v), ..., s^{n-1}(v) are independent
@@ -305,7 +306,7 @@ def _cyclic_search(T: SigmaMatrix, bounds, candidate_limit, deep_limit):
     """
     n = T.n
     deep = 0
-    for v in _candidate_vectors(n, candidate_limit):
+    for v in _candidate_vectors(n):
         if minimal_annihilator_width(T, v, n - 1) is not None:
             continue  # not cyclic: a smaller-width annihilator exists
         p = None
@@ -323,7 +324,7 @@ def _cyclic_search(T: SigmaMatrix, bounds, candidate_limit, deep_limit):
                 break
         if p is None or (degrees(p).deg_sigma > n and w_low is None):
             deep += 1
-            if deep >= deep_limit:
+            if deep >= DEEP_LIMIT:
                 return None
             continue
         if degrees(p).deg_sigma == n:
@@ -356,11 +357,12 @@ def line_subbundle_probe(T: SigmaMatrix, k_range, window=12):
     Write A for the in-window rows of v |-> z^-k T(z) v(qz) and rest for the
     rows outside the window: the equation is A x = c x for x in ker(rest).
     The canonical kernel basis K is the identity on its free rows, so on
-    x = K u the free rows read H u = c u with H = (A K)[free rows]: the
-    candidate scalars are the rational eigenvalues of H, and each is solved
-    on the full equation A K u = c K u and verified.  Returns a list sorted
-    by (k, c); empty means no line subbundle exists inside the searched
-    window.
+    x = K u the free rows read H u = c u with H = (A K)[free rows].  H only
+    supplies the candidate scalars, its rational eigenvalues; each candidate
+    is solved on the full equation by the shared window solver
+    (`modules.window_eigenspace`), which certifies every vector it returns.
+    Returns a list sorted by (k, c); empty means no line subbundle exists
+    inside the searched window.
     """
     n = T.n
     W = window
@@ -386,23 +388,9 @@ def line_subbundle_probe(T: SigmaMatrix, k_range, window=12):
         for c, _mult in roots:
             if c == 0:
                 continue
-            shifted = coefficient_rows(
-                [[g - f * c for g, f in zip(img, v)] for img, v in zip(ak, kernel)]
-            )
-            for u in nullspace(list(shifted.values()), len(kernel)):
-                vec = [
-                    sum((v[r] * ut for v, ut in zip(kernel, u) if ut), ZERO)
-                    for r in range(n)
-                ]
-                # exact certificate on the full equation
-                assert sigma_apply(T, vec, 1) == [f.shift(k) * c for f in vec]
+            for vec in window_eigenspace(T, W, k, c):
                 # scale the leading coefficient to 1 for a canonical report
-                lead = None
-                for f in vec:
-                    if not f.is_zero():
-                        lead = f.coeffs[0]
-                        break
-                vec = [f * (1 / lead) for f in vec]
-                results.append((c, k, tuple(vec)))
+                lead = next(f.coeffs[0] for f in vec if not f.is_zero())
+                results.append((c, k, tuple(f * (1 / lead) for f in vec)))
     results.sort(key=lambda t: (t[1], t[0]))
     return results

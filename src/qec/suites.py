@@ -100,8 +100,8 @@ def _division_case(rng, ci, tally, bounds):
 
 def _riemann_roch_case(rng, ci, tally, bounds):
     M = rand_module(rng, "lltg")
-    rep = cohomology(M)
-    rk = rank_S(M)
+    rep = cohomology(M, bounds)
+    rk = rank_S(M, bounds)
     if _is_unknown(rep.h0, rep.h1, rep.chi, rk) or not rep.certified:
         tally.skip()
         return
@@ -114,7 +114,7 @@ def _riemann_roch_case(rng, ci, tally, bounds):
 def _serre_case(rng, ci, tally, bounds):
     M = rand_module(rng, "lltg")
     Md = dual(M)
-    a, b = cohomology(M), cohomology(Md)
+    a, b = cohomology(M, bounds), cohomology(Md, bounds)
     if (
         _is_unknown(a.h0, a.h1, b.h0, b.h1)
         or not a.certified
@@ -149,8 +149,8 @@ def _chi_rank_case(rng, ci, tally, bounds):
     M = rand_module(rng, "ltgm")
     if isinstance(M, MatrixModule) and M.T.n > 2:
         M = rand_torsion(rng)
-    rep = cohomology(M)
-    rk = rank_S(M, bounds) if isinstance(M, MatrixModule) else rank_S(M)
+    rep = cohomology(M, bounds)
+    rk = rank_S(M, bounds)
     if _is_unknown(rep.chi, rep.h0, rk) or not rep.certified:
         tally.skip()
         return

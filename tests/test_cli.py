@@ -10,7 +10,9 @@ from fractions import Fraction
 
 import pytest
 
+import qec.ideals
 from qec.cli import main
+from qec.ideals import SearchBounds
 from qec.modules import (
     LineBundle,
     Torsion,
@@ -304,6 +306,24 @@ def test_verify_cli_matches_library(capsys):
     code, out, _ = run(capsys, "verify", "division", "--cases", "20", "--seed", "1")
     assert code == 0
     assert out == "suite division: 20 cases, 20 passed, 0 skipped (unknown), 0 failed\n"
+
+
+def test_verify_suite_passes_its_bounds_to_every_search(monkeypatch):
+    # the cohomology suites search rank_S under the suite's bounds, never
+    # under the defaults
+    seen = []
+    search = qec.ideals.cyclic_search
+
+    def spy(T, bounds=None):
+        seen.append(bounds)
+        return search(T, bounds)
+
+    monkeypatch.setattr(qec.ideals, "cyclic_search", spy)
+    tight = SearchBounds(1, 0)
+    for name in ("riemann_roch", "serre", "chi_rank"):
+        verify_suite(name, cases=25, seed=1, bounds=tight)
+    assert seen
+    assert all(b is tight for b in seen)
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):
