@@ -2,10 +2,10 @@
 
 Thin wrappers only: every subcommand parses its inputs, delegates to the
 library, and prints either a stable text rendering or JSON (sorted keys).
-Exit codes: 0 success, 1 computational failure (search exhausted, or an
-Unknown/uncertified answer under --strict, or suite failures), 2 usage and
-parse errors.  The ambient q comes from --q, else the QEC_Q environment
-variable, else 2.
+Exit codes: 0 success, 1 computational failure (search exhausted, a failed
+certificate, an Unknown/uncertified answer under --strict, or suite
+failures), 2 usage and parse errors.  The ambient q comes from --q, else the
+QEC_Q environment variable, else 2.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import sys
 from . import aq
 from .cohomology import cohomology, euler_form
 from .errors import (
+    CertificateFailure,
     NonSplitSpectrum,
     ParseError,
     PreconditionViolation,
@@ -31,7 +32,6 @@ from .modules import (
     Good,
     LineBundle,
     Torsion,
-    Unknown,
     _plain,
     dual,
     hom,
@@ -103,8 +103,6 @@ def _info_payload(M, bounds) -> dict:
     payload = dict(module_to_json(M))
     payload["rank_A"] = rank_A(M)
     payload["rank_S"] = _plain(rkS)
-    if isinstance(rkS, Unknown) and rkS.upper_bound is not None:
-        payload["rank_S_upper"] = rkS.upper_bound
     if isinstance(M, LineBundle):
         cls = pic_class(M)
         payload["pic"] = {"c": scalar_to_str(cls.c), "m": cls.m}
@@ -172,8 +170,6 @@ def cmd_euler(args) -> int:
     N = _module_arg(args.b)
     chi = euler_form(M, N, args.bounds)
     payload = {"chi": _plain(chi)}
-    if isinstance(chi, Unknown) and chi.upper_bound is not None:
-        payload["note"] = f"rank upper bound {chi.upper_bound}"
     _emit(args, payload, ["unknown" if payload["chi"] is None else str(payload["chi"])])
     if args.strict and payload["chi"] is None:
         return 1
@@ -343,7 +339,7 @@ def main(argv=None) -> int:
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (SearchExhausted, NonSplitSpectrum) as e:
+    except (SearchExhausted, NonSplitSpectrum, CertificateFailure) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -153,10 +153,7 @@ def cohomology(M, bounds=None) -> CohomologyReport:
         cap = rank_A(M)
         h0, certified, window = stabilized_h0(T, cap)
         if isinstance(rkS, Unknown):
-            ub = rkS.upper_bound
-            h1 = Unknown(None if ub is None else h0 + ub)
-            chi = Unknown(None)
-            return CohomologyReport(h0, h1, chi, False, window)
+            return CohomologyReport(h0, Unknown(), Unknown(), False, window)
         return CohomologyReport(h0, h0 + rkS, -rkS, certified, window)
     raise PreconditionViolation(f"not a module presentation: {M!r}")
 

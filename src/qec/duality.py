@@ -17,7 +17,7 @@ under a second dual.
 from __future__ import annotations
 
 from .aq import AqElement, degrees, epsilon, good_normal_coeffs
-from .errors import PreconditionViolation, SearchExhausted
+from .errors import CertificateFailure, PreconditionViolation, SearchExhausted
 from .laurent import ONE, LaurentPoly, qshift
 
 
@@ -62,7 +62,8 @@ def normalize_good(p: AqElement):
     """(u, nf) with u a unit and u*p the monic normal form nf."""
     u, coeffs = good_normal_coeffs(p)
     nf = GoodNormalForm(coeffs)
-    assert u * p == nf.element()
+    if u * p != nf.element():
+        raise CertificateFailure(f"unit times {p} is not its normal form")
     return u, nf
 
 
@@ -75,8 +76,10 @@ def good_dual(p: AqElement):
     p0inv = AqElement.from_laurent(nf.p0.inverse_unit())
     r = epsilon(nf.element()) * p0inv
     dp, dr = degrees(p), degrees(r)
-    assert dr.deg_sigma == dp.deg_sigma and dr.deg_z == dp.deg_z
-    assert dr.sigma_good
+    if (dr.deg_sigma, dr.deg_z) != (dp.deg_sigma, dp.deg_z):
+        raise CertificateFailure(f"dual generator {r} changed the widths of {p}")
+    if not dr.sigma_good:
+        raise CertificateFailure(f"dual generator {r} is not sigma-good")
     return r, Good(r)
 
 

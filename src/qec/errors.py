@@ -33,5 +33,10 @@ class SearchExhausted(QecError):
         self.bounds = bounds
 
 
+class CertificateFailure(QecError):
+    """An exact certificate did not hold: the computation is wrong, not the
+    input.  Raised in every interpreter mode, unlike an assert."""
+
+
 class UnknownSuite(QecError):
     """verify_suite was asked for a suite name it does not know."""

@@ -4,23 +4,23 @@ Everything here is a bounded exact search: linear systems over Q whose
 solutions are algebra elements annihilating a module vector, plus degree
 certificates obtained from fraction-free rank computations over K[z,z^-1].
 Searches are deterministic (fixed scan orders), so results are reproducible;
-when bounds run out the failure is explicit (SearchExhausted or a
-certified=False flag), never a silent guess.
+when bounds run out the failure is explicit (SearchExhausted, or None
+from the cyclic search), never a silent guess.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, product
 
-from .aq import AqElement, degrees, sigma_divide
-from .errors import PreconditionViolation, SearchExhausted
+from .aq import AqElement, degrees, sigma_divide, z_divide
+from .errors import CertificateFailure, PreconditionViolation, SearchExhausted
 from .laurent import ONE, ZERO, LaurentPoly, echelon
 from .linalg import charpoly, coefficient_rows, nullspace, rational_roots
 from .modules import (
     Good,
     SigmaMatrix,
     _window_images,
-    _window_vector,
     aq_act,
     sigma_apply,
     to_matrix,
@@ -100,7 +100,8 @@ def membership_principal(r: AqElement, p: AqElement) -> bool:
     if degrees(r).deg_sigma < d.deg_sigma:
         return False
     g, h, rem = sigma_divide(r, p)
-    assert g.is_unit()
+    if not g.is_unit():
+        raise CertificateFailure(f"division cofactor {g} is not a unit")
     return rem.is_zero()
 
 
@@ -150,7 +151,8 @@ def annihilator_space(T: SigmaMatrix, v, d: int, zd: int):
             for i, f in x.terms():
                 for r in range(T.n):
                     combo[r] = combo[r] + f * orbit[i][r]
-            assert all(c.is_zero() for c in combo)
+            if not all(c.is_zero() for c in combo):
+                raise CertificateFailure(f"{x} does not annihilate the vector")
             basis.append(x)
     return basis
 
@@ -167,6 +169,36 @@ def _sigma_good_in(space):
                 if dd is not None and dd.sigma_good:
                     return cand
     return None
+
+
+def _annihilator_ideal(T: SigmaMatrix, v, width: int, top: int, bounds):
+    """Presentation of Ann(v) once its minimal s-width `width` is certified.
+
+    One upward scan of s-width width..top and z-width 0..deg_z keeps w, the
+    first element of the minimal width, and stops at the first sigma-good p:
+    (p) when deg_s p = width (division by p leaves remainders narrower than
+    the minimal width, which vanish), else the pair (p, w).  SearchExhausted
+    as soon as the minimal-width row has nothing within the z-width bound.
+    """
+    w = None
+    for d in range(width, top + 1):
+        for zd in range(bounds.deg_z + 1):
+            space = annihilator_space(T, v, d, zd)
+            if space and w is None:
+                w = space[0]
+            p = _sigma_good_in(space)
+            if p is not None:
+                if degrees(p).deg_sigma == width:
+                    return IdealPresentation.principal(p)
+                return IdealPresentation.two_generator(p, w)
+        if w is None:
+            raise SearchExhausted(
+                "minimal-width annihilator exceeds the z-width bound",
+                bounds.as_dict(),
+            )
+    raise SearchExhausted(
+        "no sigma-good annihilator within bounds", bounds.as_dict()
+    )
 
 
 def annihilator_in_good(pM: AqElement, f: AqElement, bounds=None):
@@ -188,87 +220,43 @@ def annihilator_in_good(pM: AqElement, f: AqElement, bounds=None):
         raise SearchExhausted(
             "no annihilator within the s-width bound", bounds.as_dict()
         )
-    w = None
-    for zd in range(bounds.deg_z + 1):
-        space = annihilator_space(T, v, width, zd)
-        if space:
-            good = _sigma_good_in(space)
-            if good is not None:
-                return IdealPresentation.principal(good)
-            w = space[0]
-            break
-    if w is None:
-        raise SearchExhausted(
-            "minimal-width annihilator exceeds the z-width bound",
-            bounds.as_dict(),
-        )
-    for d in range(width, bounds.deg_sigma + 1):
-        for zd in range(bounds.deg_z + 1):
-            space = annihilator_space(T, v, d, zd)
-            good = _sigma_good_in(space)
-            if good is not None:
-                return IdealPresentation.two_generator(good, w)
-    raise SearchExhausted(
-        "no sigma-good annihilator within bounds", bounds.as_dict()
-    )
+    return _annihilator_ideal(T, v, width, bounds.deg_sigma, bounds)
 
 
 # -- cyclic vectors ------------------------------------------------------------
 
 
 class CyclicResult:
-    __slots__ = ("v", "ann", "rank_S_upper", "certified")
+    __slots__ = ("v", "ann", "rank_S")
 
-    def __init__(self, v, ann, rank_S_upper, certified):
+    def __init__(self, v, ann, rank_S):
         self.v = v
         self.ann = ann
-        self.rank_S_upper = rank_S_upper
-        self.certified = certified
+        self.rank_S = rank_S
 
     def __repr__(self):
-        return (
-            f"CyclicResult(rank_S_upper={self.rank_S_upper}, "
-            f"certified={self.certified}, ann={self.ann})"
-        )
+        return f"CyclicResult(rank_S={self.rank_S}, ann={self.ann})"
 
 
 def _candidate_vectors(n):
-    """Deterministic candidates: 0/1 vectors by weight, then low z-powers."""
+    """Deterministic candidates: the unit vectors, then all vectors over
+    (0, 1, z, ..., z^top) for top = 0..3."""
+    units = (tuple(ONE if j == i else ZERO for j in range(n)) for i in range(n))
     pools = (
-        (ZERO, ONE),
-        (ZERO, ONE, LaurentPoly.monomial(1, 1)),
-        (ZERO, ONE, LaurentPoly.monomial(1, 1), LaurentPoly.monomial(1, 2)),
-        (
-            ZERO,
-            ONE,
-            LaurentPoly.monomial(1, 1),
-            LaurentPoly.monomial(1, 2),
-            LaurentPoly.monomial(1, 3),
-        ),
+        (ZERO, ONE, *(LaurentPoly.monomial(1, e) for e in range(1, top + 1)))
+        for top in range(4)
     )
     seen = set()
-    count = 0
-    for i in range(n):
-        v = tuple(ONE if j == i else ZERO for j in range(n))
+    for v in chain(units, *(product(pool, repeat=n) for pool in pools)):
+        if v in seen or all(e.is_zero() for e in v):
+            continue
+        if len(seen) == CANDIDATE_LIMIT:
+            return
         seen.add(v)
-        count += 1
         yield v
-    for pool in pools:
-        stack = [()]
-        for _ in range(n):
-            stack = [t + (e,) for t in stack for e in pool]
-        for v in stack:
-            if all(e.is_zero() for e in v) or v in seen:
-                continue
-            seen.add(v)
-            count += 1
-            if count > CANDIDATE_LIMIT:
-                return
-            yield v
 
 
-# extra s-width explored past the sigma-good generator when pinning the
-# minimal z-width of a two-generator annihilator ideal
+# extra s-width searched past the minimal width n for a sigma-good generator
 CERT_SLACK = 2
 # candidate vectors tried, and cyclic candidates whose annihilator search
 # may fail, before the search gives up
@@ -287,64 +275,51 @@ def cyclic_search(T: SigmaMatrix, bounds=None):
     return T._cyclic_cache[key]
 
 
+def _z_gcd_width(gens):
+    """z-width of the generator of the left ideal K(s) (x) (A g_1 + ...):
+    Euclid with z_divide, whose cofactor is a nonzero element of K[s,s^-1],
+    a unit over K(s)."""
+    a, *rest = gens
+    for b in rest:
+        while not b.is_zero():
+            if degrees(a).deg_z < degrees(b).deg_z:
+                a, b = b, a
+            a, b = b, z_divide(a, b)[2]
+    return degrees(a).deg_z
+
+
 def _cyclic_search(T: SigmaMatrix, bounds):
     """Search for a cyclic vector and the ideal data it reveals.
 
     A candidate v is cyclic when v, s(v), ..., s^{n-1}(v) are independent
     over the fraction field: the quotient by A_q v then has rank zero, and
     the only finite-dimensional module is zero.  The annihilator ideal I of
-    a cyclic v has minimal s-width exactly n; a sigma-good element p of I is
-    searched by increasing s-width.
+    a cyclic v has minimal s-width exactly n, and `_annihilator_ideal`
+    presents it, so M = A/I and rank_S(M) = dim_K(s) K(s) (x) A/I.
 
-    * If deg_s p = n, division by p leaves remainders of width < n, which
-      must vanish, so I = (p): the minimal z-width over I is deg_z p by
-      degree additivity — rank certified, principal presentation.
-    * Otherwise I is generated by p together with any element of s-width n.
-      The least z-width among elements of s-width <= deg_s p + slack is
-      reported; the true minimum over I is realized by a sigma-good element,
-      so the report is certified when its realizer is sigma-good.
+    K[s,s^-1] minus 0 is an Ore set, so this localization is exact:
+    K(s) (x) I is the left ideal of K(s)[z, z^-1; sigma] spanned by the
+    generators, and A/I has rank_S equal to the z-width of its generator.
+    z_divide(r, w) returns g r = h w + rem with g a unit over K(s) and
+    deg_z rem < deg_z w, so Euclid's remainder sequence keeps that ideal and
+    ends at its generator.  For a principal presentation the generator is
+    p itself and the rank is deg_z p.
     """
     n = T.n
     deep = 0
     for v in _candidate_vectors(n):
         if minimal_annihilator_width(T, v, n - 1) is not None:
             continue  # not cyclic: a smaller-width annihilator exists
-        p = None
-        w_low = None  # an element of the minimal s-width n
-        for width in range(n, max(bounds.deg_sigma, n + CERT_SLACK) + 1):
-            for zd in range(bounds.deg_z + 1):
-                space = annihilator_space(T, v, width, zd)
-                if space and width == n and w_low is None:
-                    w_low = space[0]
-                good = _sigma_good_in(space)
-                if good is not None:
-                    p = good
-                    break
-            if p is not None:
-                break
-        if p is None or (degrees(p).deg_sigma > n and w_low is None):
+        try:
+            ann = _annihilator_ideal(
+                T, v, n, max(bounds.deg_sigma, n + CERT_SLACK), bounds
+            )
+        except SearchExhausted:
             deep += 1
             if deep >= DEEP_LIMIT:
                 return None
             continue
-        if degrees(p).deg_sigma == n:
-            return CyclicResult(
-                v, IdealPresentation.principal(p), degrees(p).deg_z, True
-            )
-        w_min = None
-        wcap = degrees(p).deg_sigma + CERT_SLACK
-        for zd in range(bounds.deg_z + 1):
-            for d in range(n, wcap + 1):
-                space = annihilator_space(T, v, d, zd)
-                if space:
-                    good = _sigma_good_in(space)
-                    w_min = good if good is not None else space[0]
-                    break
-            if w_min is not None:
-                break
-        assert w_min is not None  # p itself shows up in the scan
-        ann = IdealPresentation.two_generator(p, w_low)
-        return CyclicResult(v, ann, degrees(w_min).deg_z, degrees(w_min).sigma_good)
+        return CyclicResult(v, ann, _z_gcd_width(ann.generators))
     return None
 
 
@@ -356,8 +331,10 @@ def line_subbundle_probe(T: SigmaMatrix, k_range, window=12):
 
     Write A for the in-window rows of v |-> z^-k T(z) v(qz) and rest for the
     rows outside the window: the equation is A x = c x for x in ker(rest).
-    The canonical kernel basis K is the identity on its free rows, so on
-    x = K u the free rows read H u = c u with H = (A K)[free rows].  H only
+    The rows for k are the k = 0 rows with exponents shifted by k, so the
+    map is linearized once per probe.  The canonical kernel basis K is the
+    identity on its free rows, so on x = K u the free rows read H u = c u
+    with H = (A K)[free rows].  H only
     supplies the candidate scalars, its rational eigenvalues; each candidate
     is solved on the full equation by the shared window solver
     (`modules.window_eigenspace`), which certifies every vector it returns.
@@ -366,24 +343,22 @@ def line_subbundle_probe(T: SigmaMatrix, k_range, window=12):
     """
     n = T.n
     W = window
-    images = _window_images(T, W)
+    rows = coefficient_rows(_window_images(T, W))
     results = []
     for k in k_range:
-        rows = coefficient_rows([[f.shift(-k) for f in img] for img in images])
-        rest = [row for (_, e), row in rows.items() if not -W <= e <= W]
-        basis = nullspace(rest, len(images))
+        rest = [row for (_, e), row in rows.items() if not -W <= e - k <= W]
+        basis = nullspace(rest, n * (2 * W + 1))
         if not basis:
             continue
-        kernel = [_window_vector(x, n, W) for x in basis]
-        # the columns of A K, as Laurent vectors; they vanish outside the window
-        ak = [[f.shift(-k) for f in sigma_apply(T, v, 1)] for v in kernel]
-        ak_rows = coefficient_rows(ak)
-        zero = [Fraction(0)] * len(kernel)
+        zero = [Fraction(0)] * len(basis)
         H = []
         for x in basis:
             # a canonical kernel vector's free column is its last nonzero entry
             r, j = divmod(max(t for t, c in enumerate(x) if c), 2 * W + 1)
-            H.append(ak_rows.get((r, j - W), zero))
+            row = rows.get((r, j - W + k))
+            H.append(zero if row is None else [
+                sum((a * b for a, b in zip(row, y) if b), Fraction(0)) for y in basis
+            ])
         roots, _ = rational_roots(charpoly(H))
         for c, _mult in roots:
             if c == 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import PreconditionViolation, ZeroInput
-from .scalars import Scalar, get_q, scalar_to_str
+from .scalars import get_q, scalar_to_str
 
 
 def _as_scalar(c):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import NonSplitSpectrum, SearchExhausted
+from .errors import CertificateFailure, NonSplitSpectrum, SearchExhausted
 from .laurent import LaurentMatrix, LaurentPoly, det
 
 # largest trial divisor rational_roots tries before it gives up on an integer
@@ -219,5 +219,8 @@ def jordan_structure_constant(a):
             exact = ge[k - 1] - ge[k]
             blocks.extend((lam, k) for _ in range(exact))
             total += k * exact
-        assert total == mult
+        if total != mult:
+            raise CertificateFailure(
+                f"Jordan blocks of {lam} cover {total} of multiplicity {mult}"
+            )
     return sorted(blocks, key=lambda b: (b[0], -b[1]))

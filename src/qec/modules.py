@@ -20,10 +20,10 @@ from fractions import Fraction
 
 from . import aq
 from .aq import AqElement, degrees, good_normal_coeffs
-from .errors import PreconditionViolation, ZeroInput
+from .errors import CertificateFailure, PreconditionViolation, ZeroInput
 from .laurent import ONE, ZERO, LaurentMatrix, LaurentPoly, det, det_and_inverse, qshift
 from .linalg import coefficient_rows, jordan_structure_constant, nullspace
-from .scalars import get_q, q_power_class, scalar_from_str, scalar_to_str
+from .scalars import get_q, q_orbit, q_power_class, scalar_from_str, scalar_to_str
 
 
 class Unknown:
@@ -74,7 +74,8 @@ class SigmaMatrix:
     def inverse(self) -> LaurentMatrix:
         if self._inv is None:
             _, inv = det_and_inverse(self.mat)
-            assert inv is not None
+            if inv is None:
+                raise CertificateFailure(f"unit-determinant {self.mat!r} has no inverse")
             self._inv = inv
         return self._inv
 
@@ -143,7 +144,8 @@ def window_eigenspace(T: SigmaMatrix, window: int, k: int, c):
     ]
     # exact certificate on the full equation
     for v in basis:
-        assert sigma_apply(T, v, 1) == [f.shift(k) * c for f in v]
+        if sigma_apply(T, v, 1) != [f.shift(k) * c for f in v]:
+            raise CertificateFailure(f"window solution {v} fails T(z) v(qz) = c z^k v")
     return basis
 
 
@@ -321,7 +323,8 @@ def rank_A(M) -> int:
 
 def rank_S(M, bounds=None):
     """Rank over K[s,s^-1]: exact for structured presentations (minimal
-    z-width of the defining ideal), search-certified or Unknown for matrices."""
+    z-width of the defining ideal); for matrices exact from the cyclic
+    search, or Unknown when its bounds run out."""
     if isinstance(M, LineBundle):
         return abs(M.m)
     if isinstance(M, Torsion):
@@ -332,11 +335,7 @@ def rank_S(M, bounds=None):
         from .ideals import cyclic_search
 
         found = cyclic_search(M.T, bounds)
-        if found is None:
-            return Unknown()
-        if found.certified:
-            return found.rank_S_upper
-        return Unknown(found.rank_S_upper)
+        return Unknown() if found is None else found.rank_S
     raise TypeError(f"not a module presentation: {M!r}")
 
 
@@ -421,14 +420,7 @@ class PicClass:
         c = Fraction(c)
         if c == 0:
             raise ZeroInput("pic scalar must be nonzero")
-        q = get_q()
-        step = q if abs(q) > 1 else 1 / q
-        big = abs(step)
-        while abs(c) >= big:
-            c /= step
-        while abs(c) < 1:
-            c *= step
-        self.c = c
+        self.c, _ = q_orbit(c)
         self.m = int(m)
 
     def __eq__(self, other):
@@ -465,7 +457,8 @@ def pic_eq(a, b) -> bool:
         return False
     # canonical representatives agree iff the ratio is a q-power
     same = a.c == b.c
-    assert same == (q_power_class(a.c / b.c) is not None)
+    if same != (q_power_class(a.c / b.c) is not None):
+        raise CertificateFailure(f"orbit representatives disagree with {a.c / b.c}")
     return same
 
 

@@ -85,33 +85,31 @@ def qpow(n: int) -> Fraction:
     return get_q() ** n
 
 
-def q_power_class(c, qp: QParam | None = None):
-    """The unique n with c = q^n, or None if c is not a power of q.
+def q_orbit(c: Fraction, qp: QParam | None = None):
+    """(r, n) with c = r * step^n and 1 <= |r| < |step|, where step is q or
+    1/q, whichever has |step| > 1: r is the canonical representative of the
+    q^Z-orbit of a nonzero c.
 
-    Exact decision: |q| != 1 for admissible rational q, so |q^n| is strictly
-    monotone in n; walking n toward |c| visits every candidate.
+    Exact decision: |q| != 1 for admissible rational q, so |step^n| is
+    strictly monotone in n and one walk toward [1, |step|) finds n.
     """
+    q = (qp or _session_q).value
+    step = q if abs(q) > 1 else 1 / q
+    r, n = c, 0
+    while abs(r) >= abs(step):
+        r, n = r / step, n + 1
+    while abs(r) < 1:
+        r, n = r * step, n - 1
+    return r, n
+
+
+def q_power_class(c, qp: QParam | None = None):
+    """The unique n with c = q^n, or None if c is not a power of q: c is a
+    power of q exactly when its orbit representative is 1."""
     c = Fraction(c)
     if c == 0:
         raise ZeroInput("0 is not in any q-power class")
-    q = (qp or _session_q).value
-    if c == 1:
-        return 0
-    # Reduce to |q| > 1; the class for q^-1 is the negated class for q.
-    if abs(q) < 1:
-        n = q_power_class(c, QParam(1 / q))
-        return None if n is None else -n
-    if abs(c) > 1:
-        power, n = q, 1
-        while abs(power) < abs(c):
-            power *= q
-            n += 1
-        return n if power == c else None
-    if abs(c) < 1:
-        power, n = 1 / q, -1
-        while abs(power) > abs(c):
-            power /= q
-            n -= 1
-        return n if power == c else None
-    # |c| = 1 with c != 1: only candidate is n = 0, already excluded.
-    return None
+    r, n = q_orbit(c, qp)
+    if r != 1:
+        return None
+    return n if abs((qp or _session_q).value) > 1 else -n

@@ -10,8 +10,10 @@ from fractions import Fraction
 
 import pytest
 
+import qec.cli
 import qec.ideals
 from qec.cli import main
+from qec.errors import CertificateFailure
 from qec.ideals import SearchBounds
 from qec.modules import (
     LineBundle,
@@ -324,6 +326,15 @@ def test_verify_suite_passes_its_bounds_to_every_search(monkeypatch):
         verify_suite(name, cases=25, seed=1, bounds=tight)
     assert seen
     assert all(b is tight for b in seen)
+
+
+def test_certificate_failure_exits_1(capsys, monkeypatch):
+    def broken(M, bounds=None):
+        raise CertificateFailure("window solution fails")
+
+    monkeypatch.setattr(qec.cli, "cohomology", broken)
+    code, out, err = run(capsys, "coh", MATRIX_DESC)
+    assert (code, out, err) == (1, "", "error: window solution fails\n")
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

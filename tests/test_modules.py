@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -283,6 +288,38 @@ def test_unknown_semantics():
     assert Unknown(3) == Unknown(3)
     assert Unknown(3) != Unknown()
     assert Unknown() != 0
+
+
+def test_certificates_survive_python_O():
+    # under -O every assert is stripped; a corrupted module action must still
+    # fail the window solver's certificate with a typed error
+    code = textwrap.dedent(
+        """
+        from fractions import Fraction
+        from qec import modules
+        from qec.errors import CertificateFailure
+        from qec.laurent import ZERO
+
+        assert False, "asserts are live"
+        T = modules.extension_fixture().T
+        if not modules.window_eigenspace(T, 2, 1, Fraction(1)):
+            raise SystemExit("no solution to corrupt")
+        modules.sigma_apply = lambda T, vec, k=1: [ZERO] * len(vec)
+        try:
+            modules.window_eigenspace(T, 2, 1, Fraction(1))
+        except CertificateFailure as e:
+            print("CertificateFailure:", e)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("CertificateFailure: window solution")
 
 
 def test_rank_S_unknown_under_tight_bounds():

@@ -7,6 +7,7 @@ from qec.errors import PreconditionViolation, ZeroInput
 from qec.scalars import (
     QParam,
     get_q,
+    q_orbit,
     q_power_class,
     qpow,
     scalar_from_str,
@@ -133,6 +134,21 @@ def test_q_power_class_hypothesis(q, n, c):
     with using_q(q):
         assert q_power_class(q**n) == n
         assert q_power_class(c) == _oracle_power_class(c, q)
+
+
+@given(
+    st.sampled_from(_QS),
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=Fraction(-20), max_value=Fraction(20), max_denominator=12),
+)
+def test_q_orbit_representative(q, n, c):
+    if c == 0:
+        return
+    step = q if abs(q) > 1 else 1 / q
+    r, m = q_orbit(c, QParam(q))
+    assert c == r * step**m and 1 <= abs(r) < abs(step)
+    # the representative is constant on the orbit c * q^Z
+    assert q_orbit(c * q**n, QParam(q))[0] == r
 
 
 def test_q_power_class_zero_input():
