@@ -334,9 +334,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (
-        ParseError, ZeroInput, PreconditionViolation, UnknownSuite, TypeError, KeyError
-    ) as e:
+    except (ParseError, ZeroInput, PreconditionViolation, UnknownSuite) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (SearchExhausted, NonSplitSpectrum, CertificateFailure) as e:

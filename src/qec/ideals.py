@@ -108,17 +108,16 @@ def membership_principal(r: AqElement, p: AqElement) -> bool:
 def minimal_annihilator_width(T: SigmaMatrix, v, cap: int):
     """Smallest s-width of a nonzero annihilator of v, or None if > cap.
 
-    Width d dependence of v, s(v), ..., s^d(v) over the fraction field is
-    exactly the existence of a width-d annihilator.
+    A width-d annihilator exists exactly when v, s(v), ..., s^d(v) are
+    dependent over the fraction field: with the orbit as columns, d is the
+    first column without a pivot.  n + 1 vectors in K(z)^n are dependent,
+    so the orbit stops at s^n(v).
     """
     orbit = [list(v)]
-    for d in range(1, cap + 1):
+    for _ in range(min(cap, T.n)):
         orbit.append(sigma_apply(T, orbit[-1], 1))
-        # columns are the orbit vectors; dependence <=> rank <= d
-        rank, _, _ = echelon(list(zip(*orbit)))
-        if rank <= d:
-            return d
-    return None
+    pivots = echelon(list(zip(*orbit)))[0]
+    return next((d for d in range(len(orbit)) if d not in pivots), None)
 
 
 # -- annihilator solves --------------------------------------------------------

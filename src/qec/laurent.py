@@ -404,23 +404,32 @@ def _coerce_entry(e):
     raise TypeError(f"bad matrix entry: {e!r}")
 
 
+def _divexact_int(a, b):
+    """Exact integer quotient a/b; PreconditionViolation on a remainder."""
+    q, r = divmod(a, b)
+    if r:
+        raise PreconditionViolation("inexact integer division")
+    return q
+
+
 def echelon(rows):
-    """Fraction-free (Bareiss) elimination of a rectangular matrix over
-    K[z, z^-1], skipping columns without a pivot.  Returns (rank, sign, last
-    pivot): the rank over the fraction field, the sign of the row
-    permutation, and the last pivot, which for a square matrix of full rank
-    is the determinant up to that sign.  Every interior division is exact in
-    K[z, z^-1] and is checked."""
+    """Fraction-free (Bareiss) elimination over Python ints or K[z, z^-1],
+    skipping columns without a pivot.  Returns (pivot columns, echelon rows
+    zeroed below each pivot, sign of the row permutation, last pivot).  Pivot
+    k is the minor of the first k + 1 permuted rows at the first k + 1 pivot
+    columns, so the signed last pivot of a square matrix of full rank is its
+    determinant.  Every interior division is exact and is checked."""
     m = [list(row) for row in rows]
     ncols = len(m[0]) if m else 0
-    rank, sign, prev = 0, 1, ONE
+    if ncols and not isinstance(m[0][0], LaurentPoly):
+        zero, prev, div = 0, 1, _divexact_int
+    else:
+        zero, prev, div = ZERO, ONE, divexact
+    pivots, sign = [], 1
     for c in range(ncols):
-        if rank == len(m):
-            break
-        for i in range(rank, len(m)):
-            if not m[i][c].is_zero():
-                break
-        else:
+        rank = len(pivots)
+        i = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if i is None:
             continue
         if i != rank:
             m[rank], m[i] = m[i], m[rank]
@@ -429,49 +438,39 @@ def echelon(rows):
         pivot = top[c]
         for row in m[rank + 1:]:
             a = row[c]
+            row[c] = zero
             for j in range(c + 1, ncols):
-                row[j] = divexact(row[j] * pivot - a * top[j], prev)
+                row[j] = div(row[j] * pivot - a * top[j], prev)
         prev = pivot
-        rank += 1
-    return rank, sign, prev
+        pivots.append(c)
+    return pivots, m, sign, prev
+
+
+def _det_rows(rows, n):
+    """Determinant of n x n rows: the signed last pivot, or zero below rank n."""
+    pivots, _, sign, last = echelon(rows)
+    return (last if sign > 0 else -last) if len(pivots) == n else ZERO
 
 
 def det(mat: LaurentMatrix) -> LaurentPoly:
     """Determinant: the signed last pivot of `echelon`."""
-    rank, sign, last = echelon(mat.rows)
-    if rank < mat.n:
-        return ZERO
-    return -last if sign < 0 else last
+    return _det_rows(mat.rows, mat.n)
 
 
 def det_and_inverse(mat: LaurentMatrix):
     """(det, inverse) where inverse is None unless det is a unit.
 
     The inverse, when present, is exact: entries are cofactors divided by the
-    unit determinant, and T * T^-1 = I holds on the nose.
+    unit determinant, and T * T^-1 = I holds on the nose.  The empty minor
+    of a 1 x 1 matrix has determinant one.
     """
     d = det(mat)
-    u = d.unit_decompose() if not d.is_zero() else None
-    if u is None:
+    if not d.is_unit():
         return d, None
-    n = mat.n
-    if n == 1:
-        return d, LaurentMatrix(((d.inverse_unit(),),))
-    dinv = d.inverse_unit()
-    rows = []
+    n, dinv = mat.n, d.inverse_unit()
+    inverse = [[None] * n for _ in range(n)]
     for i in range(n):
-        row = []
         for j in range(n):
-            minor = LaurentMatrix(
-                tuple(
-                    tuple(mat.rows[r][c] for c in range(n) if c != i)
-                    for r in range(n)
-                    if r != j
-                )
-            )
-            cof = det(minor)
-            if (i + j) % 2:
-                cof = -cof
-            row.append(cof * dinv)
-        rows.append(tuple(row))
-    return d, LaurentMatrix(tuple(rows))
+            minor = [r[:i] + r[i + 1:] for k, r in enumerate(mat.rows) if k != j]
+            inverse[i][j] = _det_rows(minor, n - 1) * (-dinv if (i + j) % 2 else dinv)
+    return d, LaurentMatrix(inverse)

@@ -1,12 +1,12 @@
-"""Exact linear algebra over Q with Fraction entries.
+"""Exact linear algebra over Q with Fraction entries; nothing is numerical.
 
-Plain Gaussian elimination on lists of lists; nothing here is numerical.
-Every solver that looks for Laurent-polynomial vectors linearizes through
-`coefficient_rows` and solves with `nullspace`.  Characteristic polynomials
-reuse the fraction-free Laurent determinant, and eigenvalues come from exact
-rational root extraction (bounded trial-division integer factorization), so
-Jordan data is either exactly right, reported as non-split, or reported as
-out of the search bound.
+The one elimination loop is the fraction-free `laurent.echelon`: `rref` runs
+it over integer rows and back-substitutes, and every solver that looks for
+Laurent-polynomial vectors linearizes through `coefficient_rows` and solves
+with `nullspace`.  Characteristic polynomials are Laurent determinants, the
+same elimination over K[z, z^-1].  Eigenvalues come from exact rational root
+extraction (bounded trial-division integer factorization), so Jordan data is
+exactly right, reported as non-split, or reported as out of the search bound.
 """
 
 from __future__ import annotations
@@ -15,56 +15,46 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import CertificateFailure, NonSplitSpectrum, SearchExhausted
-from .laurent import LaurentMatrix, LaurentPoly, det
+from .laurent import LaurentMatrix, LaurentPoly, _divexact_int, det, echelon
 
 # largest trial divisor rational_roots tries before it gives up on an integer
 TRIAL_DIVISION_LIMIT = 1 << 20
 
 
 def rref(rows):
-    """Reduced row echelon form (in place on a copy); returns (rows, pivots)."""
-    m = [list(map(Fraction, row)) for row in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+    """Reduced row echelon form, zero rows last; returns (rows, pivots).
+
+    Rows scaled to integers have the same RREF, so `echelon` runs over ints.
+    Let B be the pivot rows at the pivot columns and d the last pivot, det B
+    up to sign.  By Cramer's rule each RREF entry is a minor over det B, so
+    d * RREF is an integer matrix.  Back-substitution computes it bottom up:
+    echelon row k is pivot_k * RREF_k plus its entries at the later pivot
+    columns times those RREF rows, so dividing by pivot_k is exact (checked).
+    """
+    ints = []
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row))
+        ints.append([x.numerator * (scale // x.denominator) for x in row])
+    pivots, u, _, d = echelon(ints)
+    for k in range(len(pivots) - 1, -1, -1):
+        row = [d * x for x in u[k]]
+        for later in range(k + 1, len(pivots)):
+            f = u[k][pivots[later]]
+            if f:
+                row = [a - f * b for a, b in zip(row, u[later])]
+        u[k] = [_divexact_int(x, u[k][pivots[k]]) for x in row]
+    return [[Fraction(x, d) for x in row] for row in u], pivots
 
 
 def rank(rows):
-    if not rows:
-        return 0
     return len(rref(rows)[1])
 
 
-def nullspace(rows, ncols=None):
+def nullspace(rows, ncols):
     """Basis of the right kernel, one canonical vector per free column: 1 at
     its own free column, 0 at the other free columns.  The basis depends only
     on the kernel, not on the rows that cut it out, and each vector's free
     column is its last nonzero entry."""
-    if not rows:
-        return identity(ncols or 0)
-    ncols = ncols if ncols is not None else len(rows[0])
     m, pivots = rref(rows)
     pivot_set = set(pivots)
     basis = []
@@ -147,51 +137,62 @@ def _divides(d, n):
     return n == 0 if d == 0 else n % d == 0
 
 
+def _deflate(ints, r, b):
+    """The quotient of the integer polynomial `ints` (constant term first) by
+    b*z - r over Z, or None when b*z - r does not divide it."""
+    out, acc = [], 0
+    for c in reversed(ints[1:]):
+        # c = b * (this quotient coefficient) - r * (the one above it)
+        acc, rem = divmod(c + r * acc, b)
+        if rem:
+            return None
+        out.append(acc)
+    return out[::-1] if ints[0] + r * acc == 0 else None
+
+
 def rational_roots(p: LaurentPoly):
     """All rational roots with multiplicity, plus the degree left unsplit.
 
     Returns (sorted [(root, multiplicity)], remaining_degree).  Root 0 comes
-    from a positive valuation; the rest from the rational root theorem after
-    clearing denominators.  SearchExhausted when factoring an end coefficient
-    would need a trial divisor above TRIAL_DIVISION_LIMIT.
+    from a positive valuation; the rest from the rational root theorem on
+    the primitive integer polynomial, each divided out once found.  By
+    Gauss's lemma the quotient by b*z - r is primitive with end coefficients
+    dividing the old ones, so the candidates only shrink.  SearchExhausted
+    when factoring an end coefficient needs a trial divisor above
+    TRIAL_DIVISION_LIMIT.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
     roots = []
     if p.bot > 0:
         roots.append((Fraction(0), p.bot))
-    coeffs = list(p.coeffs)  # poly with nonzero constant and leading coeff
-    if len(coeffs) > 1:
-        scale = lcm(*(c.denominator for c in coeffs))
-        ints = [int(c * scale) for c in coeffs]
-        at_one = sum(ints)
-        at_minus_one = sum(-c if i % 2 else c for i, c in enumerate(ints))
-        cands = set()
-        for a in _divisors(ints[0]):
-            for b in _divisors(ints[-1]):
-                if gcd(a, b) != 1:
-                    continue
-                for r in (a, -a):
-                    # a root r/b in lowest terms makes b*z - r a factor over
-                    # Z (Gauss), so b - r divides P(1) and b + r divides P(-1)
-                    if _divides(b - r, at_one) and _divides(b + r, at_minus_one):
-                        cands.add(Fraction(r, b))
-        for r in sorted(cands):
-            mult = 0
-            while len(coeffs) > 1:
-                # synthetic division by (z - r): Horner from the top
-                out = [Fraction(0)] * (len(coeffs) - 1)
-                acc = Fraction(0)
-                for i in range(len(coeffs) - 1, 0, -1):
-                    acc = acc * r + coeffs[i]
-                    out[i - 1] = acc
-                if acc * r + coeffs[0] != 0:
-                    break
-                coeffs = out
-                mult += 1
-            if mult:
-                roots.append((r, mult))
-    return sorted(roots), len(coeffs) - 1
+    # p.coeffs (nonzero ends) over its content gcd(numerators) / lcm(denominators)
+    content = Fraction(gcd(*(c.numerator for c in p.coeffs)),
+                       lcm(*(c.denominator for c in p.coeffs)))
+    ints = [int(c / content) for c in p.coeffs]
+    nums, dens = _divisors(ints[0]), _divisors(ints[-1])
+    while len(ints) > 1:
+        at_one, at_minus_one = sum(ints), sum(ints[::2]) - sum(ints[1::2])
+        # a root r/b in lowest terms makes b*z - r a factor over Z, so
+        # b - r divides P(1) and b + r divides P(-1)
+        cands = ((r, b) for b in dens for a in nums if gcd(a, b) == 1 for r in (a, -a))
+        root = next(
+            (
+                (r, b) for r, b in cands
+                if _divides(b - r, at_one) and _divides(b + r, at_minus_one)
+                and _deflate(ints, r, b) is not None
+            ),
+            None,
+        )
+        if root is None:
+            break
+        mult = 0
+        while (quotient := _deflate(ints, *root)) is not None:
+            ints, mult = quotient, mult + 1
+        roots.append((Fraction(*root), mult))
+        nums = [a for a in nums if ints[0] % a == 0]
+        dens = [b for b in dens if ints[-1] % b == 0]
+    return sorted(roots), len(ints) - 1
 
 
 def jordan_structure_constant(a):

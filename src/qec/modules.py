@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import aq
 from .aq import AqElement, degrees, good_normal_coeffs
-from .errors import CertificateFailure, PreconditionViolation, ZeroInput
+from .errors import CertificateFailure, ParseError, PreconditionViolation, ZeroInput
 from .laurent import ONE, ZERO, LaurentMatrix, LaurentPoly, det, det_and_inverse, qshift
 from .linalg import coefficient_rows, jordan_structure_constant, nullspace
 from .scalars import get_q, q_orbit, q_power_class, scalar_from_str, scalar_to_str
@@ -438,7 +438,7 @@ def pic_class(L) -> PicClass:
         return L
     if isinstance(L, LineBundle):
         return PicClass(L.c, L.m)
-    raise TypeError(f"no pic class for {L!r}")
+    raise PreconditionViolation(f"no pic class for {L!r}")
 
 
 def pic_mul(a, b) -> PicClass:
@@ -554,16 +554,49 @@ def module_to_json(M) -> dict:
     raise TypeError(f"not a module presentation: {M!r}")
 
 
+def _field(desc, key, kind):
+    """desc[key] when desc is a JSON object and the value has type `kind`
+    (a bool is not an int); PreconditionViolation otherwise."""
+    value = desc.get(key) if isinstance(desc, dict) else None
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise PreconditionViolation(
+            f"descriptor field {key!r} must be of type {kind.__name__}"
+        )
+    return value
+
+
+def _scalar_field(desc, key):
+    text = _field(desc, key, str)
+    try:
+        return scalar_from_str(text)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ParseError(f"bad scalar {text!r} in field {key!r}: {e}", 0) from None
+
+
 def module_from_json(desc: dict):
+    """The module a JSON descriptor names, as `module_to_json` writes it.
+    Fields are type-checked: scalars and expressions are strings, `m` and
+    `size` are integers, and `entries` is a list of lists of strings."""
     kind = desc.get("kind")
     if kind == "line":
-        return LineBundle(scalar_from_str(desc["c"]), desc["m"])
+        return LineBundle(_scalar_field(desc, "c"), _field(desc, "m", int))
     if kind == "torsion":
         return Torsion(
-            [(scalar_from_str(b["lambda"]), b["size"]) for b in desc["blocks"]]
+            [
+                (_scalar_field(b, "lambda"), _field(b, "size", int))
+                for b in _field(desc, "blocks", list)
+            ]
         )
     if kind == "good":
-        return Good(aq.parse(desc["p"]))
+        return Good(aq.parse(_field(desc, "p", str)))
     if kind == "matrix":
-        return MatrixModule(SigmaMatrix(LaurentMatrix.from_strs(desc["entries"])))
+        entries = _field(desc, "entries", list)
+        if not all(
+            isinstance(row, list) and all(isinstance(e, str) for e in row)
+            for row in entries
+        ):
+            raise PreconditionViolation(
+                "descriptor field 'entries' must be a list of lists of str"
+            )
+        return MatrixModule(SigmaMatrix(LaurentMatrix.from_strs(entries)))
     raise PreconditionViolation(f"unknown module kind: {kind!r}")

@@ -355,6 +355,18 @@ def test_missing_command_is_usage_error(capsys):
         ("not json", "bad module descriptor"),
         ('"quoted"', "must be a JSON object"),
         ('{"kind":"nope"}', "unknown module kind"),
+        ('{"kind":"line","c":5,"m":1}', "'c' must be of type str"),
+        ('{"kind":"line","c":"2","m":"x"}', "'m' must be of type int"),
+        ('{"kind":"line","c":"1/0","m":1}', "bad scalar '1/0'"),
+        ('{"kind":"line","c":"abc","m":1}', "bad scalar 'abc'"),
+        ('{"kind":"line","c":"2","m":1.5}', "'m' must be of type int"),
+        ('{"kind":"line","c":"2","m":true}', "'m' must be of type int"),
+        ('{"kind":"line","c":"2"}', "'m' must be of type int"),
+        ('{"kind":"torsion","blocks":[{"lambda":"2","size":false}]}', "'size'"),
+        ('{"kind":"torsion","blocks":["2"]}', "'lambda' must be of type str"),
+        ('{"kind":"good","p":1}', "'p' must be of type str"),
+        ('{"kind":"matrix","entries":"z"}', "'entries' must be of type list"),
+        ('{"kind":"matrix","entries":[["z", 1]]}', "list of lists of str"),
     ],
 )
 def test_bad_descriptor_errors(capsys, descriptor, fragment):
@@ -362,6 +374,12 @@ def test_bad_descriptor_errors(capsys, descriptor, fragment):
     assert code == 2
     assert out == ""
     assert fragment in err
+
+
+def test_pic_class_of_a_torsion_module_is_usage_error(capsys):
+    code, out, err = run(capsys, "pic", "class", TORSION_DESC)
+    assert (code, out) == (2, "")
+    assert "no pic class" in err
 
 
 def test_json_output_is_deterministic(capsys):

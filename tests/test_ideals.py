@@ -2,6 +2,7 @@
 cyclic modules, cyclic-vector searches, and the line-subbundle probe."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -306,6 +307,18 @@ def test_line_subbundle_probe_pinned_outputs(q, seed, want):
     with using_q(q):
         T = rand_sigma_matrix(random.Random(seed), n_max=2)
         assert _show(line_subbundle_probe(T, range(-2, 3), window=3)) == want
+
+
+def test_probe_with_many_divisor_pairs_stays_fast():
+    """At q = 5/7 one charpoly of this probe has an end coefficient with
+    10,816 divisors; `rational_roots` divides out each root as it finds it
+    instead of testing every coprime divisor pair first."""
+    with using_q(Fraction(5, 7)):
+        T = SigmaMatrix(LaurentMatrix.from_strs([["-3/2", "0"], ["0", "-2"]]))
+        start = time.perf_counter()
+        found = line_subbundle_probe(T, range(-2, 3), window=3)
+        assert time.perf_counter() - start < 3
+    assert len(found) == 14
 
 
 def _window_coords(vecs, window):

@@ -1,19 +1,22 @@
 """Differential tests of the exact linear-algebra kernel against sympy.
 
 sympy is an independent oracle used here only; the library has no runtime
-dependency on it.  Rational matrices exercise `rank`, `nullspace` and
-`charpoly`, products of linear factors exercise `rational_roots`, and Laurent
-matrices exercise `echelon` and `det` over Q(z).
+dependency on it.  Rational matrices exercise `rref`, `rank`, `nullspace` and
+`charpoly`, integer matrices exercise `echelon` over Z, products of linear
+factors exercise `rational_roots`, and Laurent matrices exercise `echelon`,
+`det` and the annihilator width over Q(z).
 """
 
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from qec.errors import SearchExhausted
+from qec.ideals import minimal_annihilator_width
 from qec.laurent import ZERO, LaurentMatrix, LaurentPoly, det, echelon
 from qec.linalg import (
     TRIAL_DIVISION_LIMIT,
@@ -22,8 +25,11 @@ from qec.linalg import (
     nullspace,
     rank,
     rational_roots,
+    rref,
 )
-from qec.samples import rand_laurent, rand_scalar
+from qec.modules import sigma_apply
+from qec.samples import rand_laurent, rand_scalar, rand_sigma_matrix
+from qec.scalars import using_q
 
 Z = sympy.Symbol("z")
 QZ = QQ.frac_field(Z)
@@ -65,6 +71,56 @@ def test_rank_nullspace_charpoly_match_sympy(rng):
             assert charpoly(rows) == want
 
 
+entries = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    """(ncols, rows) up to 8 x 10, with zero rows and repeated rows."""
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(1, 10))
+    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for i in range(nrows):
+        kind = draw(st.sampled_from(("keep", "keep", "zero", "repeat")))
+        if kind == "zero":
+            rows[i] = [Fraction(0)] * ncols
+        elif kind == "repeat" and i:
+            rows[i] = list(rows[draw(st.integers(0, i - 1))])
+    return ncols, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_rref_rank_nullspace_match_sympy(case):
+    ncols, rows = case
+    m = sympy.Matrix(len(rows), ncols, [sympy.Rational(x.numerator, x.denominator)
+                                        for row in rows for x in row])
+    want, want_pivots = m.rref()
+    got, pivots = rref(rows)
+    assert pivots == list(want_pivots)
+    # zero rows stay, last, so the result has the input's shape
+    assert got == [[_frac(x) for x in want.row(i)] for i in range(len(rows))]
+    assert rank(rows) == m.rank()
+    assert nullspace(rows, ncols) == [[_frac(x) for x in v] for v in m.nullspace()]
+
+
+square_int_matrices = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_int_matrices)
+def test_echelon_over_ints_gives_det_as_signed_last_pivot(rows):
+    pivots, _, sign, last = echelon(rows)
+    got = sign * last if len(pivots) == len(rows) else 0
+    assert got == sympy.Matrix(rows).det()
+
+
 def test_nullspace_of_no_rows_is_the_identity():
     assert nullspace([], 3) == [
         [Fraction(1), 0, 0],
@@ -99,8 +155,8 @@ def test_echelon_rank_and_det_match_sympy_over_qz(rng):
         nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
         rows = _rand_laurent_matrix(rng, nrows, ncols)
         dm = DomainMatrix([[_to_qz(f) for f in row] for row in rows], (nrows, ncols), QZ)
-        r, sign, _ = echelon(rows)
-        assert r == dm.rank()
+        pivots, _, sign, _ = echelon(rows)
+        assert len(pivots) == dm.rank()
         assert sign in (1, -1)
         if nrows == ncols:
             assert _to_qz(det(LaurentMatrix(rows))) == dm.det()
@@ -108,11 +164,35 @@ def test_echelon_rank_and_det_match_sympy_over_qz(rng):
 
 def test_echelon_last_pivot_is_signed_det():
     rows = LaurentMatrix.from_strs([["0", "1"], ["z", "1 + z"]]).rows
-    assert echelon(rows) == (2, -1, LaurentPoly.monomial(1, 1))
+    z = LaurentPoly.monomial(1, 1)
+    assert echelon(rows) == ([0, 1], [[z, 1 + z], [ZERO, z]], -1, z)
     assert det(LaurentMatrix(rows)) == LaurentPoly.monomial(-1, 1)
     # a column without a pivot is skipped, not fatal
-    assert echelon([[ZERO, LaurentPoly.const(1)], [ZERO, LaurentPoly.const(2)]])[0] == 1
-    assert echelon([]) == (0, 1, LaurentPoly.const(1))
+    assert echelon([[ZERO, LaurentPoly.const(1)], [ZERO, LaurentPoly.const(2)]])[0] == [1]
+    assert echelon([]) == ([], [], 1, LaurentPoly.const(1))
+
+
+def test_minimal_annihilator_width_is_the_first_dependent_orbit_prefix(rng):
+    for q in (2, Fraction(-1, 2)):
+        with using_q(q):
+            for _ in range(25):
+                T = rand_sigma_matrix(rng, n_max=3)
+                v = [rand_laurent(rng, 1, 1) if rng.random() < 0.8 else ZERO
+                     for _ in range(T.n)]
+                orbit = [v]
+                for _ in range(4):
+                    orbit.append(sigma_apply(T, orbit[-1], 1))
+                # the first d with v, s(v), ..., s^d(v) of rank <= d over Q(z)
+                first = next(
+                    d for d in range(T.n + 1)
+                    if DomainMatrix(
+                        [[_to_qz(w[i]) for w in orbit[:d + 1]] for i in range(T.n)],
+                        (T.n, d + 1), QZ,
+                    ).rank() <= d
+                )
+                for cap in range(5):
+                    want = first if first <= cap else None
+                    assert minimal_annihilator_width(T, v, cap) == want
 
 
 def test_coefficient_rows_sorted_by_component_and_exponent():
