@@ -5,7 +5,8 @@ library, and prints either a stable text rendering or JSON (sorted keys).
 Exit codes: 0 success, 1 computational failure (search exhausted, a failed
 certificate, an Unknown/uncertified answer under --strict, or suite
 failures), 2 usage and parse errors.  The ambient q comes from --q, else the
-QEC_Q environment variable, else 2.
+QEC_Q environment variable, else the caller's q (2 by default); a q given
+either way holds for that one command only.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .modules import (
     rank_S,
     tensor,
 )
-from .scalars import scalar_from_str, scalar_to_str, set_q
+from .scalars import QParam, get_qparam, scalar_from_str, scalar_to_str, using_q
 from .suites import suite_names, verify_suite
 
 
@@ -323,17 +324,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     qtext = args.q if args.q is not None else os.environ.get("QEC_Q")
     try:
-        if qtext is not None:
-            set_q(scalar_from_str(qtext))
+        q = get_qparam() if qtext is None else QParam(scalar_from_str(qtext))
     except (ValueError, ZeroDivisionError, PreconditionViolation) as e:
         print(f"error: invalid q: {e}", file=sys.stderr)
         return 2
-    args.bounds = SearchBounds(args.bound_sigma, args.bound_z)
     if args.command == "pic" and args.op in ("mul", "eq") and args.b is None:
         print("error: pic {mul,eq} needs two arguments", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        args.bounds = SearchBounds(args.bound_sigma, args.bound_z)
+        # q scopes to this command: the caller's q is back when main returns
+        with using_q(q):
+            return args.func(args)
     except (ParseError, ZeroInput, PreconditionViolation, UnknownSuite) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

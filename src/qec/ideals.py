@@ -30,11 +30,16 @@ from .scalars import get_q
 
 
 class SearchBounds:
-    """Degree bounds for ideal searches: s-width, z-width, solver window."""
+    """Degree bounds for ideal searches: s-width, z-width, solver window.
+    Each is a nonnegative int; PreconditionViolation otherwise."""
 
     __slots__ = ("deg_sigma", "deg_z", "window")
 
     def __init__(self, deg_sigma=6, deg_z=8, window=12):
+        given = {"deg_sigma": deg_sigma, "deg_z": deg_z, "window": window}
+        for name, value in given.items():
+            if value < 0:
+                raise PreconditionViolation(f"bound {name} must be >= 0, got {value}")
         self.deg_sigma = deg_sigma
         self.deg_z = deg_z
         self.window = window

@@ -3,10 +3,11 @@
 The one elimination loop is the fraction-free `laurent.echelon`: `rref` runs
 it over integer rows and back-substitutes, and every solver that looks for
 Laurent-polynomial vectors linearizes through `coefficient_rows` and solves
-with `nullspace`.  Characteristic polynomials are Laurent determinants, the
-same elimination over K[z, z^-1].  Eigenvalues come from exact rational root
-extraction (bounded trial-division integer factorization), so Jordan data is
-exactly right, reported as non-split, or reported as out of the search bound.
+with `nullspace`.  Characteristic polynomials come from a Hessenberg
+reduction over Q, O(n^3) field operations.  Eigenvalues come from exact
+rational root extraction (bounded trial-division integer factorization), so
+Jordan data is exactly right, reported as non-split, or reported as out of
+the search bound.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import CertificateFailure, NonSplitSpectrum, SearchExhausted
-from .laurent import LaurentMatrix, LaurentPoly, _divexact_int, det, echelon
+from .laurent import LaurentPoly, _divexact_int, echelon
 
 # largest trial divisor rational_roots tries before it gives up on an integer
 TRIAL_DIVISION_LIMIT = 1 << 20
@@ -97,16 +98,62 @@ def identity(n):
 
 
 def charpoly(a) -> LaurentPoly:
-    """det(z*I - a) as a Laurent polynomial in the indeterminate z."""
-    n = len(a)
-    entries = [
-        [
-            LaurentPoly(0, (-a[i][j],)) + (LaurentPoly.monomial(1, 1) if i == j else 0)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return det(LaurentMatrix(entries))
+    """det(z*I - a) as a Laurent polynomial in z, by Hessenberg reduction
+    over Q (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.2.9): O(n^3) field operations.
+
+    Exact similarity transforms bring a to upper Hessenberg form h.  For
+    each column j the first nonzero entry below the diagonal is swapped,
+    row and column together, to row j + 1, and the entries under it are
+    cleared, each row operation followed by its inverse on the columns.  A
+    column with nothing below the diagonal is skipped: h is block
+    triangular there.  The characteristic polynomials p_m of the leading
+    m x m blocks then satisfy (1-indexed) p_0 = 1 and
+        p_m = (z - h_mm) p_(m-1)
+              - sum_i (h_(m,m-1) ... h_(m-i+1,m-i)) h_(m-i,m) p_(m-i-1),
+    where a term's subdiagonal product stops at its first zero factor.
+    Entries become Fractions on entry, so int input stays exact.
+    """
+    h = [[Fraction(x) for x in row] for row in a]
+    n = len(h)
+    for j in range(n - 2):
+        r = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if r is None:
+            continue
+        if r != j + 1:
+            h[r], h[j + 1] = h[j + 1], h[r]
+            for row in h:
+                row[r], row[j + 1] = row[j + 1], row[r]
+        # row_i -= u_i row_(j+1) for every i > j + 1 at once, then the
+        # inverse, col_(j+1) += u_i col_i: these row operations commute, and
+        # rows past j are zero left of column j
+        pivot = h[j + 1]
+        tail = [(k, x) for k, x in enumerate(pivot) if x and k >= j]
+        us = [(i, h[i][j] / pivot[j]) for i in range(j + 2, n) if h[i][j]]
+        for i, u in us:
+            row = h[i]
+            for k, x in tail:
+                row[k] -= u * x
+        for row in h:
+            row[j + 1] += sum((u * row[i] for i, u in us if row[i]), Fraction(0))
+    polys = [[Fraction(1)]]
+    for m in range(n):
+        # (z - h[m][m]) p_m, then the terms that reach up column m
+        prev = polys[m]
+        p = [Fraction(0)] + prev
+        for k, x in enumerate(prev):
+            p[k] -= h[m][m] * x
+        t = Fraction(1)
+        for i in range(1, m + 1):
+            t *= h[m - i + 1][m - i]
+            if not t:
+                break
+            f = t * h[m - i][m]
+            if f:
+                for k, x in enumerate(polys[m - i]):
+                    p[k] -= f * x
+        polys.append(p)
+    return LaurentPoly(0, polys[n])
 
 
 def _divisors(n):

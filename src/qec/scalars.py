@@ -3,13 +3,16 @@
 Scalars are `fractions.Fraction` values: arbitrary-precision, always in lowest
 terms with positive denominator.  The deformation parameter q is a scalar
 outside {0, 1, -1}; everything downstream reads it from the ambient session
-(default q = 2) instead of threading it through every call.  No floating point
-is used anywhere in this package.
+(default q = 2) instead of threading it through every call.  The ambient q
+is a `contextvars.ContextVar`, so each thread (and each asyncio task) has its
+own: a new thread starts at the default q, whatever q its creator had set.
+No floating point is used anywhere in this package.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 
 from .errors import PreconditionViolation, ZeroInput
@@ -50,34 +53,35 @@ class QParam:
         return isinstance(other, QParam) and self.value == other.value
 
 
-_session_q = QParam(Fraction(2))
+_session_q = ContextVar("qec_q", default=QParam(Fraction(2)))
+
+
+def _qparam(value) -> QParam:
+    return value if isinstance(value, QParam) else QParam(value)
 
 
 def set_q(value) -> None:
-    """Set the ambient q for the current session."""
-    global _session_q
-    _session_q = value if isinstance(value, QParam) else QParam(value)
+    """Set the ambient q for the current context (thread or task)."""
+    _session_q.set(_qparam(value))
 
 
 def get_q() -> Fraction:
     """The ambient q as a plain scalar."""
-    return _session_q.value
+    return _session_q.get().value
 
 
 def get_qparam() -> QParam:
-    return _session_q
+    return _session_q.get()
 
 
 @contextmanager
 def using_q(value):
     """Temporarily switch the ambient q (tests, CLI overrides)."""
-    global _session_q
-    saved = _session_q
-    set_q(value)
+    token = _session_q.set(_qparam(value))
     try:
-        yield _session_q
+        yield _session_q.get()
     finally:
-        _session_q = saved
+        _session_q.reset(token)
 
 
 def qpow(n: int) -> Fraction:
@@ -93,7 +97,7 @@ def q_orbit(c: Fraction, qp: QParam | None = None):
     Exact decision: |q| != 1 for admissible rational q, so |step^n| is
     strictly monotone in n and one walk toward [1, |step|) finds n.
     """
-    q = (qp or _session_q).value
+    q = (qp or _session_q.get()).value
     step = q if abs(q) > 1 else 1 / q
     r, n = c, 0
     while abs(r) >= abs(step):
@@ -112,4 +116,4 @@ def q_power_class(c, qp: QParam | None = None):
     r, n = q_orbit(c, qp)
     if r != 1:
         return None
-    return n if abs((qp or _session_q).value) > 1 else -n
+    return n if abs((qp or _session_q.get()).value) > 1 else -n

@@ -27,7 +27,7 @@ from qec.modules import (
     pic_mul,
     tensor,
 )
-from qec.scalars import scalar_to_str
+from qec.scalars import get_q, scalar_to_str, using_q
 from qec.suites import verify_suite
 
 O_DESC = '{"kind":"line","c":"1","m":0}'
@@ -85,6 +85,33 @@ def test_invalid_q_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "invalid q" in err
+
+
+def test_q_flag_does_not_leak_into_the_caller(capsys, monkeypatch):
+    with using_q(Fraction(7)):
+        assert run(capsys, "--q", "3", "eval", "q")[:2] == (0, "3\n")
+        assert get_q() == 7
+        monkeypatch.setenv("QEC_Q", "5")
+        assert run(capsys, "eval", "q")[:2] == (0, "5\n")
+        assert get_q() == 7
+        monkeypatch.delenv("QEC_Q")
+        # without --q or QEC_Q the command runs at the caller's q
+        assert run(capsys, "eval", "q")[:2] == (0, "7\n")
+    assert get_q() == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mod", "info", MATRIX_DESC, "--bound-sigma", "-1"],
+        ["coh", MATRIX_DESC, "--bound-z", "-1"],
+        ["--bound-sigma", "-5", "--bound-z", "-5", "mod", "info", MATRIX_DESC],
+    ],
+)
+def test_negative_bounds_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bound ") and err.count("\n") == 1
 
 
 def test_div_sigma_json(capsys):

@@ -184,6 +184,17 @@ def test_cyclic_search_respects_bounds():
     assert cyclic_search(to_matrix(LineBundle(1, 2)), tight) is None
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"deg_sigma": -1}, {"deg_z": -1}, {"window": -1}, {"deg_sigma": -5, "deg_z": -5}],
+)
+def test_search_bounds_reject_negative_values(kwargs):
+    with pytest.raises(PreconditionViolation, match="must be >= 0"):
+        SearchBounds(**kwargs)
+    # zero is the smallest legal bound
+    assert SearchBounds(0, 0, 0).as_dict() == {"deg_sigma": 0, "deg_z": 0, "window": 0}
+
+
 def test_cyclic_search_stops_at_an_empty_minimal_width_row(monkeypatch):
     # s - z^2 needs z-width 2: with deg_z = 0 the width-1 row of each of the
     # four candidates (1, z, z^2, z^3) is empty, and no wider row is scanned

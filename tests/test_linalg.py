@@ -2,11 +2,14 @@
 
 sympy is an independent oracle used here only; the library has no runtime
 dependency on it.  Rational matrices exercise `rref`, `rank`, `nullspace` and
-`charpoly`, integer matrices exercise `echelon` over Z, products of linear
-factors exercise `rational_roots`, and Laurent matrices exercise `echelon`,
-`det` and the annihilator width over Q(z).
+`charpoly` (sparse ones reach every branch of the Hessenberg reduction),
+integer matrices exercise `echelon` over Z, products of linear factors
+exercise `rational_roots`, and Laurent matrices exercise `echelon`, `det` and
+the annihilator width over Q(z).
 """
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -69,6 +72,52 @@ def test_rank_nullspace_charpoly_match_sympy(rng):
             coeffs = m.charpoly(sympy.Symbol("x")).all_coeffs()
             want = LaurentPoly(0, [_frac(c) for c in reversed(coeffs)])
             assert charpoly(rows) == want
+
+
+def _sympy_charpoly(rows):
+    n = len(rows)
+    m = sympy.Matrix(n, n, [sympy.Rational(x) for row in rows for x in row])
+    coeffs = m.charpoly(sympy.Symbol("x")).all_coeffs()
+    return LaurentPoly(0, [_frac(c) for c in reversed(coeffs)])
+
+
+def _sparse_squares(elements):
+    """Square matrices up to 10 x 10, about half their entries zero, so that
+    Hessenberg columns without a pivot and row/column swaps both occur."""
+    return st.integers(0, 10).flatmap(
+        lambda n: st.lists(
+            st.lists(st.one_of(st.just(0), elements), min_size=n, max_size=n),
+            min_size=n, max_size=n,
+        )
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_squares(st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))))
+def test_charpoly_matches_sympy_on_sparse_rational_matrices(rows):
+    assert charpoly(rows) == _sympy_charpoly(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sparse_squares(st.integers(-9, 9)))
+def test_charpoly_of_int_matrices_is_exact(rows):
+    # int / int is a float in Python: every coefficient must stay a Fraction
+    got = charpoly(rows)
+    assert all(type(c) is Fraction for c in got.coeffs)
+    assert got == _sympy_charpoly(rows)
+
+
+def test_charpoly_of_a_dense_20x20_rational_matrix_is_fast():
+    rng = random.Random(20)
+    rows = [
+        [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+         for _ in range(20)]
+        for _ in range(20)
+    ]
+    start = time.perf_counter()
+    got = charpoly(rows)
+    assert time.perf_counter() - start < 1.5
+    assert got == _sympy_charpoly(rows)
 
 
 entries = st.one_of(

@@ -1,3 +1,5 @@
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -32,6 +34,56 @@ def test_session_q_default_and_override():
         with using_q(Fraction(-7)):
             assert get_q() == -7
         assert get_q() == Fraction(3, 5)
+    assert get_q() == 2
+
+
+def test_ambient_q_is_per_thread():
+    # both threads sit inside their using_q at once; a shared global would
+    # leave both reading the q that was set last
+    barrier = threading.Barrier(2, timeout=10)
+    seen = {}
+
+    def worker(q):
+        seen[("start", q)] = get_q()
+        with using_q(q):
+            barrier.wait()
+            seen[q] = get_q()
+            barrier.wait()
+
+    with using_q(Fraction(7)):
+        threads = [threading.Thread(target=worker, args=(q,)) for q in (3, 5)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert get_q() == 7
+    # a new thread starts at the default q, not at its creator's
+    assert seen == {("start", 3): 2, ("start", 5): 2, 3: 3, 5: 5}
+
+
+def test_ambient_q_survives_thread_switches():
+    # more threads than cores, switching as often as the interpreter allows
+    bad = []
+
+    def worker(q):
+        for _ in range(300):
+            with using_q(q):
+                if get_q() != q or qpow(2) != q * q:
+                    bad.append(q)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(q,)) for q in range(2, 10)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert bad == []
     assert get_q() == 2
 
 
