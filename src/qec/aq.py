@@ -414,6 +414,11 @@ def to_str(x: AqElement) -> str:
     return " ".join(pieces)
 
 
+# widest support, s-width plus z-width, that `parse` expands a power of a
+# non-monomial to; past it the power is a ParseError, not a long expansion
+POWER_WIDTH_LIMIT = 32
+
+
 class _Parser:
     """Recursive descent for:  expr := term {(+|-) term};
     term := factor {"*" factor}; factor := ["-"] atom ["^" sint];
@@ -476,6 +481,14 @@ class _Parser:
         if self.take("^"):
             e = self.sint()
             if e >= 0:
+                if e > 1 and not x.is_unit() and not x.is_zero():
+                    d = degrees(x)
+                    width = e * (d.deg_sigma + d.deg_z)
+                    if width > POWER_WIDTH_LIMIT:
+                        self.error(
+                            f"power of a non-monomial reaches width {width},"
+                            f" past the limit {POWER_WIDTH_LIMIT}"
+                        )
                 x = x**e
             else:
                 if not x.is_unit():
@@ -520,5 +533,6 @@ class _Parser:
 
 def parse(text: str) -> AqElement:
     """Parse an expression in z, s, q and rationals into s-normal form.
-    q resolves to the ambient session value."""
+    q resolves to the ambient session value.  ParseError for a power of a
+    non-monomial whose support would be wider than POWER_WIDTH_LIMIT."""
     return _Parser(text).parse()

@@ -11,12 +11,12 @@ from the cyclic search), never a silent guess.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, combinations, product
 
 from .aq import AqElement, degrees, sigma_divide, z_divide
 from .errors import CertificateFailure, PreconditionViolation, SearchExhausted
 from .laurent import ONE, ZERO, LaurentPoly, echelon
-from .linalg import charpoly, coefficient_rows, nullspace, rational_roots
+from .linalg import _integer_row, charpoly, coefficient_rows, nullspace, rational_roots
 from .modules import (
     Good,
     SigmaMatrix,
@@ -162,17 +162,43 @@ def annihilator_space(T: SigmaMatrix, v, d: int, zd: int):
 
 
 def _sigma_good_in(space):
-    """A sigma-good element of the span, if a small combination shows one."""
+    """A sigma-good element of the span, if a small combination shows one.
+
+    A pair's sum or difference is formed only when its coefficients at the
+    outer s-exponents of the two supports can be units: there the
+    coefficient is x_e + y_e or x_e - y_e (one of them zero when the ends
+    differ), and a nonzero non-unit there is the combination's extreme
+    coefficient.  A cancellation moves the end inward, so it falls back to
+    the full `degrees` test.
+    """
     for x in space:
         if degrees(x).sigma_good:
             return x
-    for i in range(len(space)):
-        for j in range(i + 1, len(space)):
-            for cand in (space[i] + space[j], space[i] - space[j]):
-                dd = degrees(cand)
-                if dd is not None and dd.sigma_good:
-                    return cand
+    for x, y in combinations(space, 2):
+        sx, sy = x.sigma_support(), y.sigma_support()
+        outer = (min(sx[0], sy[0]), max(sx[-1], sy[-1]))
+        for sign in (1, -1):
+            if any(_two_terms(x.coefficient(e), y.coefficient(e), sign) for e in outer):
+                continue
+            cand = x + y if sign > 0 else x - y
+            dd = degrees(cand)
+            if dd is not None and dd.sigma_good:
+                return cand
     return None
+
+
+def _two_terms(f, g, sign):
+    """Whether f + sign*g has two nonzero coefficients, so is a nonzero
+    non-unit, counted without forming it."""
+    ends = [(h.lo, h.top) for h in (f, g) if not h.is_zero()]
+    nonzero = 0
+    for e in range(min(lo for lo, _ in ends), max(top for _, top in ends) + 1):
+        a, b = f.coeff(e), g.coeff(e)
+        if a != (-b if sign > 0 else b):
+            nonzero += 1
+            if nonzero == 2:
+                return True
+    return False
 
 
 def _annihilator_ideal(T: SigmaMatrix, v, width: int, top: int, bounds):
@@ -355,13 +381,24 @@ def line_subbundle_probe(T: SigmaMatrix, k_range, window=12):
         if not basis:
             continue
         zero = [Fraction(0)] * len(basis)
+        # integer numerators: one denominator per kernel vector and per row,
+        # one Fraction per entry of H
+        columns = []
+        for y in basis:
+            yden, ys = _integer_row(y)
+            columns.append((yden, [(t, b) for t, b in enumerate(ys) if b]))
         H = []
         for x in basis:
             # a canonical kernel vector's free column is its last nonzero entry
             r, j = divmod(max(t for t, c in enumerate(x) if c), 2 * W + 1)
             row = rows.get((r, j - W + k))
-            H.append(zero if row is None else [
-                sum((a * b for a, b in zip(row, y) if b), Fraction(0)) for y in basis
+            if row is None:
+                H.append(zero)
+                continue
+            den, ints = _integer_row(row)
+            H.append([
+                Fraction(sum(ints[t] * b for t, b in ys), den * yden)
+                for yden, ys in columns
             ])
         roots, _ = rational_roots(charpoly(H))
         for c, _mult in roots:

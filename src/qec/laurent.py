@@ -418,32 +418,60 @@ def echelon(rows):
     zeroed below each pivot, sign of the row permutation, last pivot).  Pivot
     k is the minor of the first k + 1 permuted rows at the first k + 1 pivot
     columns, so the signed last pivot of a square matrix of full rank is its
-    determinant.  Every interior division is exact and is checked."""
+    determinant.  Every interior division is exact and is checked.
+
+    The scaling is lazy, so a step costs what its nonzero multipliers cost.
+    Dense Bareiss step k rescales every row whose pivot-column entry is zero
+    by dets[k + 1] / dets[k], where dets = [1, pivot_0, pivot_1, ...].  Here
+    such a row is left as it is and keeps the number l of the steps it has
+    seen: a row deferred since step l equals its Bareiss minors after one
+    division by the pivot ratio, x * dets[k] / dets[l].  A row is brought up
+    to date only when it becomes the pivot row, or when it next gets a
+    nonzero multiplier a at step k; then the catch-up and the step share one
+    exact division, (x * pivot_k - a * y) / dets[l] for the stale entries
+    x, a and the pivot row's y, since the step divides by dets[k].  Scaling
+    keeps zeros, so the pivot search reads stale rows and a cell that is
+    zero in both rows is skipped.  The returned rows are the dense ones:
+    each pivot row is up to date, and the rows below the rank are zero.
+    """
     m = [list(row) for row in rows]
     ncols = len(m[0]) if m else 0
     if ncols and not isinstance(m[0][0], LaurentPoly):
-        zero, prev, div = 0, 1, _divexact_int
+        zero, dets, div = 0, [1], _divexact_int
     else:
-        zero, prev, div = ZERO, ONE, divexact
+        zero, dets, div = ZERO, [ONE], divexact
+    seen = [0] * len(m)
     pivots, sign = [], 1
     for c in range(ncols):
-        rank = len(pivots)
-        i = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        k = len(pivots)
+        i = next((i for i in range(k, len(m)) if m[i][c]), None)
         if i is None:
             continue
-        if i != rank:
-            m[rank], m[i] = m[i], m[rank]
+        if i != k:
+            m[k], m[i] = m[i], m[k]
+            seen[k], seen[i] = seen[i], seen[k]
             sign = -sign
-        top = m[rank]
+        top = m[k]
+        if seen[k] != k:
+            d, l = dets[k], dets[seen[k]]
+            top = m[k] = [div(x * d, l) if x else x for x in top]
         pivot = top[c]
-        for row in m[rank + 1:]:
+        tail = top[c + 1:]
+        for i in range(k + 1, len(m)):
+            row = m[i]
             a = row[c]
+            if not a:
+                continue
+            l = dets[seen[i]]
+            row[c + 1:] = [
+                div(x * pivot - a * y, l) if x or y else x
+                for x, y in zip(row[c + 1:], tail)
+            ]
             row[c] = zero
-            for j in range(c + 1, ncols):
-                row[j] = div(row[j] * pivot - a * top[j], prev)
-        prev = pivot
+            seen[i] = k + 1
+        dets.append(pivot)
         pivots.append(c)
-    return pivots, m, sign, prev
+    return pivots, m, sign, dets[-1]
 
 
 def _det_rows(rows, n):

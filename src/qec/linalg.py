@@ -1,13 +1,20 @@
 """Exact linear algebra over Q with Fraction entries; nothing is numerical.
 
-The one elimination loop is the fraction-free `laurent.echelon`: `rref` runs
-it over integer rows and back-substitutes, and every solver that looks for
+The one elimination loop is the fraction-free `laurent.echelon`, run over
+the rows scaled to integers.  Its scaling is lazy: a row whose multiplier
+is zero is not touched, and a deferred row equals its Bareiss minors after
+one exact division by the pivot ratio dets[k] / dets[l] (l the last step
+that updated it), so a step costs what its nonzero multipliers cost and the
+results are those of dense Bareiss.  `rref` back-substitutes d * RREF at
+every column and `nullspace` only at the free columns, stopping after
+`echelon` when there is none.  Every solver that looks for
 Laurent-polynomial vectors linearizes through `coefficient_rows` and solves
-with `nullspace`.  Characteristic polynomials come from a Hessenberg
-reduction over Q, O(n^3) field operations.  Eigenvalues come from exact
-rational root extraction (bounded trial-division integer factorization), so
-Jordan data is exactly right, reported as non-split, or reported as out of
-the search bound.
+with `nullspace`; these systems are banded in z-degree and mostly zero.
+
+Characteristic polynomials come from a Hessenberg reduction over Q, O(n^3)
+field operations.  Eigenvalues come from exact rational root extraction
+(bounded trial-division integer factorization), so Jordan data is exactly
+right, reported as non-split, or reported as out of the search bound.
 """
 
 from __future__ import annotations
@@ -22,29 +29,50 @@ from .laurent import LaurentPoly, _divexact_int, echelon
 TRIAL_DIVISION_LIMIT = 1 << 20
 
 
-def rref(rows):
-    """Reduced row echelon form, zero rows last; returns (rows, pivots).
+def _integer_row(row):
+    """(d, d * row) for d the least common denominator of the entries."""
+    d = lcm(*(x.denominator for x in row))
+    return d, [x.numerator * (d // x.denominator) if x else 0 for x in row]
 
-    Rows scaled to integers have the same RREF, so `echelon` runs over ints.
-    Let B be the pivot rows at the pivot columns and d the last pivot, det B
-    up to sign.  By Cramer's rule each RREF entry is a minor over det B, so
-    d * RREF is an integer matrix.  Back-substitution computes it bottom up:
-    echelon row k is pivot_k * RREF_k plus its entries at the later pivot
-    columns times those RREF rows, so dividing by pivot_k is exact (checked).
+
+def _integer_echelon(rows):
+    """`echelon` over the rows scaled to integers, which have the same row
+    space, so the same RREF and the same kernel."""
+    return echelon([_integer_row(row)[1] for row in rows])
+
+
+def _back_substitute(u, pivots, d, cols):
+    """d * RREF at the columns `cols`, one row per pivot, from the echelon
+    rows u and their last pivot d.
+
+    Let B be the pivot rows at the pivot columns, so d = det B up to sign.
+    By Cramer's rule each RREF entry is a minor over det B, so d * RREF is
+    an integer matrix.  Back-substitution computes it bottom up: echelon row
+    k is pivot_k * RREF_k plus its entries at the later pivot columns times
+    those RREF rows, so dividing by pivot_k is exact (checked).  Zero
+    entries of the pivot block are skipped.
     """
-    ints = []
-    for row in rows:
-        scale = lcm(*(x.denominator for x in row))
-        ints.append([x.numerator * (scale // x.denominator) for x in row])
-    pivots, u, _, d = echelon(ints)
+    out = [None] * len(pivots)
     for k in range(len(pivots) - 1, -1, -1):
-        row = [d * x for x in u[k]]
+        row = u[k]
+        acc = [d * row[j] for j in cols]
         for later in range(k + 1, len(pivots)):
-            f = u[k][pivots[later]]
+            f = row[pivots[later]]
             if f:
-                row = [a - f * b for a, b in zip(row, u[later])]
-        u[k] = [_divexact_int(x, u[k][pivots[k]]) for x in row]
-    return [[Fraction(x, d) for x in row] for row in u], pivots
+                acc = [a - f * b if b else a for a, b in zip(acc, out[later])]
+        p = row[pivots[k]]
+        out[k] = [_divexact_int(a, p) if a else 0 for a in acc]
+    return out
+
+
+def rref(rows):
+    """Reduced row echelon form, zero rows last; returns (rows, pivots):
+    `_back_substitute` at every column, over the last pivot d."""
+    pivots, u, _, d = _integer_echelon(rows)
+    ncols = len(u[0]) if u else 0
+    reduced = _back_substitute(u, pivots, d, range(ncols))
+    reduced += [[0] * ncols for _ in range(len(u) - len(pivots))]
+    return [[Fraction(x, d) for x in row] for row in reduced], pivots
 
 
 def rank(rows):
@@ -55,18 +83,23 @@ def nullspace(rows, ncols):
     """Basis of the right kernel, one canonical vector per free column: 1 at
     its own free column, 0 at the other free columns.  The basis depends only
     on the kernel, not on the rows that cut it out, and each vector's free
-    column is its last nonzero entry."""
-    m, pivots = rref(rows)
+    column is its last nonzero entry.  Only the free columns of d * RREF are
+    back-substituted, and a system without a free column stops after
+    `echelon`."""
+    pivots, u, _, d = _integer_echelon(rows)
     pivot_set = set(pivots)
+    free = [j for j in range(ncols) if j not in pivot_set]
+    if not free:
+        return []
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
+    for f in free:
         v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][free]
+        v[f] = Fraction(1)
         basis.append(v)
+    for pc, row in zip(pivots, _back_substitute(u, pivots, d, free)):
+        for v, x in zip(basis, row):
+            if x:
+                v[pc] = Fraction(-x, d)
     return basis
 
 

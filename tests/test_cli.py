@@ -6,12 +6,14 @@ JSON payloads, and exit codes (0 success, 1 computational failure under
 """
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 import qec.cli
 import qec.ideals
+from qec.aq import POWER_WIDTH_LIMIT, AqElement, to_str
 from qec.cli import main
 from qec.errors import CertificateFailure
 from qec.ideals import SearchBounds
@@ -112,6 +114,23 @@ def test_negative_bounds_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: bound ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("expr", ["(1+z+s)^200", "((1+z)^8)^5", "(1+s)^33"])
+def test_large_powers_of_non_monomials_are_parse_errors(capsys, expr):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", expr)
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: power of a non-monomial") and err.count("\n") == 1
+
+
+def test_powers_up_to_the_width_limit_and_monomial_powers_expand(capsys):
+    n = POWER_WIDTH_LIMIT
+    code, out, _ = run(capsys, "eval", f"(1 + z)^{n}")
+    assert (code, out) == (0, to_str((AqElement.one() + AqElement.monomial(1, zexp=1)) ** n) + "\n")
+    assert run(capsys, "eval", f"(1 + z)^{n + 1}")[0] == 2
+    assert run(capsys, "eval", "z^100000000000000")[:2] == (0, "z^100000000000000\n")
 
 
 def test_div_sigma_json(capsys):

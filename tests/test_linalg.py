@@ -20,7 +20,8 @@ from sympy.polys.matrices import DomainMatrix
 
 from qec.errors import SearchExhausted
 from qec.ideals import minimal_annihilator_width
-from qec.laurent import ZERO, LaurentMatrix, LaurentPoly, det, echelon
+from qec.aq import parse
+from qec.laurent import ONE, ZERO, LaurentMatrix, LaurentPoly, det, divexact, echelon
 from qec.linalg import (
     TRIAL_DIVISION_LIMIT,
     charpoly,
@@ -30,7 +31,7 @@ from qec.linalg import (
     rational_roots,
     rref,
 )
-from qec.modules import sigma_apply
+from qec.modules import Good, sigma_apply, to_matrix, window_eigenspace
 from qec.samples import rand_laurent, rand_scalar, rand_sigma_matrix
 from qec.scalars import using_q
 
@@ -287,3 +288,125 @@ def test_rational_roots_stops_at_the_trial_division_limit():
     # small coefficients still factor completely
     small = LaurentPoly(0, [6, -5, 1])
     assert rational_roots(small) == ([(Fraction(2), 1), (Fraction(3), 1)], 0)
+
+
+# -- the sparse-aware kernel against textbook references ------------------------
+
+
+def _dense_bareiss(rows):
+    """Textbook Bareiss: at every step every row below the pivot is updated,
+    a zero multiplier included, over ints or Laurent polynomials."""
+    m = [list(row) for row in rows]
+    ncols = len(m[0]) if m else 0
+    if ncols and isinstance(m[0][0], LaurentPoly):
+        zero, prev, div = ZERO, ONE, divexact
+    else:
+        zero, prev = 0, 1
+
+        def div(a, b):
+            quotient, rem = divmod(a, b)
+            assert rem == 0
+            return quotient
+
+    pivots, sign = [], 1
+    for c in range(ncols):
+        k = len(pivots)
+        i = next((i for i in range(k, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        if i != k:
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
+        top, pivot = m[k], m[k][c]
+        for row in m[k + 1:]:
+            a = row[c]
+            row[c] = zero
+            for j in range(c + 1, ncols):
+                row[j] = div(row[j] * pivot - a * top[j], prev)
+        prev = pivot
+        pivots.append(c)
+    return pivots, m, sign, prev
+
+
+@st.composite
+def sparse_int_matrices(draw):
+    """Up to 60 x 60, density 0.02-0.3, optionally banded, with zero rows,
+    zero columns and rows that are combinations of others."""
+    nrows, ncols = draw(st.integers(0, 60)), draw(st.integers(1, 60))
+    density = draw(st.floats(0.02, 0.3))
+    band = draw(st.one_of(st.none(), st.integers(0, 5)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = [
+        [
+            rng.randint(-9, 9)
+            if rng.random() < density
+            and (band is None or abs(j - i * ncols // nrows) <= band)
+            else 0
+            for j in range(ncols)
+        ]
+        for i in range(nrows)
+    ]
+    for i in range(nrows):
+        kind = rng.choice(("keep", "keep", "keep", "zero", "combine"))
+        if kind == "zero":
+            rows[i] = [0] * ncols
+        elif kind == "combine" and nrows > 2:
+            a, b = rng.sample(range(nrows), 2)
+            f, g = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[i] = [f * x + g * y for x, y in zip(rows[a], rows[b])]
+    for j in rng.sample(range(ncols), rng.randint(0, ncols // 4)):
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_int_matrices())
+def test_lazy_echelon_matches_dense_bareiss_over_ints(rows):
+    assert echelon(rows) == _dense_bareiss(rows)
+
+
+def test_lazy_echelon_matches_dense_bareiss_over_laurent_polynomials(rng):
+    for _ in range(200):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        rows = _rand_laurent_matrix(rng, nrows, ncols)
+        if rng.random() < 0.3:
+            rows[rng.randrange(nrows)] = [ZERO] * ncols
+        assert echelon(rows) == _dense_bareiss(rows)
+
+
+def _banded_rational_matrix(rng, n, band):
+    rows = [
+        [rand_scalar(rng) if abs(i - j) <= band and rng.random() < 0.7 else Fraction(0)
+         for j in range(n)]
+        for i in range(n)
+    ]
+    # a few rows become combinations of their neighbours, so the kernel is nonempty
+    for i in rng.sample(range(1, n - 1), 4):
+        f, g = rand_scalar(rng), rand_scalar(rng)
+        rows[i] = [f * x + g * y for x, y in zip(rows[i - 1], rows[i + 1])]
+    return rows
+
+
+def test_rref_and_nullspace_match_sympy_on_banded_40x40(rng):
+    for band in (1, 2, 3):
+        rows = _banded_rational_matrix(rng, 40, band)
+        dm = DomainMatrix([[QQ(x.numerator, x.denominator) for x in row] for row in rows],
+                          (40, 40), QQ)
+        want, want_pivots = dm.rref()
+        want = [[Fraction(int(x.numerator), int(x.denominator)) for x in row]
+                for row in want.to_list()]
+        got, pivots = rref(rows)
+        assert (got, pivots) == (want, list(want_pivots))
+        kernel = nullspace(rows, 40)
+        assert kernel and kernel == [[_frac(x) for x in v] for v in _sym_matrix(rows).nullspace()]
+
+
+def test_h0_window_of_a_non_z_good_generator_is_fast():
+    # 291 unknowns; a dense elimination over every cell took about 4 s
+    with using_q(2):
+        T = to_matrix(Good(parse("(s - 1)*(z - s - s^-1)")))
+        start = time.perf_counter()
+        basis = window_eigenspace(T, 48, 0, 1)
+        assert time.perf_counter() - start < 1.0
+    assert [[str(f) for f in v] for v in basis] == [["1", "-2*z", "1"]]
