@@ -417,6 +417,25 @@ def to_str(x: AqElement) -> str:
 # widest support, s-width plus z-width, that `parse` expands a power of a
 # non-monomial to; past it the power is a ParseError, not a long expansion
 POWER_WIDTH_LIMIT = 32
+# largest coefficient, in bits of numerator or denominator, that `parse`
+# lets a power of a monomial reach; past it the power is a ParseError.  The
+# count is floor(log2) of the heights, at most log2(3) times too small, so a
+# coefficient in the limit prints in fewer than 4,000 digits.
+POWER_BITS_LIMIT = 1 << 13
+
+
+def _height_bits(c) -> int:
+    """floor(log2) of the height max(|num|, den) of a rational: 0 for +-1."""
+    c = Fraction(c)
+    return max(abs(c.numerator), c.denominator).bit_length() - 1
+
+
+def _monomial_power_bits(x: AqElement, e: int) -> int:
+    """Bits of the coefficient of (c z^a s^b)^e = c^e q^(a b e(e-1)/2)
+    z^(a e) s^(b e), counted from the heights of c and q, without forming
+    it (e >= 0)."""
+    ((a, b, c),) = x.monomials()
+    return e * _height_bits(c) + abs(a * b) * (e * (e - 1) // 2) * _height_bits(get_q())
 
 
 class _Parser:
@@ -480,20 +499,26 @@ class _Parser:
         x = self.atom()
         if self.take("^"):
             e = self.sint()
-            if e >= 0:
-                if e > 1 and not x.is_unit() and not x.is_zero():
-                    d = degrees(x)
-                    width = e * (d.deg_sigma + d.deg_z)
-                    if width > POWER_WIDTH_LIMIT:
-                        self.error(
-                            f"power of a non-monomial reaches width {width},"
-                            f" past the limit {POWER_WIDTH_LIMIT}"
-                        )
-                x = x**e
-            else:
+            if e < 0:
                 if not x.is_unit():
                     self.error("negative power of a non-unit")
-                x = x.inverse_unit() ** (-e)
+                x, e = x.inverse_unit(), -e
+            if x.is_unit():
+                bits = _monomial_power_bits(x, e)
+                if bits > POWER_BITS_LIMIT:
+                    self.error(
+                        f"power of a monomial reaches a coefficient of about"
+                        f" {bits} bits, past the limit {POWER_BITS_LIMIT}"
+                    )
+            elif e > 1 and not x.is_zero():
+                d = degrees(x)
+                width = e * (d.deg_sigma + d.deg_z)
+                if width > POWER_WIDTH_LIMIT:
+                    self.error(
+                        f"power of a non-monomial reaches width {width},"
+                        f" past the limit {POWER_WIDTH_LIMIT}"
+                    )
+            x = x**e
         return -x if neg else x
 
     def atom(self):
@@ -534,5 +559,7 @@ class _Parser:
 def parse(text: str) -> AqElement:
     """Parse an expression in z, s, q and rationals into s-normal form.
     q resolves to the ambient session value.  ParseError for a power of a
-    non-monomial whose support would be wider than POWER_WIDTH_LIMIT."""
+    non-monomial whose support would be wider than POWER_WIDTH_LIMIT, and
+    for a power of a monomial whose coefficient would need more than
+    POWER_BITS_LIMIT bits."""
     return _Parser(text).parse()

@@ -99,8 +99,8 @@ def cmd_div(args) -> int:
     return 0
 
 
-def _info_payload(M, bounds) -> dict:
-    rkS = rank_S(M, bounds)
+def _info_payload(M) -> dict:
+    rkS = rank_S(M)
     payload = dict(module_to_json(M))
     payload["rank_A"] = rank_A(M)
     payload["rank_S"] = _plain(rkS)
@@ -119,7 +119,7 @@ def _info_payload(M, bounds) -> dict:
 
 def cmd_mod(args) -> int:
     M = _module_arg(args.descriptor)
-    payload = _info_payload(M, args.bounds)
+    payload = _info_payload(M)
     lines = [f"{k} = {json.dumps(payload[k], sort_keys=True)}" for k in sorted(payload)]
     _emit(args, payload, lines)
     if args.strict and payload["rank_S"] is None:
@@ -149,7 +149,7 @@ def cmd_hom(args) -> int:
 
 def cmd_coh(args) -> int:
     M = _module_arg(args.descriptor)
-    rep = cohomology(M, args.bounds)
+    rep = cohomology(M)
     payload = rep.to_json()
     _emit(
         args,
@@ -169,7 +169,7 @@ def cmd_coh(args) -> int:
 def cmd_euler(args) -> int:
     M = _module_arg(args.a)
     N = _module_arg(args.b)
-    chi = euler_form(M, N, args.bounds)
+    chi = euler_form(M, N)
     payload = {"chi": _plain(chi)}
     _emit(args, payload, ["unknown" if payload["chi"] is None else str(payload["chi"])])
     if args.strict and payload["chi"] is None:
@@ -239,10 +239,10 @@ def _add_common(parser, after_command: bool) -> None:
         help="exit 1 when an answer is Unknown or uncertified",
     )
     parser.add_argument(
-        "--bound-sigma", type=int, default=d(6), help="s-width search bound"
+        "--bound-sigma", type=int, default=d(6), help="s-width bound of verify's search"
     )
     parser.add_argument(
-        "--bound-z", type=int, default=d(8), help="z-width search bound"
+        "--bound-z", type=int, default=d(8), help="z-width bound of verify's search"
     )
 
 

@@ -1,6 +1,6 @@
 """Cohomology of modules: H^0 as the sigma-fixed space, H^1 through the
 index identity h1 = h0 + rank_S, and the Euler form chi(M, N) = -rank_S of
-the internal hom.
+the internal hom, read off the slopes of M and N.
 
 H^0(M) = Hom(O, M): a fixed vector is a line subbundle of type (c, k) =
 (1, 0), so H^0 of a matrix-presented module is the window solver
@@ -26,11 +26,12 @@ from .modules import (
     Torsion,
     Unknown,
     _plain,
-    dual,
+    _whole,
     hom,
     jordan_structure,
     rank_A,
     rank_S,
+    slopes,
     to_matrix,
     window_eigenspace,
 )
@@ -121,10 +122,10 @@ def _scaled_report(m, blocks, n):
     return CohomologyReport(h, h, 0, True, 0)
 
 
-def cohomology(M, bounds=None) -> CohomologyReport:
+def cohomology(M) -> CohomologyReport:
     """Exact closed forms for line bundles, torsion modules and monomial-scaled
-    matrices; the window protocol for the rest, with rank_S searched under
-    `bounds`.  h1 = h0 + rank_S throughout."""
+    matrices; the window protocol for the rest, with rank_S read off the
+    slopes.  h1 = h0 + rank_S throughout."""
     if isinstance(M, LineBundle):
         return _scaled_report(M.m, [(M.c, 1)], 1)
     if isinstance(M, Torsion):
@@ -149,7 +150,7 @@ def cohomology(M, bounds=None) -> CohomologyReport:
                 return _scaled_report(m, blocks, M.T.n)
     if isinstance(M, (Good, MatrixModule)):
         T = to_matrix(M)
-        rkS = rank_S(M, bounds)
+        rkS = rank_S(M)
         cap = rank_A(M)
         h0, certified, window = stabilized_h0(T, cap)
         if isinstance(rkS, Unknown):
@@ -163,25 +164,16 @@ def dim_hom(M, N) -> CohomologyReport:
     return cohomology(hom(M, N))
 
 
-def euler_form(M, N, bounds=None):
-    """chi(M, N) = chi of the internal hom = -rank_S(hom(M, N)); Unknown
-    when the rank search fails to certify."""
-    rkS = _hom_rank_S(M, N, bounds)
-    if isinstance(rkS, Unknown):
-        return rkS
-    return -rkS
-
-
-def _hom_rank_S(M, N, bounds=None):
-    """rank_S of hom(M, N), using the multiplicativity of rank_S across a
-    torsion factor (rank_S(T tensor X) = rank_A(T) * rank_S(X)) before
-    falling back to the generator search on the Kronecker matrix."""
-    Md = dual(M)
-    for A, B in ((Md, N), (N, Md)):
-        if isinstance(A, Torsion):
-            rkB = rank_S(B, bounds)
-            if isinstance(rkB, Unknown):
-                return rkB
-            return rank_A(A) * rkB
-    h = hom(M, N)
-    return rank_S(h, bounds)
+def euler_form(M, N):
+    """chi(M, N) = chi of the internal hom = -rank_S(hom(M, N)), read off
+    the slopes of M and N: the slopes of M* (x) N at each end are the
+    differences b - a of a slope a of M and b of N, with length the product
+    of theirs.  Unknown only when `slopes` finds no cyclic vector."""
+    sm, sn = slopes(M), slopes(N)
+    if sm is None or sn is None:
+        return Unknown()
+    (inf_m, zero_m), (inf_n, zero_n) = sm, sn
+    return -_whole(
+        sum(k * l * max(b - a, 0) for a, k in inf_m for b, l in inf_n)
+        + sum(k * l * max(a - b, 0) for a, k in zero_m for b, l in zero_n)
+    )

@@ -5,7 +5,9 @@ solutions are algebra elements annihilating a module vector, plus degree
 certificates obtained from fraction-free rank computations over K[z,z^-1].
 Searches are deterministic (fixed scan orders), so results are reproducible;
 when bounds run out the failure is explicit (SearchExhausted, or None
-from the cyclic search), never a silent guess.
+from `cyclic_presentation`), never a silent guess.  The module's own S-rank
+is not searched: `modules.rank_S` reads it off the slopes, and
+`cyclic_presentation` is kept as the independent check of that theorem.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .modules import (
     to_matrix,
     window_eigenspace,
 )
-from .scalars import get_q
 
 
 class SearchBounds:
@@ -294,15 +295,23 @@ CANDIDATE_LIMIT = 800
 DEEP_LIMIT = 24
 
 
-def cyclic_search(T: SigmaMatrix, bounds=None):
-    """Memoizing front end: the search is deterministic in (T, q, bounds),
-    and rank computations revisit the same matrix repeatedly.  The search
-    reads only the s- and z-width bounds, so the cache is keyed on those."""
-    bounds = bounds or DEFAULT_BOUNDS
-    key = (get_q(), bounds.deg_sigma, bounds.deg_z)
-    if key not in T._cyclic_cache:
-        T._cyclic_cache[key] = _cyclic_search(T, bounds)
-    return T._cyclic_cache[key]
+def _cyclic_vectors(T: SigmaMatrix):
+    """The candidates v for which v, s(v), ..., s^{n-1}(v) are independent
+    over the fraction field, in candidate order."""
+    n = T.n
+    return (
+        v
+        for v in _candidate_vectors(n)
+        if minimal_annihilator_width(T, v, n - 1) is None
+    )
+
+
+def cyclic_search(T: SigmaMatrix):
+    """The first cyclic candidate vector of T, or None when none of the
+    first CANDIDATE_LIMIT candidates is cyclic.  A cyclic v has no
+    annihilator of s-width below n, so v generates M up to a module of rank
+    zero over K[z,z^-1], which is zero."""
+    return next(_cyclic_vectors(T), None)
 
 
 def _z_gcd_width(gens):
@@ -318,14 +327,18 @@ def _z_gcd_width(gens):
     return degrees(a).deg_z
 
 
-def _cyclic_search(T: SigmaMatrix, bounds):
-    """Search for a cyclic vector and the ideal data it reveals.
+def cyclic_presentation(T: SigmaMatrix, bounds=None):
+    """Bounded search for a cyclic vector and a presentation of its
+    annihilator, with the S-rank that presentation reveals; None when the
+    bounds run out.  The library reads rank_S off the slopes
+    (`modules.rank_S`); this search is the independent side the
+    verification suites check that theorem against.
 
-    A candidate v is cyclic when v, s(v), ..., s^{n-1}(v) are independent
-    over the fraction field: the quotient by A_q v then has rank zero, and
-    the only finite-dimensional module is zero.  The annihilator ideal I of
-    a cyclic v has minimal s-width exactly n, and `_annihilator_ideal`
-    presents it, so M = A/I and rank_S(M) = dim_K(s) K(s) (x) A/I.
+    The annihilator ideal I of a cyclic v has minimal s-width exactly n,
+    and `_annihilator_ideal` presents it, so M = A/I and
+    rank_S(M) = dim_K(s) K(s) (x) A/I.  Cyclic candidates are tried in
+    order; DEEP_LIMIT of them may exhaust the bounds before the search
+    gives up.
 
     K[s,s^-1] minus 0 is an Ore set, so this localization is exact:
     K(s) (x) I is the left ideal of K(s)[z, z^-1; sigma] spanned by the
@@ -335,11 +348,10 @@ def _cyclic_search(T: SigmaMatrix, bounds):
     ends at its generator.  For a principal presentation the generator is
     p itself and the rank is deg_z p.
     """
+    bounds = bounds or DEFAULT_BOUNDS
     n = T.n
     deep = 0
-    for v in _candidate_vectors(n):
-        if minimal_annihilator_width(T, v, n - 1) is not None:
-            continue  # not cyclic: a smaller-width annihilator exists
+    for v in _cyclic_vectors(T):
         try:
             ann = _annihilator_ideal(
                 T, v, n, max(bounds.deg_sigma, n + CERT_SLACK), bounds

@@ -218,8 +218,10 @@ Z = LaurentPoly.monomial(1, 1)
 
 
 def qshift(f: LaurentPoly, k: int) -> LaurentPoly:
-    """f(q^k z) for the ambient q; a ring automorphism for each k."""
-    if k == 0 or f.is_zero():
+    """f(q^k z) for the ambient q; a ring automorphism for each k.  A
+    constant is fixed, and q^k is not formed for it: s^k c = c s^k for any
+    k, however large."""
+    if k == 0 or f.is_zero() or (f.lo == 0 and len(f.coeffs) == 1):
         return f
     q = get_q()
     step = q**k

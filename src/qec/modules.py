@@ -21,7 +21,16 @@ from fractions import Fraction
 from . import aq
 from .aq import AqElement, degrees, good_normal_coeffs
 from .errors import CertificateFailure, ParseError, PreconditionViolation, ZeroInput
-from .laurent import ONE, ZERO, LaurentMatrix, LaurentPoly, det, det_and_inverse, qshift
+from .laurent import (
+    ONE,
+    ZERO,
+    LaurentMatrix,
+    LaurentPoly,
+    _det_rows,
+    det,
+    det_and_inverse,
+    qshift,
+)
 from .linalg import coefficient_rows, jordan_structure_constant, nullspace
 from .scalars import get_q, q_orbit, q_power_class, scalar_from_str, scalar_to_str
 
@@ -51,7 +60,7 @@ def _plain(v):
 class SigmaMatrix:
     """Invertible square matrix over K[z,z^-1] defining s(v) = T(z) v(qz)."""
 
-    __slots__ = ("mat", "det", "_inv", "_cyclic_cache")
+    __slots__ = ("mat", "det", "_inv")
 
     def __init__(self, mat, _det=None):
         if not isinstance(mat, LaurentMatrix):
@@ -65,7 +74,6 @@ class SigmaMatrix:
             )
         self.det = _det
         self._inv = None
-        self._cyclic_cache = {}
 
     @property
     def n(self):
@@ -321,22 +329,124 @@ def rank_A(M) -> int:
     raise TypeError(f"not a module presentation: {M!r}")
 
 
-def rank_S(M, bounds=None):
-    """Rank over K[s,s^-1]: exact for structured presentations (minimal
-    z-width of the defining ideal); for matrices exact from the cyclic
-    search, or Unknown when its bounds run out."""
-    if isinstance(M, LineBundle):
-        return abs(M.m)
-    if isinstance(M, Torsion):
-        return 0
-    if isinstance(M, Good):
-        return degrees(M.p).deg_z
-    if isinstance(M, MatrixModule):
-        from .ideals import cyclic_search
+def _lower_hull_slopes(points):
+    """(slope, horizontal length) of each edge of the lower convex hull of
+    integer points with distinct abscissae, by increasing slope."""
+    hull = []
+    for x2, y2 in sorted(points):
+        while len(hull) >= 2:
+            (x0, y0), (x1, y1) = hull[-2:]
+            if (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) > 0:
+                break
+            hull.pop()
+        hull.append((x2, y2))
+    return [
+        (Fraction(y1 - y0, x1 - x0), x1 - x0)
+        for (x0, y0), (x1, y1) in zip(hull, hull[1:])
+    ]
 
-        found = cyclic_search(M.T, bounds)
-        return Unknown() if found is None else found.rank_S
+
+def _newton_polygons(pairs):
+    """(slopes at infinity, slopes at 0) of a relation sum a_i(z) s^i given
+    by its (i, a_i) pairs: the lower hull of (i, -deg a_i), and the lower
+    hull of (i, ord a_i) with its slopes negated.  Each side is a list of
+    (slope, horizontal length) by increasing slope; a zero a_i gives no
+    point."""
+    points = [(i, a) for i, a in pairs if not a.is_zero()]
+    at_inf = _lower_hull_slopes([(i, -a.top) for i, a in points])
+    at_zero = _lower_hull_slopes([(i, a.bot) for i, a in points])
+    return at_inf, sorted((-lam, length) for lam, length in at_zero)
+
+
+def _cramer_slopes(T: SigmaMatrix):
+    """Slopes of the relation that Cramer's rule gives on the orbit of a
+    cyclic vector, or None when no candidate vector is cyclic."""
+    from .ideals import cyclic_search
+
+    v = cyclic_search(T)
+    if v is None:
+        return None
+    n = T.n
+    orbit = [list(v)]
+    for _ in range(n):
+        orbit.append(sigma_apply(T, orbit[-1], 1))
+    rows = list(zip(*orbit))
+    coeffs = []
+    for i in range(n + 1):
+        minor = _det_rows([row[:i] + row[i + 1:] for row in rows], n)
+        coeffs.append(-minor if i % 2 else minor)
+    # a_n = +-det(v, ..., s^{n-1} v) and a_0 = +-det(s v, ..., s^n v) are
+    # nonzero for a cyclic v, so both polygons span length n; Laplace along
+    # a repeated row gives sum a_i s^i(v) = 0 in every component
+    if coeffs[0].is_zero() or coeffs[n].is_zero():
+        raise CertificateFailure(f"end minors of the orbit of {v} vanish")
+    for row in rows:
+        if not sum((a * f for a, f in zip(coeffs, row)), ZERO).is_zero():
+            raise CertificateFailure(f"Cramer relation {coeffs} does not kill {v}")
+    return _newton_polygons(enumerate(coeffs))
+
+
+def slopes(M):
+    """Newton polygons (at infinity, at 0) of a module: each a list of
+    (slope, horizontal length) by increasing slope, the lengths summing to
+    rank_A.  None when no candidate vector of a matrix module is cyclic.
+
+    Line bundles L(c, m) have the single slope m, torsion modules the single
+    slope 0.  A good module A/Ap has the polygons of p's own coefficients:
+    p kills the generator, and a left factor f(z) or s^k moves every point
+    by one vector, so the slopes do not change.  A matrix module reads them
+    off the relation sum a_i(z) s^i(v) = 0 of a cyclic vector v, with
+    a_i = (-1)^i det(v, s(v), ..., s^n(v) without column i) (Cramer), which
+    is certified exactly.
+
+    Why the slopes give the S-rank exactly: rank_S = h1 - h0 is minus the
+    index of s - 1 on K[z,z^-1]^n, the index identity `cohomology` uses.
+    The index of a q-difference operator on Laurent polynomials is a
+    contribution at infinity plus one at 0, each read off that end's Newton
+    polygon (Adams, On the linear ordinary q-difference equation, Ann. Math.
+    1929; Ramis, About the growth of entire function solutions of linear
+    algebraic q-difference equations, Ann. Fac. Sci. Toulouse 1992; Sauloy,
+    La filtration canonique par les pentes d'un module aux q-differences,
+    Ann. Inst. Fourier 2004; van der Put & Singer, Galois Theory of
+    Difference Equations, LNM 1666).  The slopes are invariants of
+    M (x) K((1/z)) and of M (x) K((z)), so neither the choice of cyclic
+    vector nor a content factor shared by the a_i changes them.  A rational
+    q other than 1 and -1 has |q| != 1, so the analytic theory applies.
+    """
+    if isinstance(M, LineBundle):
+        return [(Fraction(M.m), 1)], [(Fraction(M.m), 1)]
+    if isinstance(M, Torsion):
+        return [(Fraction(0), M.dim)], [(Fraction(0), M.dim)]
+    if isinstance(M, Good):
+        return _newton_polygons(M.p.terms())
+    if isinstance(M, MatrixModule):
+        return _cramer_slopes(M.T)
     raise TypeError(f"not a module presentation: {M!r}")
+
+
+def _whole(total) -> int:
+    """A rank read off slopes: lengths times slopes sum to an integer."""
+    total = Fraction(total)
+    if total.denominator != 1:
+        raise CertificateFailure(f"slope sum {total} is not an integer")
+    return total.numerator
+
+
+def rank_S(M, bounds=None):
+    """Rank over K[s,s^-1], read off the slopes (see `slopes`):
+    the sum of length * max(slope, 0) at infinity and of
+    length * max(-slope, 0) at 0.  That is |m| for L(c, m), 0 for torsion
+    and deg_z p for a good module.  Unknown only when no candidate vector
+    of a matrix module is cyclic.  `bounds` is accepted and not read: no
+    search runs on this path."""
+    found = slopes(M)
+    if found is None:
+        return Unknown()
+    at_inf, at_zero = found
+    return _whole(
+        sum(length * max(lam, 0) for lam, length in at_inf)
+        + sum(length * max(-lam, 0) for lam, length in at_zero)
+    )
 
 
 # -- tensor, dual, hom ---------------------------------------------------------
@@ -492,11 +602,15 @@ def jordan_structure(T):
 
 def torsion_tensor_rank_check(N, M, bounds=None):
     """(lhs, rhs) for the product rank law with M torsion: lhs is the
-    search-certified S-rank of the Kronecker matrix module, rhs the closed
-    form rank_S(N) * rank_A(M)."""
+    S-rank of the Kronecker matrix module found by the bounded annihilator
+    search (`ideals.cyclic_presentation`, Unknown when its bounds run out),
+    rhs the closed form rank_S(N) * rank_A(M)."""
+    from .ideals import cyclic_presentation
+
     if not isinstance(M, Torsion):
         raise PreconditionViolation("M must be torsion")
-    lhs = rank_S(_kron_module(N, M), bounds)
+    found = cyclic_presentation(_kron_module(N, M).T, bounds)
+    lhs = Unknown() if found is None else found.rank_S
     rhs_rank = rank_S(N)
     if isinstance(rhs_rank, Unknown):
         raise PreconditionViolation("rank_S(N) must be exact for the check")

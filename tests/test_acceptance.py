@@ -30,7 +30,7 @@ from qec.duality import (
     normalize_good,
     right_partition_sum,
 )
-from qec.ideals import annihilator_in_good, cyclic_search, line_subbundle_probe
+from qec.ideals import annihilator_in_good, cyclic_presentation, line_subbundle_probe
 from qec.laurent import LaurentPoly, qshift
 from qec.modules import (
     Good,
@@ -176,7 +176,7 @@ def test_criterion_04_good_module_ranks_and_probe():
         assert rank_A(M) == d.deg_sigma
         assert rank_S(M) == d.deg_z
         if cross_checked < 10 and d.deg_sigma <= 2:
-            found = cyclic_search(to_matrix(M))
+            found = cyclic_presentation(to_matrix(M))
             assert found is not None
             assert found.rank_S == d.deg_z
             cross_checked += 1

@@ -12,8 +12,8 @@ from fractions import Fraction
 import pytest
 
 import qec.cli
-import qec.ideals
-from qec.aq import POWER_WIDTH_LIMIT, AqElement, to_str
+import qec.suites
+from qec.aq import POWER_BITS_LIMIT, POWER_WIDTH_LIMIT, AqElement, to_str
 from qec.cli import main
 from qec.errors import CertificateFailure
 from qec.ideals import SearchBounds
@@ -133,6 +133,29 @@ def test_powers_up_to_the_width_limit_and_monomial_powers_expand(capsys):
     assert run(capsys, "eval", "z^100000000000000")[:2] == (0, "z^100000000000000\n")
 
 
+@pytest.mark.parametrize(
+    "expr",
+    ["(2*z)^100000000000", "(z*s)^100000000000", "2^100000000000",
+     "(2*z)^-100000000000", "(z*s)^-100000"],
+)
+def test_monomial_powers_past_the_bit_limit_are_parse_errors(capsys, expr):
+    # the coefficient c^e q^(a b e(e-1)/2) is bounded before it is formed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", expr)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: power of a monomial") and err.count("\n") == 1
+    assert time.perf_counter() - start < 1.0
+
+
+def test_monomial_powers_inside_the_bit_limit_expand(capsys):
+    for expr in ("z^100000000000000", "s^100000000000000", "s^-100000000000000"):
+        assert run(capsys, "eval", expr)[:2] == (0, expr + "\n")
+    # a coefficient of 2^12 bits stays inside the limit
+    code, out, _ = run(capsys, "eval", f"2^{POWER_BITS_LIMIT // 2}")
+    assert (code, out) == (0, f"{2 ** (POWER_BITS_LIMIT // 2)}\n")
+    assert run(capsys, "--q", "2", "eval", "(z*s)^-3")[:2] == (0, "64*z^-3*s^-3\n")
+
+
 def test_div_sigma_json(capsys):
     code, payload, _ = run_json(capsys, "div", "s^2 - 3*s + 2", "s - 2")
     assert code == 0
@@ -212,12 +235,14 @@ def test_mod_info_torsion_text(capsys):
 
 
 def test_mod_info_strict_flags_unknown_rank(capsys):
+    # rank_S is read off the slopes, so the search bounds cannot make it
+    # Unknown and --strict has nothing to flag
     code, payload, _ = run_json(capsys, *TIGHT, "mod", "info", MATRIX_DESC)
     assert code == 0
-    assert payload["rank_S"] is None
+    assert payload["rank_S"] == 1
     code, payload, _ = run_json(capsys, "--strict", *TIGHT, "mod", "info", MATRIX_DESC)
-    assert code == 1
-    assert payload["rank_S"] is None
+    assert code == 0
+    assert payload["rank_S"] == 1
 
 
 @pytest.mark.parametrize(
@@ -268,14 +293,13 @@ def test_coh_strict_uncertified(capsys):
 
 
 def test_coh_honours_search_bounds(capsys):
+    # the search bounds feed verify only: coh answers h1 exactly under them
     code, out, _ = run(capsys, "coh", MATRIX_DESC, *TIGHT)
     assert code == 0
-    assert out == (
-        "h0 = 0  h1 = unknown  chi = unknown  certified = False  window = 16\n"
-    )
+    assert out == "h0 = 0  h1 = 1  chi = -1  certified = False  window = 16\n"
     # agrees with mod info under the same bounds
     code, payload, _ = run_json(capsys, "mod", "info", MATRIX_DESC, *TIGHT)
-    assert payload["rank_S"] is None
+    assert payload["rank_S"] == 1
     code, out, _ = run(capsys, "coh", MATRIX_DESC)
     assert code == 0
     assert out == "h0 = 0  h1 = 1  chi = -1  certified = False  window = 16\n"
@@ -300,9 +324,10 @@ def test_euler_text_and_json(capsys):
 
 
 def test_euler_strict_unknown(capsys):
+    # the slopes answer whatever the search bounds, so --strict passes
     code, out, _ = run(capsys, "--strict", *TIGHT, "euler", GOOD_BAD_DESC, MATRIX_DESC)
-    assert code == 1
-    assert out == "unknown\n"
+    assert code == 0
+    assert out == "-3\n"
 
 
 def test_pic_eq(capsys):
@@ -357,16 +382,16 @@ def test_verify_cli_matches_library(capsys):
 
 
 def test_verify_suite_passes_its_bounds_to_every_search(monkeypatch):
-    # the cohomology suites search rank_S under the suite's bounds, never
+    # the suites' annihilator search runs under the suite's bounds, never
     # under the defaults
     seen = []
-    search = qec.ideals.cyclic_search
+    search = qec.suites.cyclic_presentation
 
     def spy(T, bounds=None):
         seen.append(bounds)
         return search(T, bounds)
 
-    monkeypatch.setattr(qec.ideals, "cyclic_search", spy)
+    monkeypatch.setattr(qec.suites, "cyclic_presentation", spy)
     tight = SearchBounds(1, 0)
     for name in ("riemann_roch", "serre", "chi_rank"):
         verify_suite(name, cases=25, seed=1, bounds=tight)
