@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ParseError, PreconditionViolation
-from .laurent import ONE, ZERO, LaurentPoly, qshift
+from .laurent import ONE, ZERO, LaurentPoly, _terms_to_str, qshift
 from .scalars import get_q
 
 
@@ -386,32 +386,7 @@ def z_divide(r: AqElement, w: AqElement, bottom: bool = False):
 def to_str(x: AqElement) -> str:
     """s-normal form, terms by increasing s-exponent, coefficients by
     increasing z-exponent.  Round-trips through parse()."""
-    if x.is_zero():
-        return "0"
-    pieces = []
-    for zj, si, c in sorted(x.monomials(), key=lambda m: (m[1], m[0])):
-        a = abs(c)
-        parts = []
-        if a != 1 or (zj == 0 and si == 0):
-            parts.append(
-                str(a.numerator)
-                if a.denominator == 1
-                else f"{a.numerator}/{a.denominator}"
-            )
-        if zj == 1:
-            parts.append("z")
-        elif zj != 0:
-            parts.append(f"z^{zj}")
-        if si == 1:
-            parts.append("s")
-        elif si != 0:
-            parts.append(f"s^{si}")
-        body = "*".join(parts)
-        if not pieces:
-            pieces.append(("-" if c < 0 else "") + body)
-        else:
-            pieces.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(pieces)
+    return _terms_to_str((c, (("z", zj), ("s", si))) for zj, si, c in x.monomials())
 
 
 # widest support, s-width plus z-width, that `parse` expands a power of a

@@ -22,9 +22,9 @@ from .modules import (
     Good,
     LineBundle,
     MatrixModule,
-    SigmaMatrix,
     Torsion,
     Unknown,
+    _monomial_scaled,
     _plain,
     _whole,
     hom,
@@ -67,14 +67,14 @@ class CohomologyReport:
         )
 
 
-def fixed_space(T: SigmaMatrix, window: int):
+def fixed_space(T: MatrixModule, window: int):
     """Basis of {f : T(z) f(qz) = f(z), supp_z(f) in [-window, window]},
     each vector a tuple of Laurent polynomials: the window solver at
     (k, c) = (0, 1)."""
     return [tuple(f) for f in window_eigenspace(T, window, 0, 1)]
 
 
-def stabilized_h0(T: SigmaMatrix, cap: int):
+def stabilized_h0(T: MatrixModule, cap: int):
     """(h0, certified, window_used) by growing the support window.  Stops
     certified when the dimension reaches cap (it can never exceed it) and
     uncertified after two consecutive stagnant growths."""
@@ -88,20 +88,6 @@ def stabilized_h0(T: SigmaMatrix, cap: int):
         if len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3]:
             return d, False, window
         window += WINDOW_STEP
-
-
-def _monomial_scaled(T: SigmaMatrix):
-    """(m, rows) when every nonzero entry of T is c z^m with one shared
-    exponent m, so that T(z) = z^m C for a constant matrix C; else None."""
-    m = None
-    for row in T.mat.rows:
-        for e in row:
-            if e.is_zero():
-                continue
-            if e.bot != e.top or (m is not None and e.bot != m):
-                return None
-            m = e.bot
-    return m, [[e.coeff(m) for e in row] for row in T.mat.rows]
 
 
 def _scaled_report(m, blocks, n):
@@ -139,7 +125,7 @@ def cohomology(M) -> CohomologyReport:
             d = deg.deg_z
             return CohomologyReport(0, d, -d, True, 0)
     if isinstance(M, MatrixModule):
-        scaled = _monomial_scaled(M.T)
+        scaled = _monomial_scaled(M)
         if scaled is not None:
             m, rows = scaled
             try:
@@ -147,7 +133,7 @@ def cohomology(M) -> CohomologyReport:
             except (NonSplitSpectrum, SearchExhausted):
                 pass  # no exact Jordan data: the window protocol decides
             else:
-                return _scaled_report(m, blocks, M.T.n)
+                return _scaled_report(m, blocks, M.n)
     if isinstance(M, (Good, MatrixModule)):
         T = to_matrix(M)
         rkS = rank_S(M)

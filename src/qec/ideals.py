@@ -21,7 +21,7 @@ from .laurent import ONE, ZERO, LaurentPoly, echelon
 from .linalg import _integer_row, charpoly, coefficient_rows, nullspace, rational_roots
 from .modules import (
     Good,
-    SigmaMatrix,
+    MatrixModule,
     _window_images,
     aq_act,
     sigma_apply,
@@ -111,7 +111,7 @@ def membership_principal(r: AqElement, p: AqElement) -> bool:
     return rem.is_zero()
 
 
-def minimal_annihilator_width(T: SigmaMatrix, v, cap: int):
+def minimal_annihilator_width(T: MatrixModule, v, cap: int):
     """Smallest s-width of a nonzero annihilator of v, or None if > cap.
 
     A width-d annihilator exists exactly when v, s(v), ..., s^d(v) are
@@ -139,7 +139,7 @@ def _pack(space_vec, d, zd):
     return AqElement(coeffs)
 
 
-def annihilator_space(T: SigmaMatrix, v, d: int, zd: int):
+def annihilator_space(T: MatrixModule, v, d: int, zd: int):
     """Basis of {r = sum r_i(z) s^i : supports in [0,d] x [0,zd], r(v) = 0}."""
     orbit = [list(v)]
     for _ in range(d):
@@ -202,7 +202,7 @@ def _two_terms(f, g, sign):
     return False
 
 
-def _annihilator_ideal(T: SigmaMatrix, v, width: int, top: int, bounds):
+def _annihilator_ideal(T: MatrixModule, v, width: int, top: int, bounds):
     """Presentation of Ann(v) once its minimal s-width `width` is certified.
 
     One upward scan of s-width width..top and z-width 0..deg_z keeps w, the
@@ -295,7 +295,7 @@ CANDIDATE_LIMIT = 800
 DEEP_LIMIT = 24
 
 
-def _cyclic_vectors(T: SigmaMatrix):
+def _cyclic_vectors(T: MatrixModule):
     """The candidates v for which v, s(v), ..., s^{n-1}(v) are independent
     over the fraction field, in candidate order."""
     n = T.n
@@ -306,7 +306,7 @@ def _cyclic_vectors(T: SigmaMatrix):
     )
 
 
-def cyclic_search(T: SigmaMatrix):
+def cyclic_search(T: MatrixModule):
     """The first cyclic candidate vector of T, or None when none of the
     first CANDIDATE_LIMIT candidates is cyclic.  A cyclic v has no
     annihilator of s-width below n, so v generates M up to a module of rank
@@ -327,7 +327,7 @@ def _z_gcd_width(gens):
     return degrees(a).deg_z
 
 
-def cyclic_presentation(T: SigmaMatrix, bounds=None):
+def cyclic_presentation(T: MatrixModule, bounds=None):
     """Bounded search for a cyclic vector and a presentation of its
     annihilator, with the S-rank that presentation reveals; None when the
     bounds run out.  The library reads rank_S off the slopes
@@ -368,7 +368,7 @@ def cyclic_presentation(T: SigmaMatrix, bounds=None):
 # -- line subbundles -----------------------------------------------------------
 
 
-def line_subbundle_probe(T: SigmaMatrix, k_range, window=12):
+def line_subbundle_probe(T: MatrixModule, k_range, window=12):
     """All (c, k, v) with T(z) v(qz) = c z^k v(z), v supported in the window.
 
     Write A for the in-window rows of v |-> z^-k T(z) v(qz) and rest for the

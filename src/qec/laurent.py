@@ -261,30 +261,25 @@ def divexact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 # -- printing -------------------------------------------------------------
 
 
-def _monomial_str(c: Fraction, k: int, var: str) -> str:
-    """|c|*var^k with the usual omissions; sign handled by the caller."""
-    a = abs(c)
-    parts = []
-    if a != 1 or k == 0:
-        parts.append(scalar_to_str(a))
-    if k == 1:
-        parts.append(var)
-    elif k != 0:
-        parts.append(f"{var}^{k}")
-    return "*".join(parts)
+def _terms_to_str(terms) -> str:
+    """Signed sum of nonzero terms (c, ((var, exp), ...)): |c| is omitted
+    when it is 1 and some exponent is not 0, var^1 prints as var and var^0
+    not at all.  No terms print as 0."""
+    pieces = []
+    for c, powers in terms:
+        parts = [var if k == 1 else f"{var}^{k}" for var, k in powers if k != 0]
+        a = abs(c)
+        if a != 1 or not parts:
+            parts.insert(0, scalar_to_str(a))
+        if c < 0:
+            pieces.append(("- " if pieces else "-") + "*".join(parts))
+        else:
+            pieces.append(("+ " if pieces else "") + "*".join(parts))
+    return " ".join(pieces) or "0"
 
 
 def laurent_to_str(f: LaurentPoly, var: str = "z") -> str:
-    if f.is_zero():
-        return "0"
-    pieces = []
-    for k, c in f.terms():
-        body = _monomial_str(c, k, var)
-        if not pieces:
-            pieces.append(("-" if c < 0 else "") + body)
-        else:
-            pieces.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(pieces)
+    return _terms_to_str((c, ((var, k),)) for k, c in f.terms())
 
 
 def laurent_from_str(text: str) -> LaurentPoly:

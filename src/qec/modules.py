@@ -7,8 +7,8 @@ A module is presented one of four ways:
   Good(p)            cyclic quotient by a sigma-good element p
   MatrixModule(T)    free module A^n with semilinear s(v) = T(z) v(qz)
 
-Every presentation converts to a SigmaMatrix (an invertible matrix over
-K[z,z^-1], i.e. unit determinant) and the semilinear rule above.  Duals use
+Every presentation converts to a MatrixModule (an invertible matrix over
+K[z,z^-1], i.e. unit determinant, with the semilinear rule above).  Duals use
 the inverse transpose, tensor products the Kronecker product; structured
 inputs keep structured outputs where a closed form exists so that S-ranks
 stay exact.
@@ -17,6 +17,7 @@ stay exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 from . import aq
 from .aq import AqElement, degrees, good_normal_coeffs
@@ -57,8 +58,9 @@ def _plain(v):
     return None if isinstance(v, Unknown) else v
 
 
-class SigmaMatrix:
-    """Invertible square matrix over K[z,z^-1] defining s(v) = T(z) v(qz)."""
+class MatrixModule:
+    """Free module A^n with s(v) = T(z) v(qz), T = mat an invertible matrix
+    over K[z,z^-1] (unit determinant): a q-difference module."""
 
     __slots__ = ("mat", "det", "_inv")
 
@@ -88,30 +90,45 @@ class SigmaMatrix:
         return self._inv
 
     def __eq__(self, other):
-        return isinstance(other, SigmaMatrix) and self.mat == other.mat
+        return isinstance(other, MatrixModule) and self.mat == other.mat
 
     def __repr__(self):
-        return f"SigmaMatrix({self.mat!r})"
+        return f"MatrixModule({self.mat!r})"
+
+
+def _monomial_scaled(T: MatrixModule):
+    """(m, rows) when every nonzero entry of T is c z^m with one shared
+    exponent m, so that T(z) = z^m C for a constant matrix C; else None."""
+    m = None
+    for row in T.mat.rows:
+        for e in row:
+            if e.is_zero():
+                continue
+            if e.bot != e.top or (m is not None and e.bot != m):
+                return None
+            m = e.bot
+    return m, [[e.coeff(m) for e in row] for row in T.mat.rows]
 
 
 # -- module element plumbing -------------------------------------------------
 
 
-def sigma_apply(T: SigmaMatrix, vec, k: int = 1):
-    """Apply s^k to a coordinate vector over A (list of LaurentPoly)."""
+def _orbit(T: MatrixModule, vec, step: int):
+    """v, s^step(v), s^(2 step)(v), ... for step 1 or -1; the matrix of one
+    step, T or T^-1(z/q), is computed once."""
+    mat = T.mat if step == 1 else T.inverse().qshift(-1)
     vec = list(vec)
-    if k >= 0:
-        for _ in range(k):
-            vec = T.mat.apply([qshift(f, 1) for f in vec])
-    else:
-        inv = T.inverse()
-        for _ in range(-k):
-            shifted = inv.qshift(-1)
-            vec = shifted.apply([qshift(f, -1) for f in vec])
-    return vec
+    while True:
+        yield vec
+        vec = mat.apply([qshift(f, step) for f in vec])
 
 
-def _window_images(T: SigmaMatrix, window: int):
+def sigma_apply(T: MatrixModule, vec, k: int = 1):
+    """Apply s^k to a coordinate vector over A (list of LaurentPoly)."""
+    return next(islice(_orbit(T, vec, 1 if k >= 0 else -1), abs(k), None))
+
+
+def _window_images(T: MatrixModule, window: int):
     """s(z^j e_r) = q^j z^j T[:, r] for r < n and |j| <= window, in
     component-major order: the unknowns of a window, as linear images."""
     q = get_q()
@@ -128,7 +145,7 @@ def _window_vector(x, n: int, window: int):
     return [LaurentPoly(-window, x[r * width : (r + 1) * width]) for r in range(n)]
 
 
-def window_eigenspace(T: SigmaMatrix, window: int, k: int, c):
+def window_eigenspace(T: MatrixModule, window: int, k: int, c):
     """Basis of {v : T(z) v(qz) = c z^k v(z), supp_z(v) in [-window, window]},
     each vector a list of Laurent polynomials.
 
@@ -157,13 +174,19 @@ def window_eigenspace(T: SigmaMatrix, window: int, k: int, c):
     return basis
 
 
-def aq_act(x: AqElement, T: SigmaMatrix, vec):
-    """Act by an algebra element on a coordinate vector: sum x_i(z) s^i(v)."""
+def aq_act(x: AqElement, T: MatrixModule, vec):
+    """Act by an algebra element on a coordinate vector: sum x_i(z) s^i(v),
+    walking the orbit of v once upward and once downward."""
     out = [ZERO] * T.n
-    for i, f in x.terms():
-        moved = sigma_apply(T, vec, i)
-        for r in range(T.n):
-            out[r] = out[r] + f * moved[r]
+    for step in (1, -1):
+        # s^i(v) for i >= 0 on the way up, for i < 0 on the way down
+        wanted = {i * step: f for i, f in x.terms() if (i >= 0) == (step == 1)}
+        reach = max(wanted, default=-1) + 1
+        for j, moved in zip(range(reach), _orbit(T, vec, step)):
+            f = wanted.get(j)
+            if f is not None:
+                for r in range(T.n):
+                    out[r] = out[r] + f * moved[r]
     return out
 
 
@@ -252,25 +275,6 @@ class Good:
         return f"Good({self.p})"
 
 
-class MatrixModule:
-    __slots__ = ("T",)
-
-    def __init__(self, T):
-        if not isinstance(T, SigmaMatrix):
-            T = SigmaMatrix(T)
-        self.T = T
-
-    def __eq__(self, other):
-        return isinstance(other, MatrixModule) and self.T == other.T
-
-    def __repr__(self):
-        return f"MatrixModule({self.T.mat!r})"
-
-
-# any of the four classes
-ModulePresentation = (LineBundle, Torsion, Good, MatrixModule)
-
-
 def extension_fixture() -> MatrixModule:
     """The 2x2 upper-triangular [[z,1],[0,1]]: a non-split extension of the
     trivial module by the degree-one line bundle, carrying a z-eigenvector."""
@@ -291,19 +295,17 @@ def _jordan_matrix(blocks) -> LaurentMatrix:
     return LaurentMatrix(tuple(tuple(row) for row in rows))
 
 
-def to_matrix(M) -> SigmaMatrix:
-    """The defining matrix of any presentation (companion form for Good)."""
-    if isinstance(M, SigmaMatrix):
-        return M
+def to_matrix(M) -> MatrixModule:
+    """The matrix presentation of any module (companion form for Good)."""
     if isinstance(M, MatrixModule):
-        return M.T
+        return M
     if isinstance(M, LineBundle):
-        return SigmaMatrix(
+        return MatrixModule(
             LaurentMatrix(((LaurentPoly.monomial(M.c, M.m),),)),
             _det=LaurentPoly.monomial(M.c, M.m),
         )
     if isinstance(M, Torsion):
-        return SigmaMatrix(_jordan_matrix(M.blocks))
+        return MatrixModule(_jordan_matrix(M.blocks))
     if isinstance(M, Good):
         _, coeffs = good_normal_coeffs(M.p)
         t = len(coeffs)
@@ -312,7 +314,7 @@ def to_matrix(M) -> SigmaMatrix:
             rows[j + 1][j] = ONE
         for i in range(t):
             rows[i][t - 1] = -coeffs[i]
-        return SigmaMatrix(LaurentMatrix(tuple(tuple(r) for r in rows)))
+        return MatrixModule(LaurentMatrix(tuple(tuple(r) for r in rows)))
     raise TypeError(f"not a module presentation: {M!r}")
 
 
@@ -325,7 +327,7 @@ def rank_A(M) -> int:
     if isinstance(M, Good):
         return degrees(M.p).deg_sigma
     if isinstance(M, MatrixModule):
-        return M.T.n
+        return M.n
     raise TypeError(f"not a module presentation: {M!r}")
 
 
@@ -358,7 +360,7 @@ def _newton_polygons(pairs):
     return at_inf, sorted((-lam, length) for lam, length in at_zero)
 
 
-def _cramer_slopes(T: SigmaMatrix):
+def _cramer_slopes(T: MatrixModule):
     """Slopes of the relation that Cramer's rule gives on the orbit of a
     cyclic vector, or None when no candidate vector is cyclic."""
     from .ideals import cyclic_search
@@ -389,10 +391,13 @@ def _cramer_slopes(T: SigmaMatrix):
 def slopes(M):
     """Newton polygons (at infinity, at 0) of a module: each a list of
     (slope, horizontal length) by increasing slope, the lengths summing to
-    rank_A.  None when no candidate vector of a matrix module is cyclic.
+    rank_A.  None only for a matrix module not of the form z^m C when none
+    of the `ideals.CANDIDATE_LIMIT` candidate vectors is cyclic.
 
     Line bundles L(c, m) have the single slope m, torsion modules the single
-    slope 0.  A good module A/Ap has the polygons of p's own coefficients:
+    slope 0.  A matrix z^m C with C constant is L(1, m) tensored with a
+    torsion module, so it is isoclinic of slope m at both ends, with no
+    search.  A good module A/Ap has the polygons of p's own coefficients:
     p kills the generator, and a left factor f(z) or s^k moves every point
     by one vector, so the slopes do not change.  A matrix module reads them
     off the relation sum a_i(z) s^i(v) = 0 of a cyclic vector v, with
@@ -420,7 +425,10 @@ def slopes(M):
     if isinstance(M, Good):
         return _newton_polygons(M.p.terms())
     if isinstance(M, MatrixModule):
-        return _cramer_slopes(M.T)
+        scaled = _monomial_scaled(M)
+        if scaled is not None:
+            return [(Fraction(scaled[0]), M.n)], [(Fraction(scaled[0]), M.n)]
+        return _cramer_slopes(M)
     raise TypeError(f"not a module presentation: {M!r}")
 
 
@@ -468,7 +476,7 @@ def _kron_module(M, N) -> MatrixModule:
     for A m x m and B n x n."""
     tm, tn = to_matrix(M), to_matrix(N)
     d = tm.det**tn.n * tn.det**tm.n
-    return MatrixModule(SigmaMatrix(tm.mat.kron(tn.mat), _det=d))
+    return MatrixModule(tm.mat.kron(tn.mat), _det=d)
 
 
 def tensor(M, N):
@@ -509,7 +517,7 @@ def dual(M):
         return dual_mod
     T = to_matrix(M)
     inv = T.inverse()
-    return MatrixModule(SigmaMatrix(inv.transpose(), _det=T.det.inverse_unit()))
+    return MatrixModule(inv.transpose(), _det=T.det.inverse_unit())
 
 
 def hom(M, N):
@@ -585,7 +593,7 @@ def jordan_structure(T):
     the spectrum is not rational)."""
     if isinstance(T, Torsion):
         return list(T.blocks)
-    mat = T.mat if isinstance(T, SigmaMatrix) else T
+    mat = T.mat if isinstance(T, MatrixModule) else T
     if isinstance(mat, LaurentMatrix):
         rows = []
         for row in mat.rows:
@@ -609,7 +617,7 @@ def torsion_tensor_rank_check(N, M, bounds=None):
 
     if not isinstance(M, Torsion):
         raise PreconditionViolation("M must be torsion")
-    found = cyclic_presentation(_kron_module(N, M).T, bounds)
+    found = cyclic_presentation(_kron_module(N, M), bounds)
     lhs = Unknown() if found is None else found.rank_S
     rhs_rank = rank_S(N)
     if isinstance(rhs_rank, Unknown):
@@ -664,7 +672,7 @@ def module_to_json(M) -> dict:
     if isinstance(M, Good):
         return {"kind": "good", "p": aq.to_str(M.p)}
     if isinstance(M, MatrixModule):
-        return {"kind": "matrix", "entries": M.T.mat.to_strs()}
+        return {"kind": "matrix", "entries": M.mat.to_strs()}
     raise TypeError(f"not a module presentation: {M!r}")
 
 
@@ -712,5 +720,5 @@ def module_from_json(desc: dict):
             raise PreconditionViolation(
                 "descriptor field 'entries' must be a list of lists of str"
             )
-        return MatrixModule(SigmaMatrix(LaurentMatrix.from_strs(entries)))
+        return MatrixModule(LaurentMatrix.from_strs(entries))
     raise PreconditionViolation(f"unknown module kind: {kind!r}")

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .aq import AqElement, degrees
 from .laurent import LaurentMatrix, LaurentPoly
-from .modules import Good, LineBundle, MatrixModule, SigmaMatrix, Torsion
+from .modules import Good, LineBundle, MatrixModule, Torsion
 from .scalars import qpow
 
 
@@ -98,7 +98,7 @@ def rand_good(rng, t_max=2) -> Good:
     return Good(rand_sigma_good(rng, t_max))
 
 
-def rand_sigma_matrix(rng, n_max=3, max_width=1) -> SigmaMatrix:
+def rand_sigma_matrix(rng, n_max=3, max_width=1) -> MatrixModule:
     """Invertible matrix built as (unit lower) * diag(units) * (unit upper),
     so the determinant is a unit by construction."""
     n = rng.randint(1, n_max)
@@ -121,7 +121,7 @@ def rand_sigma_matrix(rng, n_max=3, max_width=1) -> SigmaMatrix:
     det = rows[0][0]
     for i in range(1, n):
         det = det * rows[i][i]
-    return SigmaMatrix(prod, _det=det)
+    return MatrixModule(prod, _det=det)
 
 
 def rand_module(rng, kinds="ltg") -> object:
@@ -135,5 +135,5 @@ def rand_module(rng, kinds="ltg") -> object:
     if k == "g":
         return rand_good(rng)
     if k == "m":
-        return MatrixModule(rand_sigma_matrix(rng))
+        return rand_sigma_matrix(rng)
     raise ValueError(f"unknown kind {k!r}")

@@ -11,6 +11,7 @@ No floating point is used anywhere in this package.
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
@@ -26,9 +27,16 @@ def scalar_from_str(text: str) -> Fraction:
 
 
 def scalar_to_str(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
+    """The text a or a/b of a scalar, the one place a scalar turns into
+    digits; PreconditionViolation past Python's int-to-str digit limit."""
+    try:
+        if c.denominator == 1:
+            return str(c.numerator)
+        return f"{c.numerator}/{c.denominator}"
+    except ValueError:
+        raise PreconditionViolation(
+            f"scalar has more than {sys.get_int_max_str_digits()} digits to print"
+        ) from None
 
 
 class QParam:

@@ -148,13 +148,13 @@ def _euler_symmetry_case(rng, ci, tally, bounds):
 
 def _chi_rank_case(rng, ci, tally, bounds):
     M = rand_module(rng, "ltgm")
-    if isinstance(M, MatrixModule) and M.T.n > 2:
+    if isinstance(M, MatrixModule) and M.n > 2:
         M = rand_torsion(rng)
     rep = cohomology(M)
     # chi comes from the slopes; a matrix module's rank_S from the bounded
     # annihilator search, so the check compares two routes
     if isinstance(M, MatrixModule):
-        found = cyclic_presentation(M.T, bounds)
+        found = cyclic_presentation(M, bounds)
         rk = Unknown() if found is None else found.rank_S
     else:
         rk = rank_S(M)
@@ -211,7 +211,7 @@ def _duality_case(rng, ci, tally, bounds):
 def _rigidity_case(rng, ci, tally, bounds):
     roll = rng.random()
     if roll < 0.4:
-        M = MatrixModule(rand_sigma_matrix(rng, n_max=3))
+        M = rand_sigma_matrix(rng, n_max=3)
     else:
         M = rand_module(rng, "ltg")
     if not rigidity_check(M):

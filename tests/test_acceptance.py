@@ -36,7 +36,6 @@ from qec.modules import (
     Good,
     LineBundle,
     MatrixModule,
-    SigmaMatrix,
     Torsion,
     Unknown,
     dual,
@@ -383,8 +382,8 @@ def test_criterion_11_rigidity():
     rng = random.Random(1111)
     for _ in range(50):
         T = rand_sigma_matrix(rng, n_max=3)
-        assert rigidity_check(MatrixModule(T))
-        S = SigmaMatrix(T.inverse().transpose(), _det=T.det.inverse_unit())
+        assert rigidity_check(T)
+        S = MatrixModule(T.inverse().transpose(), _det=T.det.inverse_unit())
         fvec = [rand_laurent(rng) for _ in range(T.n)]
         mvec = [rand_laurent(rng) for _ in range(T.n)]
         sf = S.mat.apply([qshift(f, 1) for f in fvec])

@@ -133,6 +133,13 @@ def test_powers_up_to_the_width_limit_and_monomial_powers_expand(capsys):
     assert run(capsys, "eval", "z^100000000000000")[:2] == (0, "z^100000000000000\n")
 
 
+def test_result_past_the_digit_limit_is_a_usage_error(capsys):
+    # two in-limit powers whose product has more digits than Python prints
+    code, out, err = run(capsys, "eval", "2^8000*2^8000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: scalar has more than") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "expr",
     ["(2*z)^100000000000", "(z*s)^100000000000", "2^100000000000",
@@ -243,6 +250,15 @@ def test_mod_info_strict_flags_unknown_rank(capsys):
     code, payload, _ = run_json(capsys, "--strict", *TIGHT, "mod", "info", MATRIX_DESC)
     assert code == 0
     assert payload["rank_S"] == 1
+
+
+def test_mod_info_strict_trivial_rank_five(capsys):
+    # O^5 as the 5x5 identity: the z^0 * C closed form, no cyclic search
+    entries = [["1" if i == j else "0" for j in range(5)] for i in range(5)]
+    desc = json.dumps({"kind": "matrix", "entries": entries})
+    code, payload, _ = run_json(capsys, "--strict", "mod", "info", desc)
+    assert code == 0
+    assert (payload["rank_A"], payload["rank_S"]) == (5, 0)
 
 
 @pytest.mark.parametrize(

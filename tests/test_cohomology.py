@@ -21,7 +21,6 @@ from qec.modules import (
     Good,
     LineBundle,
     MatrixModule,
-    SigmaMatrix,
     Torsion,
     Unknown,
     extension_fixture,
@@ -42,7 +41,7 @@ def report_tuple(r):
 def presentations(M):
     """M itself and the same module as a MatrixModule: the closed form for
     T(z) = z^m C must give one answer whichever presentation reaches it."""
-    return (M, MatrixModule(to_matrix(M)))
+    return (M, to_matrix(M))
 
 
 def test_line_bundle_closed_forms():
@@ -94,7 +93,7 @@ def test_extension_fixture_cohomology():
 
 
 def _mat(rows):
-    return SigmaMatrix(LaurentMatrix.from_strs(rows))
+    return MatrixModule(LaurentMatrix.from_strs(rows))
 
 
 def test_fixed_space_examples():
@@ -133,7 +132,7 @@ def test_h1_identity_on_randoms(rng):
         assert (r.chi == 0) == (rk == 0)
     # small matrix presentations: the search cost grows quickly with size
     for _ in range(8):
-        M = MatrixModule(rand_sigma_matrix(rng, n_max=2))
+        M = rand_sigma_matrix(rng, n_max=2)
         r = cohomology(M)
         assert r.h0 <= rank_A(M)
         rk = rank_S(M)
@@ -190,6 +189,6 @@ def test_report_json():
 def test_matrix_module_with_unknown_rank_reports_unknown_h1():
     # the bounds are not read: rank_S comes from the slopes
     tight = SearchBounds(deg_sigma=1, deg_z=0, window=4)
-    M = MatrixModule(to_matrix(extension_fixture()))
+    M = to_matrix(extension_fixture())
     rk = rank_S(M, tight)
     assert rk == 1

@@ -1,5 +1,6 @@
 """Static checks over the package source: certificates are typed raises that
-survive `python -O`, and every module-level import is used."""
+survive `python -O`, every module-level import is used, and every
+module-level name is read by the package or its tests, or exported."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,45 @@ def test_module_level_imports_are_read(path):
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
     }
     assert sorted(imported - read) == []
+
+
+def _defined_names(tree):
+    """Module-level functions, classes and assigned names, dunders skipped."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if not n.startswith("__")}
+
+
+def _read_names(tree):
+    """Names a module reads: loaded names, attribute names, and names it
+    imports from another module."""
+    read = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            read.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            read.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            read.update(alias.name for alias in n.names)
+    return read
+
+
+def test_module_level_names_are_read_or_exported():
+    import qec
+
+    tests = sorted(Path(__file__).resolve().parent.glob("*.py"))
+    read = set(qec.__all__)
+    for path in MODULES + tests:
+        if path.name != "__init__.py":
+            read |= _read_names(_tree(path))
+    unread = sorted(
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for name in _defined_names(_tree(path)) - read
+    )
+    assert unread == []

@@ -9,14 +9,13 @@ import pytest
 
 from qec.aq import AqElement, degrees, parse
 from qec.errors import NonSplitSpectrum, ParseError, PreconditionViolation, ZeroInput
-from qec.laurent import LaurentMatrix, LaurentPoly, laurent_to_str
+from qec.laurent import ZERO, LaurentMatrix, LaurentPoly, laurent_to_str
 from qec.linalg import jordan_structure_constant
 from qec.modules import (
     Good,
     LineBundle,
     MatrixModule,
     PicClass,
-    SigmaMatrix,
     Torsion,
     Unknown,
     aq_act,
@@ -39,7 +38,14 @@ from qec.modules import (
     to_matrix,
     torsion_tensor_rank_check,
 )
-from qec.samples import rand_line, rand_module, rand_sigma_matrix, rand_torsion
+from qec.samples import (
+    rand_aq,
+    rand_laurent,
+    rand_line,
+    rand_module,
+    rand_sigma_matrix,
+    rand_torsion,
+)
 from qec.scalars import using_q
 
 O = LineBundle(1, 0)
@@ -57,14 +63,14 @@ def test_to_matrix_forms():
     ]
     assert to_matrix(Torsion([(1, 2)])).mat.to_strs() == [["1", "1"], ["0", "1"]]
     assert to_matrix(LineBundle(3, 2)).mat.to_strs() == [["3*z^2"]]
-    assert extension_fixture().T.mat.to_strs() == [["z", "1"], ["0", "1"]]
+    assert extension_fixture().mat.to_strs() == [["z", "1"], ["0", "1"]]
 
 
 def test_sigma_matrix_validation():
     with pytest.raises(PreconditionViolation):
-        SigmaMatrix(LaurentMatrix.from_strs([["1 + z", "0"], ["0", "1"]]))
+        MatrixModule(LaurentMatrix.from_strs([["1 + z", "0"], ["0", "1"]]))
     with pytest.raises(PreconditionViolation):
-        SigmaMatrix(LaurentMatrix.from_strs([["1", "1"], ["z", "z"]]))
+        MatrixModule(LaurentMatrix.from_strs([["1", "1"], ["z", "z"]]))
 
 
 def test_module_validation():
@@ -98,14 +104,28 @@ def test_ranks():
 def test_sigma_apply_and_aq_act():
     X = extension_fixture()
     e2 = (LaurentPoly.zero(), LaurentPoly.const(Fraction(1)))
-    se2 = sigma_apply(X.T, e2)
+    se2 = sigma_apply(X, e2)
     assert [laurent_to_str(c) for c in se2] == ["1", "1"]
     # (s - 1) e2 = e1, then (s - z) kills it
-    r = aq_act(parse("(s - z)*(s - 1)"), X.T, e2)
+    r = aq_act(parse("(s - z)*(s - 1)"), X, e2)
     assert all(c.is_zero() for c in r)
     # inverse action round-trips
-    back = sigma_apply(X.T, se2, k=-1)
+    back = sigma_apply(X, se2, k=-1)
     assert list(back) == list(e2)
+
+
+def test_sigma_powers_invert_and_aq_act_sums_them(rng):
+    for _ in range(12):
+        T = rand_sigma_matrix(rng, n_max=3)
+        v = [rand_laurent(rng) for _ in range(T.n)]
+        for k in (1, 2, 3):
+            assert sigma_apply(T, sigma_apply(T, v, k), -k) == v
+            assert sigma_apply(T, sigma_apply(T, v, -k), k) == v
+        x = rand_aq(rng, max_width=3)
+        want = [ZERO] * T.n
+        for i, f in x.terms():
+            want = [w + f * c for w, c in zip(want, sigma_apply(T, v, i))]
+        assert aq_act(x, T, v) == want
 
 
 def test_tensor_lines_and_torsion():
@@ -168,7 +188,7 @@ def test_tensor_structured_vs_kronecker():
     L = LineBundle(3, 1)
     fast = tensor(M, L)
     assert isinstance(fast, Good)
-    kron = MatrixModule(SigmaMatrix(to_matrix(M).mat.kron(to_matrix(L).mat)))
+    kron = MatrixModule(to_matrix(M).mat.kron(to_matrix(L).mat))
     assert rank_A(fast) == rank_A(kron) == 2
     assert degrees(fast.p).deg_z == 2
     rk = rank_S(kron)
@@ -194,7 +214,7 @@ def test_dual_closed_forms():
     assert dual(dual(LineBundle(7, -1))) == LineBundle(7, -1)
     X = extension_fixture()
     DD = dual(dual(X))
-    assert DD.T.mat.to_strs() == X.T.mat.to_strs()
+    assert DD.mat.to_strs() == X.mat.to_strs()
     M = Good(parse("z - s - s^-1"))
     DM = dual(M)
     assert isinstance(DM, Good)
@@ -204,7 +224,7 @@ def test_dual_closed_forms():
 def test_dual_matrix_is_inverse_transpose():
     X = extension_fixture()
     D = dual(X)
-    prod = D.T.mat.transpose() * X.T.mat
+    prod = D.mat.transpose() * X.mat
     assert prod.rows == LaurentMatrix.identity(2).rows
 
 
@@ -241,9 +261,9 @@ def test_jordan_round_trip():
     T = Torsion(blocks)
     assert sorted(jordan_structure(to_matrix(T))) == sorted(Torsion(blocks).blocks)
     with pytest.raises(NonSplitSpectrum):
-        jordan_structure(SigmaMatrix(LaurentMatrix.from_strs([["0", "-1"], ["1", "0"]])))
+        jordan_structure(MatrixModule(LaurentMatrix.from_strs([["0", "-1"], ["1", "0"]])))
     with pytest.raises(PreconditionViolation):
-        jordan_structure(extension_fixture().T)  # entries not constant
+        jordan_structure(extension_fixture())  # entries not constant
 
 
 def test_module_json_round_trip():
@@ -301,7 +321,7 @@ def test_certificates_survive_python_O():
         from qec.laurent import ZERO
 
         assert False, "asserts are live"
-        T = modules.extension_fixture().T
+        T = modules.extension_fixture()
         if not modules.window_eigenspace(T, 2, 1, Fraction(1)):
             raise SystemExit("no solution to corrupt")
         modules.sigma_apply = lambda T, vec, k=1: [ZERO] * len(vec)
@@ -333,13 +353,13 @@ def test_rank_S_unknown_under_tight_bounds():
 
 def test_rigidity():
     assert rigidity_check(extension_fixture())
-    assert rigidity_check(MatrixModule(to_matrix(LineBundle(3, 1))))
-    assert rigidity_check(MatrixModule(to_matrix(Torsion([(2, 2)]))))
+    assert rigidity_check(to_matrix(LineBundle(3, 1)))
+    assert rigidity_check(to_matrix(Torsion([(2, 2)])))
 
 
 def test_rigidity_random_matrices(rng):
     for _ in range(8):
-        assert rigidity_check(MatrixModule(rand_sigma_matrix(rng, n_max=3)))
+        assert rigidity_check(rand_sigma_matrix(rng, n_max=3))
 
 
 def test_rand_module_kinds(rng):

@@ -11,20 +11,23 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+from qec import ideals
 from qec.aq import parse
-from qec.cohomology import euler_form
+from qec.cohomology import cohomology, euler_form
 from qec.ideals import cyclic_presentation
-from qec.laurent import ONE, ZERO, LaurentMatrix, LaurentPoly, det_and_inverse
+from qec.laurent import ONE, ZERO, LaurentMatrix, LaurentPoly, det, det_and_inverse
 from qec.modules import (
     Good,
     LineBundle,
     MatrixModule,
     Torsion,
+    _cramer_slopes,
     hom,
     module_from_json,
     rank_A,
     rank_S,
     slopes,
+    tensor,
     to_matrix,
 )
 from qec.samples import (
@@ -32,6 +35,7 @@ from qec.samples import (
     rand_laurent,
     rand_line,
     rand_module,
+    rand_scalar,
     rand_sigma_matrix,
     rand_torsion,
     rand_unit,
@@ -47,10 +51,10 @@ def test_rank_S_agrees_with_the_search_wherever_it_certifies():
         with using_q(q):
             rng = random.Random(f"slopes-oracle-{q}")
             for _ in range(40):
-                M = MatrixModule(rand_sigma_matrix(rng, n_max=2))
+                M = rand_sigma_matrix(rng, n_max=2)
                 rk = rank_S(M)
                 assert isinstance(rk, int)
-                found = cyclic_presentation(M.T)
+                found = cyclic_presentation(M)
                 if found is not None:
                     assert rk == found.rank_S, (q, M)
                     compared += 1
@@ -153,7 +157,65 @@ def test_structured_slopes_equal_the_cramer_slopes():
             rng = random.Random(f"slopes-closed-{q}")
             for _ in range(6):
                 for M in (rand_line(rng), rand_torsion(rng), rand_good(rng, t_max=3)):
-                    assert slopes(M) == slopes(MatrixModule(to_matrix(M))), M
+                    assert slopes(M) == _cramer_slopes(to_matrix(M)), M
+
+
+def _scaled_matrix(rng, n, m):
+    """z^m C for a seeded invertible constant n x n matrix C."""
+    while True:
+        rows = [[rand_scalar(rng) for _ in range(n)] for _ in range(n)]
+        mat = LaurentMatrix(
+            [[LaurentPoly.monomial(c, m) if c else ZERO for c in row] for row in rows]
+        )
+        if not det(mat).is_zero():
+            return MatrixModule(mat)
+
+
+def test_scaled_closed_form_equals_the_cramer_slopes():
+    # every one of these 36 inputs has a cyclic candidate
+    for q in (2, 3, Fraction(-1, 2)):
+        with using_q(q):
+            rng = random.Random(f"slopes-scaled-{q}")
+            for _ in range(12):
+                n, m = rng.randint(1, 3), rng.randint(-2, 2)
+                M = _scaled_matrix(rng, n, m)
+                assert slopes(M) == ([(m, n)], [(m, n)])
+                assert _cramer_slopes(M) == slopes(M), (q, M)
+
+
+def test_trivial_modules_answer_without_the_search(monkeypatch):
+    def no_search(T):
+        raise AssertionError("cyclic search ran")
+
+    monkeypatch.setattr(ideals, "cyclic_search", no_search)
+    for n in (4, 5, 6):
+        On = MatrixModule(LaurentMatrix.identity(n))
+        assert rank_S(On) == 0
+        assert euler_form(On, LineBundle(1, 1)) == -n
+
+
+def test_presentation_and_matrix_agree():
+    L11 = LineBundle(1, 1)
+    for q in (2, 3, Fraction(-1, 2)):
+        with using_q(q):
+            rng = random.Random(f"slopes-routes-{q}")
+            for _ in range(6):
+                for M in (rand_line(rng), rand_torsion(rng), rand_good(rng, t_max=2)):
+                    T = to_matrix(M)
+                    assert isinstance(T, MatrixModule)
+                    assert rank_A(M) == rank_A(T), M
+                    assert rank_S(M) == rank_S(T), M
+                    assert slopes(M) == slopes(T), M
+                    assert euler_form(M, L11) == euler_form(T, L11), M
+                    assert cohomology(M).chi == cohomology(T).chi, M
+                # z^m J, the Kronecker matrix of L(1, m) and one Jordan block
+                n, m = rng.randint(1, 3), rng.randint(-2, 2)
+                L = LineBundle(1, m)
+                S = tensor(L, Torsion([(rand_scalar(rng, nonzero=True), n)]))
+                assert isinstance(S, MatrixModule)
+                assert rank_S(S) == n * rank_S(L)
+                assert euler_form(S, L11) == n * euler_form(L, L11)
+                assert cohomology(S).chi == n * cohomology(L).chi
 
 
 def test_slopes_closed_forms():
