@@ -3,8 +3,10 @@
 Thin wrappers only: every subcommand parses its inputs, delegates to the
 library, and prints either a stable text rendering or JSON (sorted keys).
 Exit codes: 0 success, 1 computational failure (search exhausted, a failed
-certificate, an Unknown/uncertified answer under --strict, or suite
-failures), 2 usage and parse errors.  The ambient q comes from --q, else the
+certificate, suite failures, or under --strict an uncertified cohomology
+report or a suite case skipped as unknown), 2 usage and parse errors.
+rank_S, h1, chi and the Euler form are always exact, so `mod info` and
+`euler` do not exit 1 under --strict.  The ambient q comes from --q, else the
 QEC_Q environment variable, else the caller's q (2 by default); a q given
 either way holds for that one command only.
 """
@@ -33,7 +35,6 @@ from .modules import (
     Good,
     LineBundle,
     Torsion,
-    _plain,
     dual,
     hom,
     module_from_json,
@@ -100,10 +101,9 @@ def cmd_div(args) -> int:
 
 
 def _info_payload(M) -> dict:
-    rkS = rank_S(M)
     payload = dict(module_to_json(M))
     payload["rank_A"] = rank_A(M)
-    payload["rank_S"] = _plain(rkS)
+    payload["rank_S"] = rank_S(M)
     if isinstance(M, LineBundle):
         cls = pic_class(M)
         payload["pic"] = {"c": scalar_to_str(cls.c), "m": cls.m}
@@ -122,8 +122,6 @@ def cmd_mod(args) -> int:
     payload = _info_payload(M)
     lines = [f"{k} = {json.dumps(payload[k], sort_keys=True)}" for k in sorted(payload)]
     _emit(args, payload, lines)
-    if args.strict and payload["rank_S"] is None:
-        return 1
     return 0
 
 
@@ -156,12 +154,10 @@ def cmd_coh(args) -> int:
         payload,
         [
             "h0 = {h0}  h1 = {h1}  chi = {chi}  certified = {certified}  "
-            "window = {window_used}".format(
-                **{k: ("unknown" if v is None else v) for k, v in payload.items()}
-            )
+            "window = {window_used}".format(**payload)
         ],
     )
-    if args.strict and (not rep.certified or None in payload.values()):
+    if args.strict and not rep.certified:
         return 1
     return 0
 
@@ -170,10 +166,7 @@ def cmd_euler(args) -> int:
     M = _module_arg(args.a)
     N = _module_arg(args.b)
     chi = euler_form(M, N)
-    payload = {"chi": _plain(chi)}
-    _emit(args, payload, ["unknown" if payload["chi"] is None else str(payload["chi"])])
-    if args.strict and payload["chi"] is None:
-        return 1
+    _emit(args, {"chi": chi}, [str(chi)])
     return 0
 
 
@@ -236,7 +229,8 @@ def _add_common(parser, after_command: bool) -> None:
         "--strict",
         action="store_true",
         default=d(False),
-        help="exit 1 when an answer is Unknown or uncertified",
+        help="exit 1 when a cohomology report is uncertified or a suite "
+        "skips a case as unknown",
     )
     parser.add_argument(
         "--bound-sigma", type=int, default=d(6), help="s-width bound of verify's search"

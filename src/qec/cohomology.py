@@ -23,7 +23,6 @@ from .modules import (
     LineBundle,
     MatrixModule,
     Torsion,
-    Unknown,
     _monomial_scaled,
     _plain,
     _whole,
@@ -139,8 +138,6 @@ def cohomology(M) -> CohomologyReport:
         rkS = rank_S(M)
         cap = rank_A(M)
         h0, certified, window = stabilized_h0(T, cap)
-        if isinstance(rkS, Unknown):
-            return CohomologyReport(h0, Unknown(), Unknown(), False, window)
         return CohomologyReport(h0, h0 + rkS, -rkS, certified, window)
     raise PreconditionViolation(f"not a module presentation: {M!r}")
 
@@ -154,11 +151,8 @@ def euler_form(M, N):
     """chi(M, N) = chi of the internal hom = -rank_S(hom(M, N)), read off
     the slopes of M and N: the slopes of M* (x) N at each end are the
     differences b - a of a slope a of M and b of N, with length the product
-    of theirs.  Unknown only when `slopes` finds no cyclic vector."""
-    sm, sn = slopes(M), slopes(N)
-    if sm is None or sn is None:
-        return Unknown()
-    (inf_m, zero_m), (inf_n, zero_n) = sm, sn
+    of theirs."""
+    (inf_m, zero_m), (inf_n, zero_n) = slopes(M), slopes(N)
     return -_whole(
         sum(k * l * max(b - a, 0) for a, k in inf_m for b, l in inf_n)
         + sum(k * l * max(a - b, 0) for a, k in zero_m for b, l in zero_n)

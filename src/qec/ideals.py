@@ -5,15 +5,16 @@ solutions are algebra elements annihilating a module vector, plus degree
 certificates obtained from fraction-free rank computations over K[z,z^-1].
 Searches are deterministic (fixed scan orders), so results are reproducible;
 when bounds run out the failure is explicit (SearchExhausted, or None
-from `cyclic_presentation`), never a silent guess.  The module's own S-rank
-is not searched: `modules.rank_S` reads it off the slopes, and
+from `cyclic_presentation`), never a silent guess.  A cyclic vector is
+constructed, not searched (`cyclic_search`); the module's own S-rank is
+not searched either: `modules.rank_S` reads it off the slopes, and
 `cyclic_presentation` is kept as the independent check of that theorem.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import combinations
 
 from .aq import AqElement, degrees, sigma_divide, z_divide
 from .errors import CertificateFailure, PreconditionViolation, SearchExhausted
@@ -25,6 +26,7 @@ from .modules import (
     _window_images,
     aq_act,
     sigma_apply,
+    slopes,
     to_matrix,
     window_eigenspace,
 )
@@ -269,49 +271,64 @@ class CyclicResult:
         return f"CyclicResult(rank_S={self.rank_S}, ann={self.ann})"
 
 
-def _candidate_vectors(n):
-    """Deterministic candidates: the unit vectors, then all vectors over
-    (0, 1, z, ..., z^top) for top = 0..3."""
-    units = (tuple(ONE if j == i else ZERO for j in range(n)) for i in range(n))
-    pools = (
-        (ZERO, ONE, *(LaurentPoly.monomial(1, e) for e in range(1, top + 1)))
-        for top in range(4)
-    )
-    seen = set()
-    for v in chain(units, *(product(pool, repeat=n) for pool in pools)):
-        if v in seen or all(e.is_zero() for e in v):
-            continue
-        if len(seen) == CANDIDATE_LIMIT:
-            return
-        seen.add(v)
-        yield v
-
-
-# extra s-width searched past the minimal width n for a sigma-good generator
-CERT_SLACK = 2
-# candidate vectors tried, and cyclic candidates whose annihilator search
-# may fail, before the search gives up
-CANDIDATE_LIMIT = 800
-DEEP_LIMIT = 24
-
-
-def _cyclic_vectors(T: MatrixModule):
-    """The candidates v for which v, s(v), ..., s^{n-1}(v) are independent
-    over the fraction field, in candidate order."""
-    n = T.n
-    return (
-        v
-        for v in _candidate_vectors(n)
-        if minimal_annihilator_width(T, v, n - 1) is None
-    )
+def _width(T: MatrixModule, v) -> int:
+    """Dimension of the s-span of a nonzero v over K(z); n when v is cyclic."""
+    d = minimal_annihilator_width(T, v, T.n - 1)
+    return T.n if d is None else d
 
 
 def cyclic_search(T: MatrixModule):
-    """The first cyclic candidate vector of T, or None when none of the
-    first CANDIDATE_LIMIT candidates is cyclic.  A cyclic v has no
-    annihilator of s-width below n, so v generates M up to a module of rank
-    zero over K[z,z^-1], which is zero."""
-    return next(_cyclic_vectors(T), None)
+    """A cyclic vector of T: v, s(v), ..., s^{n-1}(v) are independent over
+    K(z), so v generates M up to a K[z,z^-1]-module of rank zero, which is 0.
+
+    The first cyclic unit vector if there is one.  Else the cyclic vector
+    lemma, made constructive: from the widest unit vector v (the first among
+    ties), of width d, pass to the first u = v + lam z^j e_k of width > d,
+    for lam = 1..d+2, then j = d..0, then k = 0..n-1; repeat until cyclic.
+
+    Proof that some candidate widens v.  Let L be the monic width-d
+    annihilator of v over K(z) and W = span(v, ..., s^{d-1}v), which is
+    s-stable.  If Lw is not in W, some (d+1)-minor D(x) of
+    [v, ..., s^{d-1}v, x] has D(Lw) != 0; the same minor of the orbit of
+    v + lam w is a polynomial in lam of degree <= d + 1 whose lam^1
+    coefficient is D(Lw) (multilinearity; s^d v is in W), so one of the
+    d + 2 values of lam is not a root.  L acts K-linearly on M/W with a
+    kernel of K-dimension <= d(n - d): it is the fixed space of a
+    semilinear bijection of a K(z)-space of that dimension, and the
+    constants of K(z) under z -> qz are K.  The z^j e_k with j <= d span
+    at least (d + 1)n - d(d + 1) > d(n - d) dimensions modulo W (W projects
+    injectively onto d coordinates), so some w = z^j e_k has Lw outside W
+    (van der Put & Singer, Galois Theory of Difference Equations, LNM 1666).
+
+    Each round widens v, so there are at most n rounds; CertificateFailure
+    if no candidate widens v, which the lemma rules out.
+    """
+    n = T.n
+    v, d = None, 0
+    for k in range(n):
+        e = tuple(ONE if j == k else ZERO for j in range(n))
+        width = _width(T, e)
+        if width == n:
+            return e
+        if width > d:
+            v, d = e, width
+    while d < n:
+        v, d = _widen(T, v, d)
+    return v
+
+
+def _widen(T: MatrixModule, v, d: int):
+    """(u, width of u) for the first u = v + lam z^j e_k of width greater
+    than d, in the order of `cyclic_search`."""
+    for lam in range(1, d + 3):
+        for j in range(d, -1, -1):
+            for k in range(T.n):
+                u = list(v)
+                u[k] = u[k] + LaurentPoly.monomial(lam, j)
+                width = _width(T, u)
+                if width > d:
+                    return tuple(u), width
+    raise CertificateFailure(f"no candidate widens the width-{d} vector {v}")
 
 
 def _z_gcd_width(gens):
@@ -328,17 +345,15 @@ def _z_gcd_width(gens):
 
 
 def cyclic_presentation(T: MatrixModule, bounds=None):
-    """Bounded search for a cyclic vector and a presentation of its
-    annihilator, with the S-rank that presentation reveals; None when the
-    bounds run out.  The library reads rank_S off the slopes
+    """Bounded search for a presentation of the annihilator of the cyclic
+    vector `cyclic_search(T)`, with the S-rank that presentation reveals;
+    None when the bounds run out.  The library reads rank_S off the slopes
     (`modules.rank_S`); this search is the independent side the
     verification suites check that theorem against.
 
     The annihilator ideal I of a cyclic v has minimal s-width exactly n,
-    and `_annihilator_ideal` presents it, so M = A/I and
-    rank_S(M) = dim_K(s) K(s) (x) A/I.  Cyclic candidates are tried in
-    order; DEEP_LIMIT of them may exhaust the bounds before the search
-    gives up.
+    and `_annihilator_ideal` presents it within s-width deg_sigma, so
+    M = A/I and rank_S(M) = dim_K(s) K(s) (x) A/I.
 
     K[s,s^-1] minus 0 is an Ore set, so this localization is exact:
     K(s) (x) I is the left ideal of K(s)[z, z^-1; sigma] spanned by the
@@ -349,20 +364,12 @@ def cyclic_presentation(T: MatrixModule, bounds=None):
     p itself and the rank is deg_z p.
     """
     bounds = bounds or DEFAULT_BOUNDS
-    n = T.n
-    deep = 0
-    for v in _cyclic_vectors(T):
-        try:
-            ann = _annihilator_ideal(
-                T, v, n, max(bounds.deg_sigma, n + CERT_SLACK), bounds
-            )
-        except SearchExhausted:
-            deep += 1
-            if deep >= DEEP_LIMIT:
-                return None
-            continue
-        return CyclicResult(v, ann, _z_gcd_width(ann.generators))
-    return None
+    v = cyclic_search(T)
+    try:
+        ann = _annihilator_ideal(T, v, T.n, bounds.deg_sigma, bounds)
+    except SearchExhausted:
+        return None
+    return CyclicResult(v, ann, _z_gcd_width(ann.generators))
 
 
 # -- line subbundles -----------------------------------------------------------
@@ -382,7 +389,16 @@ def line_subbundle_probe(T: MatrixModule, k_range, window=12):
     (`modules.window_eigenspace`), which certifies every vector it returns.
     Returns a list sorted by (k, c); empty means no line subbundle exists
     inside the searched window.
+
+    A solution spans a rank-1 submodule L(c, k), whose slope k is a slope
+    of the module at both ends (`modules.slopes`), so every other k is
+    skipped before anything is linearized.
     """
+    at_inf, at_zero = slopes(T)
+    ends = {lam for lam, _ in at_inf} & {lam for lam, _ in at_zero}
+    k_range = [k for k in k_range if k in ends]
+    if not k_range:
+        return []
     n = T.n
     W = window
     rows = coefficient_rows(_window_images(T, W))

@@ -361,13 +361,11 @@ def _newton_polygons(pairs):
 
 
 def _cramer_slopes(T: MatrixModule):
-    """Slopes of the relation that Cramer's rule gives on the orbit of a
-    cyclic vector, or None when no candidate vector is cyclic."""
+    """Slopes of the relation that Cramer's rule gives on the orbit of the
+    cyclic vector `ideals.cyclic_search` constructs."""
     from .ideals import cyclic_search
 
     v = cyclic_search(T)
-    if v is None:
-        return None
     n = T.n
     orbit = [list(v)]
     for _ in range(n):
@@ -391,8 +389,7 @@ def _cramer_slopes(T: MatrixModule):
 def slopes(M):
     """Newton polygons (at infinity, at 0) of a module: each a list of
     (slope, horizontal length) by increasing slope, the lengths summing to
-    rank_A.  None only for a matrix module not of the form z^m C when none
-    of the `ideals.CANDIDATE_LIMIT` candidate vectors is cyclic.
+    rank_A.
 
     Line bundles L(c, m) have the single slope m, torsion modules the single
     slope 0.  A matrix z^m C with C constant is L(1, m) tensored with a
@@ -444,13 +441,9 @@ def rank_S(M, bounds=None):
     """Rank over K[s,s^-1], read off the slopes (see `slopes`):
     the sum of length * max(slope, 0) at infinity and of
     length * max(-slope, 0) at 0.  That is |m| for L(c, m), 0 for torsion
-    and deg_z p for a good module.  Unknown only when no candidate vector
-    of a matrix module is cyclic.  `bounds` is accepted and not read: no
+    and deg_z p for a good module.  `bounds` is accepted and not read: no
     search runs on this path."""
-    found = slopes(M)
-    if found is None:
-        return Unknown()
-    at_inf, at_zero = found
+    at_inf, at_zero = slopes(M)
     return _whole(
         sum(length * max(lam, 0) for lam, length in at_inf)
         + sum(length * max(-lam, 0) for lam, length in at_zero)
@@ -619,10 +612,7 @@ def torsion_tensor_rank_check(N, M, bounds=None):
         raise PreconditionViolation("M must be torsion")
     found = cyclic_presentation(_kron_module(N, M), bounds)
     lhs = Unknown() if found is None else found.rank_S
-    rhs_rank = rank_S(N)
-    if isinstance(rhs_rank, Unknown):
-        raise PreconditionViolation("rank_S(N) must be exact for the check")
-    return lhs, rhs_rank * rank_A(M)
+    return lhs, rank_S(N) * rank_A(M)
 
 
 # -- rigidity ------------------------------------------------------------------

@@ -116,12 +116,22 @@ def q_orbit(c: Fraction, qp: QParam | None = None):
 
 
 def q_power_class(c, qp: QParam | None = None):
-    """The unique n with c = q^n, or None if c is not a power of q: c is a
-    power of q exactly when its orbit representative is 1."""
+    """The unique n with c = q^n, or None if c is not a power of q.
+
+    Decided from heights H(x) = max(|num|, den), without walking the orbit:
+    q^n has height H(q)^|n| with H(q) >= 2, so the only candidates are
+    n = +-k for the k with H(q)^k = H(c), found by bisection."""
     c = Fraction(c)
     if c == 0:
         raise ZeroInput("0 is not in any q-power class")
-    r, n = q_orbit(c, qp)
-    if r != 1:
-        return None
-    return n if abs((qp or _session_q.get()).value) > 1 else -n
+    q = (qp or _session_q.get()).value
+    base, target = (max(abs(x.numerator), x.denominator) for x in (q, c))
+    # base^k >= 2^(k (bits(base) - 1)), so k <= bits(target) // (bits(base) - 1)
+    lo, hi = 0, target.bit_length() // (base.bit_length() - 1)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if base**mid < target:
+            lo = mid + 1
+        else:
+            hi = mid
+    return next((n for n in (lo, -lo) if q**n == c), None)

@@ -261,6 +261,34 @@ def test_mod_info_strict_trivial_rank_five(capsys):
     assert (payload["rank_A"], payload["rank_S"]) == (5, 0)
 
 
+def test_strict_answers_on_a_module_with_no_cyclic_unit_vector(capsys):
+    # O^4 + L(1, 1): rank_S and the Euler form come from a constructed
+    # cyclic vector, so --strict has nothing to flag
+    entries = [["0"] * 5 for _ in range(5)]
+    for i in range(5):
+        entries[i][i] = "z" if i == 4 else "1"
+    desc = json.dumps({"kind": "matrix", "entries": entries})
+    code, payload, _ = run_json(capsys, "--strict", "mod", "info", desc)
+    assert code == 0
+    assert payload["rank_S"] == 1
+    code, out, _ = run(capsys, "--strict", "euler", desc, '{"kind":"line","c":"1","m":1}')
+    assert (code, out) == (0, "-4\n")
+
+
+@pytest.mark.parametrize(
+    "desc",
+    ['{"kind":"line","c":"10","m":0}', '{"kind":"torsion","blocks":[{"lambda":"10","size":1}]}'],
+)
+def test_coh_decides_q_powers_at_a_tall_q(capsys, desc):
+    # 10 is about 115,000 steps of q = 1000003/999983 from its orbit
+    # representative; the q-power test does not walk there
+    start = time.perf_counter()
+    code, payload, _ = run_json(capsys, "--q", "1000003/999983", "coh", desc)
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert payload == {"h0": 0, "h1": 0, "chi": 0, "certified": True, "window_used": 0}
+
+
 @pytest.mark.parametrize(
     "argv,expected",
     [

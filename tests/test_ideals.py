@@ -1,15 +1,20 @@
 """Left-ideal machinery: principal membership, annihilators of cosets in
 cyclic modules, cyclic-vector searches, and the line-subbundle probe."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import qec.ideals
 from qec.aq import AqElement, degrees, parse, sigma_divide, unit_normalize
-from qec.cohomology import fixed_space
+from qec.cohomology import euler_form, fixed_space
 from qec.errors import PreconditionViolation, SearchExhausted
 from qec.ideals import (
     IdealPresentation,
@@ -195,8 +200,8 @@ def test_search_bounds_reject_negative_values(kwargs):
 
 
 def test_cyclic_search_stops_at_an_empty_minimal_width_row(monkeypatch):
-    # s - z^2 needs z-width 2: with deg_z = 0 the width-1 row of each of the
-    # four candidates (1, z, z^2, z^3) is empty, and no wider row is scanned
+    # s - z^2 needs z-width 2: with deg_z = 0 the width-1 row of the one
+    # cyclic vector is empty, and no wider row and no other vector is scanned
     calls = []
 
     def spy(T, v, d, zd):
@@ -205,7 +210,95 @@ def test_cyclic_search_stops_at_an_empty_minimal_width_row(monkeypatch):
 
     monkeypatch.setattr(qec.ideals, "annihilator_space", spy)
     assert cyclic_presentation(to_matrix(LineBundle(1, 2)), SearchBounds(2, 0)) is None
-    assert calls == [(1, 0)] * 4
+    assert calls == [(1, 0)]
+
+
+def _triangular_lines(rng, cms, fill):
+    """Upper-triangular T with diagonal c_i z^m_i and, when fill, seeded
+    Laurent entries above it: an iterated extension of the line bundles
+    L(c_i, m_i), so rank_S = sum |m_i| and chi(M, L(1, 1)) =
+    -sum |1 - m_i|, both additive in exact sequences."""
+    n = len(cms)
+    rows = [
+        [
+            LaurentPoly.monomial(c, m) if i == j
+            else rand_laurent(rng, 1, 1) if fill and j > i and rng.random() < 0.5
+            else ZERO
+            for j, (c, m) in enumerate(cms)
+        ]
+        for i in range(n)
+    ]
+    return MatrixModule(LaurentMatrix(rows))
+
+
+def test_cyclic_search_constructs_a_cyclic_vector_without_a_cyclic_unit_vector():
+    extended = 0
+    cases = []
+    for q in (2, 3, Fraction(-1, 2)):
+        with using_q(q):
+            rng = random.Random(f"cyclic-construction-{q}")
+            # O^k + L(c, m): the trivial summand has no cyclic unit vector
+            k = rng.randint(1, 4)
+            cases.append((q, [(1, 0)] * k + [(rng.choice((1, 2, 3)), 1)], False))
+            for _ in range(8):
+                n = rng.randint(2, 5)
+                cms = [
+                    (rng.choice((1, 2, 3, Fraction(1, 3))), rng.randint(-2, 2))
+                    for _ in range(n)
+                ]
+                cases.append((q, cms, rng.random() < 0.3))
+    for q, cms, fill in cases:
+        with using_q(q):
+            T = _triangular_lines(random.Random(str(cms)), cms, fill)
+            n = T.n
+            units = [[ONE if j == i else ZERO for j in range(n)] for i in range(n)]
+            if all(minimal_annihilator_width(T, e, n - 1) is not None for e in units):
+                extended += 1
+            v = cyclic_search(T)
+            assert isinstance(v, tuple) and len(v) == n
+            assert minimal_annihilator_width(T, v, n - 1) is None, (q, cms)
+            assert rank_S(T) == sum(abs(m) for _, m in cms), (q, cms)
+            assert euler_form(T, LineBundle(1, 1)) == -sum(abs(1 - m) for _, m in cms)
+    assert extended >= 20
+
+
+def test_cyclic_search_of_a_trivial_summand_is_fast():
+    # O^4 + L(1, 1) and its n = 7 analogue: no unit vector is cyclic
+    for n in (5, 7):
+        T = _triangular_lines(None, [(1, 0)] * (n - 1) + [(1, 1)], False)
+        start = time.perf_counter()
+        v = cyclic_search(T)
+        assert time.perf_counter() - start < 2
+        assert minimal_annihilator_width(T, v, n - 1) is None
+        assert rank_S(T) == 1
+
+
+def test_cyclic_search_fails_loudly_under_python_O():
+    # widths patched never to grow: the construction must raise a typed
+    # error, with asserts stripped, and not loop
+    code = textwrap.dedent(
+        """
+        from qec import ideals, modules
+        from qec.errors import CertificateFailure
+
+        assert False, "asserts are live"
+        ideals.minimal_annihilator_width = lambda T, v, cap: 1
+        try:
+            ideals.cyclic_search(modules.extension_fixture())
+        except CertificateFailure as e:
+            print("CertificateFailure:", e)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("CertificateFailure: no candidate widens")
 
 
 def _gauge_module(rng, ms):
@@ -259,6 +352,34 @@ def test_line_subbundle_probe_fixture():
 def test_line_subbundle_probe_simple_module_empty():
     T = to_matrix(Good(parse("z - s - s^-1")))
     assert line_subbundle_probe(T, range(-4, 5), window=10) == []
+
+
+def test_probe_skips_k_outside_the_slopes_before_linearizing(monkeypatch):
+    # lambda_inf = {-1, 1} and lambda_0 = {0}: no k can carry a line subbundle
+    T = to_matrix(Good(parse("z - s - s^-1")))
+
+    def no_rows(images):
+        raise AssertionError("probe linearized")
+
+    monkeypatch.setattr(qec.ideals, "coefficient_rows", no_rows)
+    assert line_subbundle_probe(T, range(-4, 5), window=10) == []
+
+
+def test_pruned_probe_equals_the_probe_over_every_k(monkeypatch):
+    found = []
+    for q in (2, 3, Fraction(-1, 2)):
+        with using_q(q):
+            rng = random.Random(f"probe-prune-{q}")
+            for _ in range(8):
+                T = rand_sigma_matrix(rng, n_max=2)
+                pruned = line_subbundle_probe(T, range(-2, 3), window=3)
+                with monkeypatch.context() as m:
+                    # every k in range is a slope at both ends: nothing pruned
+                    every_k = [(Fraction(k), 1) for k in range(-2, 3)]
+                    m.setattr(qec.ideals, "slopes", lambda T: (every_k, every_k))
+                    assert line_subbundle_probe(T, range(-2, 3), window=3) == pruned
+                found.extend(pruned)
+    assert found
 
 
 def test_line_subbundle_probe_line_module():

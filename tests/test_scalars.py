@@ -1,5 +1,7 @@
+import random
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -201,6 +203,35 @@ def test_q_orbit_representative(q, n, c):
     assert c == r * step**m and 1 <= abs(r) < abs(step)
     # the representative is constant on the orbit c * q^Z
     assert q_orbit(c * q**n, QParam(q))[0] == r
+
+
+def _walk_power_class(c, q):
+    """The orbit walk: c is a power of q exactly when its orbit
+    representative is 1."""
+    r, n = q_orbit(c, QParam(q))
+    if r != 1:
+        return None
+    return n if abs(q) > 1 else -n
+
+
+def test_q_power_class_agrees_with_the_orbit_walk():
+    rng = random.Random("q-power-walk")
+    for q in map(Fraction, (2, 3, "-1/2", "5/7", "-3/2", "101/100")):
+        for _ in range(150):
+            c = q ** rng.randint(-30, 30) * rng.choice(
+                (1, -1, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            )
+            assert q_power_class(c, QParam(q)) == _walk_power_class(c, q), (q, c)
+
+
+def test_q_power_class_does_not_walk_a_long_orbit():
+    # c = 10 lies about 115,000 steps of q from its orbit representative
+    q = QParam(Fraction(1000003, 999983))
+    start = time.perf_counter()
+    assert q_power_class(Fraction(10), q) is None
+    assert q_power_class(Fraction(10) ** 4000, q) is None
+    assert q_power_class(q.value**-5000, q) == -5000
+    assert time.perf_counter() - start < 1
 
 
 def test_q_power_class_zero_input():
