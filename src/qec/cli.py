@@ -9,11 +9,17 @@ rank_S, h1, chi and the Euler form are always exact, so `mod info` and
 `euler` do not exit 1 under --strict.  The ambient q comes from --q, else the
 QEC_Q environment variable, else the caller's q (2 by default); a q given
 either way holds for that one command only.
+
+The five common flags (--q, --output, --strict, --bound-sigma, --bound-z)
+are valid before and after the subcommand, and one given after it overrides
+one given before.  The parser is built once per process, on the first call
+of `build_parser`; `main` only reads it, so it is safe to call from threads.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -62,13 +68,11 @@ def _module_arg(text: str):
 
 
 def _emit(args, payload, text_lines=None) -> None:
-    if args.output == "json":
+    if args.output == "json" or text_lines is None:
         print(json.dumps(payload, sort_keys=True))
-    elif text_lines is not None:
+    else:
         for line in text_lines:
             print(line)
-    else:
-        print(json.dumps(payload, sort_keys=True))
 
 
 def cmd_eval(args) -> int:
@@ -125,23 +129,11 @@ def cmd_mod(args) -> int:
     return 0
 
 
-def cmd_dual(args) -> int:
-    M = _module_arg(args.descriptor)
-    _emit(args, module_to_json(dual(M)))
-    return 0
-
-
-def cmd_tensor(args) -> int:
-    M = _module_arg(args.a)
-    N = _module_arg(args.b)
-    _emit(args, module_to_json(tensor(M, N)))
-    return 0
-
-
-def cmd_hom(args) -> int:
-    M = _module_arg(args.a)
-    N = _module_arg(args.b)
-    _emit(args, module_to_json(hom(M, N)))
+def cmd_module_op(args) -> int:
+    """dual, tensor and hom: the result's descriptor, always as JSON."""
+    texts = [args.descriptor] if args.command == "dual" else [args.a, args.b]
+    op = {"dual": dual, "tensor": tensor, "hom": hom}[args.command]
+    _emit(args, module_to_json(op(*map(_module_arg, texts))))
     return 0
 
 
@@ -171,9 +163,8 @@ def cmd_euler(args) -> int:
 
 
 def cmd_pic(args) -> int:
-    def cls_payload(cls):
-        return {"c": scalar_to_str(cls.c), "m": cls.m}
-
+    if args.op in ("mul", "eq") and args.b is None:
+        raise PreconditionViolation("pic {mul,eq} needs two arguments")
     if args.op == "eq":
         a = pic_class(_module_arg(args.a))
         b = pic_class(_module_arg(args.b))
@@ -186,7 +177,7 @@ def cmd_pic(args) -> int:
         cls = pic_mul(pic_class(_module_arg(args.a)), pic_class(_module_arg(args.b)))
     else:  # class
         cls = pic_class(_module_arg(args.a))
-    payload = cls_payload(cls)
+    payload = {"c": scalar_to_str(cls.c), "m": cls.m}
     _emit(args, payload, [f"c = {payload['c']}", f"m = {payload['m']}"])
     return 0
 
@@ -209,121 +200,75 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _add_common(parser, after_command: bool) -> None:
-    # The same flags are valid before and after the subcommand; the
-    # subcommand copies default to SUPPRESS so they never clobber values
-    # parsed at the top level.
-    d = (lambda v: argparse.SUPPRESS) if after_command else (lambda v: v)
-    parser.add_argument(
-        "--q",
-        default=d(None),
-        help="deformation parameter, a rational outside {0,1,-1}",
-    )
-    parser.add_argument(
-        "--output",
-        choices=("text", "json"),
-        default=d("text"),
-        help="output format",
-    )
-    parser.add_argument(
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    # The common flags are declared once, in a parent parser shared by the
+    # top level and every leaf subcommand.  Their actions default to
+    # SUPPRESS, so a flag the leaf does not see leaves the top level's value
+    # alone, and one it does see overrides it; main supplies the defaults.
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--q", help="deformation parameter, a rational outside {0,1,-1}")
+    common.add_argument("--output", choices=("text", "json"), help="output format")
+    common.add_argument(
         "--strict",
         action="store_true",
-        default=d(False),
         help="exit 1 when a cohomology report is uncertified or a suite "
         "skips a case as unknown",
     )
-    parser.add_argument(
-        "--bound-sigma", type=int, default=d(6), help="s-width bound of verify's search"
-    )
-    parser.add_argument(
-        "--bound-z", type=int, default=d(8), help="z-width bound of verify's search"
-    )
+    common.add_argument("--bound-sigma", type=int, help="s-width bound of verify's search")
+    common.add_argument("--bound-z", type=int, help="z-width bound of verify's search")
 
-
-def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="qec",
         description="Exact computations over the quantum torus and its modules.",
+        parents=[common],
     )
-    _add_common(top, after_command=False)
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="normalize an expression in z, s, q")
-    _add_common(p, after_command=True)
-    p.add_argument("expr")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("div", help="division with remainder and unit cofactor")
-    _add_common(p, after_command=True)
-    p.add_argument("--mode", choices=("sigma", "z"), default="sigma")
-    p.add_argument("--bottom", action="store_true", help="eliminate from the bottom")
-    p.add_argument("r")
-    p.add_argument("w")
-    p.set_defaults(func=cmd_div)
-
-    p = sub.add_parser("mod", help="module reports")
-    modsub = p.add_subparsers(dest="modcmd", required=True)
-    pi = modsub.add_parser("info", help="ranks, class, and goodness data")
-    _add_common(pi, after_command=True)
-    pi.add_argument("descriptor")
-    pi.set_defaults(func=cmd_mod)
-
-    p = sub.add_parser("dual", help="dual module descriptor")
-    _add_common(p, after_command=True)
-    p.add_argument("descriptor")
-    p.set_defaults(func=cmd_dual)
-
-    p = sub.add_parser("tensor", help="tensor product descriptor")
-    _add_common(p, after_command=True)
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=cmd_tensor)
-
-    p = sub.add_parser("hom", help="internal hom descriptor")
-    _add_common(p, after_command=True)
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=cmd_hom)
-
-    p = sub.add_parser("coh", help="cohomology report")
-    _add_common(p, after_command=True)
-    p.add_argument("descriptor")
-    p.set_defaults(func=cmd_coh)
-
-    p = sub.add_parser("euler", help="Euler form chi(M, N)")
-    _add_common(p, after_command=True)
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=cmd_euler)
-
-    p = sub.add_parser("pic", help="Picard group arithmetic on line bundles")
-    _add_common(p, after_command=True)
-    p.add_argument("op", choices=("mul", "inv", "eq", "class"))
-    p.add_argument("a")
-    p.add_argument("b", nargs="?")
-    p.set_defaults(func=cmd_pic)
-
-    p = sub.add_parser("verify", help="run a named verification suite")
-    _add_common(p, after_command=True)
-    p.add_argument("suite", choices=suite_names())
-    p.add_argument("--cases", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
-
+    # (command, help, handler, *arguments): an argument is a positional name
+    # or a (name or flag, add_argument keywords) pair; a command with no
+    # handler holds subcommands, written "command subcommand"
+    table = (
+        ("eval", "normalize an expression in z, s, q", cmd_eval, "expr"),
+        ("div", "division with remainder and unit cofactor", cmd_div,
+         ("--mode", {"choices": ("sigma", "z"), "default": "sigma"}),
+         ("--bottom", {"action": "store_true", "help": "eliminate from the bottom"}),
+         "r", "w"),
+        ("mod", "module reports", None),
+        ("mod info", "ranks, class, and goodness data", cmd_mod, "descriptor"),
+        ("dual", "dual module descriptor", cmd_module_op, "descriptor"),
+        ("tensor", "tensor product descriptor", cmd_module_op, "a", "b"),
+        ("hom", "internal hom descriptor", cmd_module_op, "a", "b"),
+        ("coh", "cohomology report", cmd_coh, "descriptor"),
+        ("euler", "Euler form chi(M, N)", cmd_euler, "a", "b"),
+        ("pic", "Picard group arithmetic on line bundles", cmd_pic,
+         ("op", {"choices": ("mul", "inv", "eq", "class")}), "a", ("b", {"nargs": "?"})),
+        ("verify", "run a named verification suite", cmd_verify,
+         ("suite", {"choices": suite_names()}),
+         ("--cases", {"type": int, "default": 100}),
+         ("--seed", {"type": int, "default": 0})),
+    )
+    groups = {"": top.add_subparsers(dest="command", required=True)}
+    for command, help_text, handler, *arguments in table:
+        group, _, name = command.rpartition(" ")
+        if handler is None:
+            p = groups[group].add_parser(name, help=help_text)
+            groups[command] = p.add_subparsers(dest=name + "cmd", required=True)
+            continue
+        p = groups[group].add_parser(name, help=help_text, parents=[common])
+        for arg in arguments:
+            flag, kwargs = (arg, {}) if isinstance(arg, str) else arg
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=handler)
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    defaults = argparse.Namespace(q=None, output="text", strict=False, bound_sigma=6, bound_z=8)
+    args = build_parser().parse_args(argv, defaults)
     qtext = args.q if args.q is not None else os.environ.get("QEC_Q")
     try:
         q = get_qparam() if qtext is None else QParam(scalar_from_str(qtext))
     except (ValueError, ZeroDivisionError, PreconditionViolation) as e:
         print(f"error: invalid q: {e}", file=sys.stderr)
-        return 2
-    if args.command == "pic" and args.op in ("mul", "eq") and args.b is None:
-        print("error: pic {mul,eq} needs two arguments", file=sys.stderr)
         return 2
     try:
         args.bounds = SearchBounds(args.bound_sigma, args.bound_z)

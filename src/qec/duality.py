@@ -19,19 +19,22 @@ from __future__ import annotations
 from .aq import AqElement, degrees, epsilon, good_normal_coeffs
 from .errors import CertificateFailure, PreconditionViolation, SearchExhausted
 from .laurent import ONE, LaurentPoly, qshift
+from .scalars import get_q
 
 
 class GoodNormalForm:
     """Coefficients [p_0, ..., p_{t-1}] of a monic normalized generator;
-    the top coefficient s^t is implicit and p_0 is a unit."""
+    the top coefficient s^t is implicit and p_0 is a unit.  `_sums` memoizes
+    the composition totals of `_composition_total` by (q, n)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_sums")
 
     def __init__(self, coeffs):
         coeffs = tuple(coeffs)
         if not coeffs or not coeffs[0].is_unit():
             raise PreconditionViolation("normal form needs a unit p_0")
         self.coeffs = coeffs
+        self._sums = {}
 
     @property
     def t(self):
@@ -140,6 +143,15 @@ class PairingTable:
                     return False
         return True
 
+    def annihilation_sum(self, s: int) -> LaurentPoly:
+        """<r f, s^s e> read off this table; see `annihilation_sum`."""
+        nf = self.nf
+        p0inv = nf.p0.inverse_unit()
+        total = LaurentPoly.zero()
+        for i in range(nf.t + 1):
+            total = total + qshift(nf.coeff(i) * p0inv * self.value(s + i), -i)
+        return total
+
 
 # -- composition sums and the closed form ---------------------------------------
 
@@ -168,24 +180,29 @@ def pi_product(nf: GoodNormalForm, x) -> LaurentPoly:
     return -total if len(x) % 2 else total
 
 
+def _composition_total(nf: GoodNormalForm, n: int) -> LaurentPoly:
+    """sum_{X(t, n)} Pi_x, enumerated once per normal form and ambient q."""
+    key = (get_q(), n)
+    if key not in nf._sums:
+        total = LaurentPoly.zero()
+        for x in composition_sums(nf.t, n):
+            total = total + pi_product(nf, x)
+        nf._sums[key] = total
+    return nf._sums[key]
+
+
 def closed_form_value(nf: GoodNormalForm, s: int) -> LaurentPoly:
     """For s >= t: <f, s^s e> = -p_0 * sum over composition_sums(t, s-t)."""
     if s < nf.t:
         raise PreconditionViolation("closed form applies to s >= t")
-    total = LaurentPoly.zero()
-    for x in composition_sums(nf.t, s - nf.t):
-        total = total + pi_product(nf, x)
-    return -(nf.p0 * total)
+    return -(nf.p0 * _composition_total(nf, s - nf.t))
 
 
 def right_partition_sum(nf: GoodNormalForm, s: int) -> LaurentPoly:
     """sum_i p_{t-i}(q^s z) * sum_{X(t, s-i)} Pi_x; vanishes for s > 0."""
     total = LaurentPoly.zero()
     for i in range(nf.t + 1):
-        inner = LaurentPoly.zero()
-        for x in composition_sums(nf.t, s - i):
-            inner = inner + pi_product(nf, x)
-        total = total + qshift(nf.coeff(nf.t - i), s) * inner
+        total = total + qshift(nf.coeff(nf.t - i), s) * _composition_total(nf, s - i)
     return total
 
 
@@ -194,9 +211,7 @@ def left_partition_sum(nf: GoodNormalForm, s: int) -> LaurentPoly:
     s > 0."""
     total = LaurentPoly.zero()
     for i in range(nf.t + 1):
-        inner = LaurentPoly.zero()
-        for x in composition_sums(nf.t, s - i):
-            inner = inner + pi_product(nf, x)
+        inner = _composition_total(nf, s - i)
         total = total + qshift(nf.coeff(nf.t - i), i) * qshift(inner, i)
     return total
 
@@ -204,18 +219,14 @@ def left_partition_sum(nf: GoodNormalForm, s: int) -> LaurentPoly:
 def annihilation_sum(nf: GoodNormalForm, s: int) -> LaurentPoly:
     """<r f, s^s e> = sum_i (p_i / p_0)(q^{-i} z) * a_{s+i}(q^{-i} z); the
     dual generator r kills f, so this vanishes for every s."""
-    pt = PairingTable(nf)
-    p0inv = nf.p0.inverse_unit()
-    total = LaurentPoly.zero()
-    for i in range(nf.t + 1):
-        total = total + qshift(nf.coeff(i) * p0inv * pt.value(s + i), -i)
-    return total
+    return PairingTable(nf).annihilation_sum(s)
 
 
 def dual_certificate(p: AqElement, extra: int = 6) -> bool:
     """Executable certificate of the duality formula on one generator:
     unitriangular pairing table, recurrence = closed form on a sweep,
-    both partition identities, and r f = 0 against the table."""
+    both partition identities, and r f = 0 against the table.  Each
+    composition total is enumerated once, and every check reads one table."""
     _, nf = normalize_good(p)
     pt = PairingTable(nf)
     if not pt.is_unitriangular():
@@ -229,7 +240,7 @@ def dual_certificate(p: AqElement, extra: int = 6) -> bool:
         if not left_partition_sum(nf, s).is_zero():
             return False
     for s in range(-(nf.t + extra), nf.t + extra + 1):
-        if not annihilation_sum(nf, s).is_zero():
+        if not pt.annihilation_sum(s).is_zero():
             return False
     return True
 

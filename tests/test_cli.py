@@ -5,11 +5,18 @@ JSON payloads, and exit codes (0 success, 1 computational failure under
 --strict, 2 usage/parse errors).
 """
 
+import argparse
+import contextlib
+import importlib.util
+import io
 import json
+import sys
+import threading
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import qec.cli
 import qec.suites
@@ -504,3 +511,234 @@ def test_json_output_is_deterministic(capsys):
     first = run(capsys, "--output", "json", "mod", "info", L32_DESC)
     second = run(capsys, "--output", "json", "mod", "info", L32_DESC)
     assert first == second
+
+
+# -- one parser, built once ----------------------------------------------------
+
+LEAVES = [["eval"], ["div"], ["mod", "info"], ["dual"], ["tensor"], ["hom"],
+          ["coh"], ["euler"], ["pic"], ["verify"]]
+COMMON_FLAGS = ["--q", "--output", "--strict", "--bound-sigma", "--bound-z"]
+
+
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        (["--output", "json", "eval", "--output", "text", "s*z"], "2*z*s\n"),
+        (["--output", "text", "eval", "--output", "json", "s*z"], '{"result": "2*z*s"}\n'),
+        (["--q", "3", "eval", "--q", "5", "s*z"], "5*z*s\n"),
+    ],
+)
+def test_a_common_flag_after_the_subcommand_overrides_one_before(capsys, argv, want):
+    assert run(capsys, *argv) == (0, want, "")
+
+
+def test_strict_after_the_subcommand_takes_effect(capsys):
+    assert run(capsys, "coh", GOOD_BAD_DESC)[0] == 0
+    assert run(capsys, "coh", "--strict", GOOD_BAD_DESC)[0] == 1
+
+
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        (["--bound-sigma", "1", "--bound-z", "2", "verify", "division"], (1, 2)),
+        (["--bound-sigma", "1", "--bound-z", "2", "verify", "--bound-sigma", "3", "division"], (3, 2)),
+        (["--bound-sigma", "1", "--bound-z", "2", "verify", "division", "--bound-z", "4"], (1, 4)),
+        (["--bound-sigma", "-1", "--bound-z", "-1", "verify", "division",
+          "--bound-sigma", "5", "--bound-z", "0"], (5, 0)),
+        (["verify", "division"], (6, 8)),
+    ],
+)
+def test_bounds_after_the_subcommand_override_bounds_before(capsys, monkeypatch, argv, want):
+    seen = []
+
+    def spy(suite, cases, seed, bounds):
+        seen.append((bounds.deg_sigma, bounds.deg_z))
+        return {"suite": suite, "cases": 0, "passed": 0, "skipped_unknown": 0, "failures": []}
+
+    monkeypatch.setattr(qec.cli, "verify_suite", spy)
+    assert run(capsys, *argv)[0] == 0
+    assert seen == [want]
+
+
+@pytest.mark.parametrize("leaf", LEAVES, ids=" ".join)
+def test_every_leaf_help_lists_the_common_flags(capsys, leaf):
+    with pytest.raises(SystemExit) as exc:
+        main([*leaf, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: qec " + " ".join(leaf))
+    for flag in COMMON_FLAGS:
+        assert f"  {flag} " in out
+
+
+def test_parser_is_built_once_and_not_at_import(monkeypatch):
+    assert qec.cli.build_parser() is qec.cli.build_parser()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    spec = importlib.util.find_spec("qec.cli")
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
+    assert built == []
+    assert fresh.build_parser.cache_info().currsize == 0
+    fresh.build_parser()
+    assert built
+
+
+class _ThreadStdout:
+    """A stdout that keeps what each thread prints apart."""
+
+    def __init__(self):
+        self.local = threading.local()
+
+    def buffer(self):
+        if not hasattr(self.local, "buf"):
+            self.local.buf = io.StringIO()
+        return self.local.buf
+
+    def write(self, text):
+        return self.buffer().write(text)
+
+    def flush(self):
+        pass
+
+
+def test_concurrent_main_calls_keep_their_own_q_and_output(monkeypatch):
+    out = _ThreadStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    start = threading.Barrier(8)
+    wrong = []
+
+    def worker(i):
+        q, fmt = str(i + 3), ("json", "text")[i % 2]
+        flags = ["--q", q, "--output", fmt]
+        argv = [*flags, "eval", "s*z"] if i < 4 else ["eval", *flags, "s*z"]
+        want = f"{q}*z*s"
+        want = json.dumps({"result": want}) + "\n" if fmt == "json" else want + "\n"
+        start.wait()
+        for _ in range(100):
+            buf = out.buffer()
+            buf.seek(0)
+            buf.truncate()
+            code = main(list(argv))
+            if (code, buf.getvalue()) != (0, want):
+                wrong.append((i, code, buf.getvalue()))
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == []
+    assert get_q() == 2
+
+
+# -- fuzz: any descriptor or expression answers, or exits 1 or 2 with a message --
+
+_SCALARS = st.sampled_from(["1", "2", "3", "-1", "1/3", "-2/3", "5/7"])
+_BAD_SCALARS = st.sampled_from(["0", "1/0", "abc", "", "2.5"])
+_WRONG = st.one_of(st.integers(-3, 3), st.booleans(), st.none(), st.floats(allow_nan=False),
+                   st.just([]), st.just({}))
+_ATOMS = st.sampled_from(["z", "s", "q", "z^-1", "s^-1", "1", "2", "-3", "1/2"])
+_EXPRS = st.recursive(
+    _ATOMS,
+    lambda e: st.one_of(
+        st.tuples(e, st.sampled_from([" + ", " - ", "*"]), e).map("".join),
+        st.tuples(e, st.integers(-3, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+    ),
+    max_leaves=6,
+)
+_JUNK = st.text(alphabet="zsq0123+-*^()/ ,.", max_size=10)
+_SIGMA_GOOD = st.sampled_from(
+    ["s - 2", "s^2 - 3*s + 2", "z - s - s^-1", "s + z", "(1 + z)*s + 1", "s^-1 + 3 + z^2*s"])
+_Z_LAURENT = st.sampled_from(["0", "1", "z", "-2*z^-1", "1 + z", "z^2 - 3"])
+_UNIT = st.tuples(st.sampled_from(["1", "-2", "1/3"]), st.integers(-2, 2)).map(
+    lambda t: f"{t[0]}*z^{t[1]}")
+
+
+def _descriptor(fields):
+    """The four kinds, each field drawn from fields[kind][name]."""
+    return st.one_of(
+        *(st.fixed_dictionaries({"kind": st.just(kind), **named}) for kind, named in fields.items()))
+
+
+# well formed: triangular matrices with a monomial diagonal have a unit det
+_VALID = _descriptor({
+    "line": {"c": _SCALARS, "m": st.integers(-3, 3)},
+    "torsion": {"blocks": st.lists(
+        st.fixed_dictionaries({"lambda": _SCALARS, "size": st.integers(1, 2)}),
+        min_size=1, max_size=2)},
+    "good": {"p": _SIGMA_GOOD},
+    "matrix": {"entries": st.tuples(_UNIT, _Z_LAURENT, _UNIT).map(
+        lambda t: [[t[0], t[1]], ["0", t[2]]])},
+})
+# malformed: wrong field types, bad scalars, arbitrary expressions and shapes
+_ENTRY = st.one_of(_ATOMS, _EXPRS, _JUNK, _WRONG)
+_MALFORMED = _descriptor({
+    "line": {"c": st.one_of(_SCALARS, _BAD_SCALARS, _WRONG),
+             "m": st.one_of(st.integers(-3, 3), _WRONG)},
+    "torsion": {"blocks": st.one_of(
+        st.lists(st.fixed_dictionaries(
+            {"lambda": st.one_of(_SCALARS, _BAD_SCALARS, _WRONG),
+             "size": st.one_of(st.integers(-1, 3), _WRONG)}), max_size=2),
+        st.lists(_SCALARS, max_size=1), _WRONG)},
+    "good": {"p": st.one_of(_EXPRS, _JUNK, _WRONG)},
+    "matrix": {"entries": st.one_of(
+        st.integers(1, 2).flatmap(lambda n: st.lists(
+            st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)),
+        st.lists(st.lists(_ENTRY, max_size=2), max_size=2), _WRONG)},
+})
+_DESCRIPTORS = st.one_of(
+    _VALID.map(json.dumps),
+    _VALID.map(json.dumps),
+    _MALFORMED.map(json.dumps),
+    st.sampled_from(['{"kind":"nope"}', "[]", "3", "not json", '{"kind":"line"}', "{"]),
+)
+
+
+@st.composite
+def _requests(draw):
+    q = draw(st.sampled_from(["2", "3", "-1/2"]))
+    command = draw(st.sampled_from(
+        ["mod info", "coh", "dual", "tensor", "hom", "euler", "pic", "eval"]))
+    if command == "eval":
+        args = [draw(st.one_of(_EXPRS, _SIGMA_GOOD, _JUNK))]
+    elif command == "pic":
+        args = [draw(st.sampled_from(["class", "inv", "mul", "eq"]))]
+        args += draw(st.lists(_DESCRIPTORS, min_size=1, max_size=2))
+    else:
+        arity = 2 if command in ("tensor", "hom", "euler") else 1
+        args = [draw(_DESCRIPTORS) for _ in range(arity)]
+    output = draw(st.sampled_from(["text", "json"]))
+    strict = ["--strict"] if draw(st.booleans()) else []
+    return [f"--q={q}", "--output", output, *strict, *command.split(), *args]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_requests())
+def test_cli_fuzz_answers_or_exits_with_a_message(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    assert time.perf_counter() - start < 2.0, argv
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+    assert get_q() == 2

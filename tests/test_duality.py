@@ -39,6 +39,7 @@ from qec.modules import (
     to_matrix,
 )
 from qec.samples import rand_sigma_good, rand_two_sided_good
+from qec.scalars import using_q
 
 
 def _line_of_t1(nf):
@@ -135,6 +136,20 @@ def test_partition_identities_vanish(rng):
         for s in range(1, nf.t + 5):
             assert right_partition_sum(nf, s).is_zero()
             assert left_partition_sum(nf, s).is_zero()
+
+
+def test_composition_totals_follow_the_ambient_q():
+    # the totals are memoized on the normal form, but each value depends on
+    # q: one normal form read under two q must give each q's own value
+    _, nf = normalize_good(parse("s^2 + z*s + 1"))
+    with using_q(2):
+        at2 = closed_form_value(nf, 4)
+    with using_q(3):
+        assert closed_form_value(nf, 4) == PairingTable(nf).value(4) != at2
+        assert right_partition_sum(nf, 3).is_zero()
+        assert left_partition_sum(nf, 3).is_zero()
+    with using_q(2):
+        assert closed_form_value(nf, 4) == at2
 
 
 def test_annihilation_sum_vanishes(rng):
