@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .aq import AqElement, degrees, epsilon, good_normal_coeffs
 from .errors import CertificateFailure, PreconditionViolation, SearchExhausted
-from .laurent import ONE, LaurentPoly, qshift
+from .laurent import ONE, ZERO, LaurentPoly, qshift
 from .scalars import get_q
 
 
@@ -91,38 +91,35 @@ def good_dual(p: AqElement):
 
 class PairingTable:
     """Values a_s = <f, s^s e> for the dual generator f, extended both ways
-    by the recurrence 0 = sum_i p_{t-i}(q^{s-t} z) a_{s-i} (s in Z)."""
+    by the recurrence 0 = sum_i p_{t-i}(q^{s-t} z) a_{s-i} (s in Z); `_a`
+    memoizes them per ambient q."""
 
     __slots__ = ("nf", "_a")
 
     def __init__(self, nf: GoodNormalForm):
         self.nf = nf
-        self._a = {0: ONE}
-        for k in range(1, nf.t):
-            self._a[k] = LaurentPoly.zero()
+        self._a = {}
 
     def value(self, s: int) -> LaurentPoly:
         t = self.nf.t
-        if s in self._a:
-            return self._a[s]
+        q = get_q()
+        if q not in self._a:
+            self._a[q] = {0: ONE, **dict.fromkeys(range(1, t), ZERO)}
+        a = self._a[q]
         if s >= t:
-            for m in range(max(self._a) + 1, s + 1):
-                total = LaurentPoly.zero()
+            for m in range(max(a) + 1, s + 1):
+                total = ZERO
                 for i in range(1, t + 1):
-                    total = total + qshift(self.nf.coeff(t - i), m - t) * self.value(
-                        m - i
-                    )
-                self._a[m] = -total
+                    total = total + qshift(self.nf.coeff(t - i), m - t) * a[m - i]
+                a[m] = -total
         else:
-            for m in range(min(self._a) - 1, s - 1, -1):
+            for m in range(min(a) - 1, s - 1, -1):
                 # solve the recurrence at s' = m + t for the bottom term
-                total = LaurentPoly.zero()
+                total = ZERO
                 for i in range(t):
-                    total = total + qshift(self.nf.coeff(t - i), m) * self.value(
-                        m + t - i
-                    )
-                self._a[m] = -qshift(self.nf.p0, m).inverse_unit() * total
-        return self._a[s]
+                    total = total + qshift(self.nf.coeff(t - i), m) * a[m + t - i]
+                a[m] = -qshift(self.nf.p0, m).inverse_unit() * total
+        return a[s]
 
     def table(self):
         """t x t matrix <s^{i-1} f, s^{j-1} e> = qshift(a_{j-i}, i-1);

@@ -5,7 +5,9 @@ solutions are algebra elements annihilating a module vector, plus degree
 certificates obtained from fraction-free rank computations over K[z,z^-1].
 Searches are deterministic (fixed scan orders), so results are reproducible;
 when bounds run out the failure is explicit (SearchExhausted, or None
-from `cyclic_presentation`), never a silent guess.  A cyclic vector is
+from `cyclic_presentation`), never a silent guess.  The row of minimal
+s-width ends at its first annihilator, by a theorem (`_annihilator_ideal`);
+only wider rows are searched.  A cyclic vector is
 constructed, not searched (`cyclic_search`); the module's own S-rank is
 not searched either: `modules.rank_S` reads it off the slopes, and
 `cyclic_presentation` is kept as the independent check of that theorem.
@@ -14,7 +16,7 @@ not searched either: `modules.rank_S` reads it off the slopes, and
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 from .aq import AqElement, degrees, sigma_divide, z_divide
 from .errors import CertificateFailure, PreconditionViolation, SearchExhausted
@@ -23,9 +25,9 @@ from .linalg import _integer_row, charpoly, coefficient_rows, nullspace, rationa
 from .modules import (
     Good,
     MatrixModule,
+    _orbit,
     _window_images,
     aq_act,
-    sigma_apply,
     slopes,
     to_matrix,
     window_eigenspace,
@@ -121,9 +123,7 @@ def minimal_annihilator_width(T: MatrixModule, v, cap: int):
     first column without a pivot.  n + 1 vectors in K(z)^n are dependent,
     so the orbit stops at s^n(v).
     """
-    orbit = [list(v)]
-    for _ in range(min(cap, T.n)):
-        orbit.append(sigma_apply(T, orbit[-1], 1))
+    orbit = list(islice(_orbit(T, v, 1), min(cap, T.n) + 1))
     pivots = echelon(list(zip(*orbit)))[0]
     return next((d for d in range(len(orbit)) if d not in pivots), None)
 
@@ -143,9 +143,7 @@ def _pack(space_vec, d, zd):
 
 def annihilator_space(T: MatrixModule, v, d: int, zd: int):
     """Basis of {r = sum r_i(z) s^i : supports in [0,d] x [0,zd], r(v) = 0}."""
-    orbit = [list(v)]
-    for _ in range(d):
-        orbit.append(sigma_apply(T, orbit[-1], 1))
+    orbit = list(islice(_orbit(T, v, 1), d + 1))
     # unknown i * (zd + 1) + j is the coefficient of z^j s^i
     images = [[f.shift(j) for f in w] for w in orbit for j in range(zd + 1)]
     rows = coefficient_rows(images)
@@ -167,12 +165,13 @@ def annihilator_space(T: MatrixModule, v, d: int, zd: int):
 def _sigma_good_in(space):
     """A sigma-good element of the span, if a small combination shows one.
 
-    A pair's sum or difference is formed only when its coefficients at the
-    outer s-exponents of the two supports can be units: there the
-    coefficient is x_e + y_e or x_e - y_e (one of them zero when the ends
-    differ), and a nonzero non-unit there is the combination's extreme
-    coefficient.  A cancellation moves the end inward, so it falls back to
-    the full `degrees` test.
+    Pairs do show elements no basis element does, in the rows wider than
+    the minimal width.  A pair's sum or difference is formed only when its
+    coefficients at the outer s-exponents of the two supports can be units:
+    there the coefficient is x_e + y_e or x_e - y_e (one of them zero when
+    the ends differ), and a nonzero non-unit there is the combination's
+    extreme coefficient.  A cancellation moves the end inward, so it falls
+    back to the full `degrees` test.
     """
     for x in space:
         if degrees(x).sigma_good:
@@ -204,31 +203,43 @@ def _two_terms(f, g, sign):
     return False
 
 
-def _annihilator_ideal(T: MatrixModule, v, width: int, top: int, bounds):
-    """Presentation of Ann(v) once its minimal s-width `width` is certified.
+def _annihilator_ideal(T: MatrixModule, v, width: int, bounds):
+    """Presentation of Ann(v) once its minimal s-width `width` is certified:
+    (w) for the first element w of the minimal row (z-width 0..deg_z) if w
+    is sigma-good (division by w leaves remainders narrower than the
+    minimal width, which vanish), else (p, w) for the first sigma-good p of
+    the wider rows up to deg_sigma.  SearchExhausted if width > deg_sigma,
+    if the minimal row is empty within deg_z, or if no wider row shows a p.
 
-    One upward scan of s-width width..top and z-width 0..deg_z keeps w, the
-    first element of the minimal width, and stops at the first sigma-good p:
-    (p) when deg_s p = width (division by p leaves remainders narrower than
-    the minimal width, which vanish), else the pair (p, w).  SearchExhausted
-    as soon as the minimal-width row has nothing within the z-width bound.
+    Why the minimal row stops at w.  Over K(z) its annihilators are the
+    multiples of one relation.  w has the smallest z-width, so it is
+    primitive: if h(z) divided all its coefficients, z^j w/h would be found
+    at a smaller z-width.  So each annihilator with s-support in [0, width]
+    is g(z) w, g a Laurent polynomial; g w is sigma-good iff g w_0 and
+    g w_width are monomials, iff g is a unit and w is sigma-good.  Hence no
+    element of the row, and no sum of two, is sigma-good when w is not.  A
+    sigma-good element of a wider row is wider than w (one of width `width`
+    would be s^j g w), so (p) alone is never the answer there.  Wider rows
+    get no such rule: Gauss's lemma fails in the twisted ring.
     """
-    w = None
-    for d in range(width, top + 1):
+    if width > bounds.deg_sigma:
+        raise SearchExhausted(
+            "no sigma-good annihilator within bounds", bounds.as_dict()
+        )
+    row = (annihilator_space(T, v, width, zd) for zd in range(bounds.deg_z + 1))
+    w = next((space[0] for space in row if space), None)
+    if w is None:
+        raise SearchExhausted(
+            "minimal-width annihilator exceeds the z-width bound",
+            bounds.as_dict(),
+        )
+    if degrees(w).sigma_good:
+        return IdealPresentation.principal(w)
+    for d in range(width + 1, bounds.deg_sigma + 1):
         for zd in range(bounds.deg_z + 1):
-            space = annihilator_space(T, v, d, zd)
-            if space and w is None:
-                w = space[0]
-            p = _sigma_good_in(space)
+            p = _sigma_good_in(annihilator_space(T, v, d, zd))
             if p is not None:
-                if degrees(p).deg_sigma == width:
-                    return IdealPresentation.principal(p)
                 return IdealPresentation.two_generator(p, w)
-        if w is None:
-            raise SearchExhausted(
-                "minimal-width annihilator exceeds the z-width bound",
-                bounds.as_dict(),
-            )
     raise SearchExhausted(
         "no sigma-good annihilator within bounds", bounds.as_dict()
     )
@@ -237,10 +248,11 @@ def _annihilator_ideal(T: MatrixModule, v, width: int, top: int, bounds):
 def annihilator_in_good(pM: AqElement, f: AqElement, bounds=None):
     """Annihilator of the coset of f in the cyclic module defined by pM.
 
-    Returns an IdealPresentation: principal when a sigma-good element of the
-    certified minimal s-width exists, otherwise the (sigma-good, minimal)
-    two-generator pair.  SearchExhausted when the bounds cannot exhibit the
-    needed elements.
+    Returns an IdealPresentation: principal exactly when a sigma-good
+    element of the certified minimal s-width exists, otherwise the
+    (sigma-good, minimal) two-generator pair; `_annihilator_ideal` proves
+    that the first minimal-width annihilator decides which.  SearchExhausted
+    when the bounds cannot exhibit the needed elements.
     """
     bounds = bounds or DEFAULT_BOUNDS
     T = to_matrix(Good(pM))
@@ -253,7 +265,7 @@ def annihilator_in_good(pM: AqElement, f: AqElement, bounds=None):
         raise SearchExhausted(
             "no annihilator within the s-width bound", bounds.as_dict()
         )
-    return _annihilator_ideal(T, v, width, bounds.deg_sigma, bounds)
+    return _annihilator_ideal(T, v, width, bounds)
 
 
 # -- cyclic vectors ------------------------------------------------------------
@@ -366,7 +378,7 @@ def cyclic_presentation(T: MatrixModule, bounds=None):
     bounds = bounds or DEFAULT_BOUNDS
     v = cyclic_search(T)
     try:
-        ann = _annihilator_ideal(T, v, T.n, bounds.deg_sigma, bounds)
+        ann = _annihilator_ideal(T, v, T.n, bounds)
     except SearchExhausted:
         return None
     return CyclicResult(v, ann, _z_gcd_width(ann.generators))

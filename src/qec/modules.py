@@ -367,10 +367,7 @@ def _cramer_slopes(T: MatrixModule):
 
     v = cyclic_search(T)
     n = T.n
-    orbit = [list(v)]
-    for _ in range(n):
-        orbit.append(sigma_apply(T, orbit[-1], 1))
-    rows = list(zip(*orbit))
+    rows = list(zip(*islice(_orbit(T, v, 1), n + 1)))
     coeffs = []
     for i in range(n + 1):
         minor = _det_rows([row[:i] + row[i + 1:] for row in rows], n)

@@ -104,14 +104,30 @@ def q_orbit(c: Fraction, qp: QParam | None = None):
 
     Exact decision: |q| != 1 for admissible rational q, so |step^n| is
     strictly monotone in n and one walk toward [1, |step|) finds n.
+    PreconditionViolation once a walked value has a numerator or
+    denominator past Python's int-to-str digit limit: `scalar_to_str`
+    could never print that representative, and the walk could run on for
+    millions of bits.
     """
     q = (qp or _session_q.get()).value
     step = q if abs(q) > 1 else 1 / q
+    digits = sys.get_int_max_str_digits()  # 0 when the limit is off
+
+    def walked(r):
+        height = max(abs(r.numerator), r.denominator)
+        # a height below 2^(3 digits) = 8^digits is below 10^digits, so the
+        # exact power of ten is formed only for heights near the limit
+        if digits and height.bit_length() > 3 * digits and height >= 10**digits:
+            raise PreconditionViolation(
+                f"q-orbit representative has more than {digits} digits to print"
+            )
+        return r
+
     r, n = c, 0
     while abs(r) >= abs(step):
-        r, n = r / step, n + 1
+        r, n = walked(r / step), n + 1
     while abs(r) < 1:
-        r, n = r * step, n - 1
+        r, n = walked(r * step), n - 1
     return r, n
 
 

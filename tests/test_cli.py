@@ -89,6 +89,10 @@ def test_env_q_and_flag_override(capsys, monkeypatch):
     assert out == "5*z*s\n"
 
 
+def test_negative_q_is_written_with_an_equals_sign(capsys):
+    assert run(capsys, "--q=-1/2", "eval", "s*z") == (0, "-1/2*z*s\n", "")
+
+
 def test_invalid_q_is_usage_error(capsys):
     code, out, err = run(capsys, "--q", "1", "eval", "1")
     assert code == 2
@@ -280,6 +284,17 @@ def test_strict_answers_on_a_module_with_no_cyclic_unit_vector(capsys):
     assert payload["rank_S"] == 1
     code, out, _ = run(capsys, "--strict", "euler", desc, '{"kind":"line","c":"1","m":1}')
     assert (code, out) == (0, "-4\n")
+
+
+@pytest.mark.parametrize("argv", [["pic", "class"], ["mod", "info"]])
+def test_picard_class_past_the_digit_limit_is_a_usage_error(capsys, argv):
+    # the orbit representative of 10 at this q has millions of bits
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--q=1000003/999983", *argv, '{"kind":"line","c":"10","m":0}')
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: q-orbit representative has more than")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

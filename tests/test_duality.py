@@ -150,6 +150,16 @@ def test_composition_totals_follow_the_ambient_q():
         assert left_partition_sum(nf, 3).is_zero()
     with using_q(2):
         assert closed_form_value(nf, 4) == at2
+    # one pairing table read under q = 2 and then q = 3 gives each q's own
+    # value, upward and through the downward recurrence
+    pt = PairingTable(nf)
+    for s in (4, -3):
+        values = {}
+        for q in (2, 3, 2):
+            with using_q(q):
+                values.setdefault(q, pt.value(s))
+                assert pt.value(s) == PairingTable(nf).value(s) == values[q]
+        assert values[2] != values[3]
 
 
 def test_annihilation_sum_vanishes(rng):

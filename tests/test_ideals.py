@@ -27,7 +27,7 @@ from qec.ideals import (
     membership_principal,
     minimal_annihilator_width,
 )
-from qec.laurent import ONE, ZERO, LaurentPoly, det_and_inverse, laurent_to_str
+from qec.laurent import ONE, ZERO, LaurentPoly, det_and_inverse, divexact, laurent_to_str
 from qec.linalg import rank
 from qec.modules import (
     Good,
@@ -211,6 +211,77 @@ def test_cyclic_search_stops_at_an_empty_minimal_width_row(monkeypatch):
     monkeypatch.setattr(qec.ideals, "annihilator_space", spy)
     assert cyclic_presentation(to_matrix(LineBundle(1, 2)), SearchBounds(2, 0)) is None
     assert calls == [(1, 0)]
+
+
+def test_two_generator_answer_ends_the_minimal_row_at_its_first_element(monkeypatch):
+    # the width-1 row first shows the non-sigma-good w at z-width 1, so the
+    # rest of that row is skipped and the width-2 row starts at once
+    calls = []
+
+    def spy(T, v, d, zd):
+        calls.append((d, zd))
+        return annihilator_space(T, v, d, zd)
+
+    monkeypatch.setattr(qec.ideals, "annihilator_space", spy)
+    ann = annihilator_in_good(parse("s - 1"), parse("1 + z"))
+    assert calls == [(1, 0), (1, 1), (2, 0)]
+    assert ann == IdealPresentation.two_generator(
+        parse("2 - 3*s + s^2"), parse("-1 - 2*z + s + z*s")
+    )
+
+
+def test_a_wider_row_shows_a_sigma_good_sum_of_two_basis_elements():
+    # no basis element of any row up to (6, 8) is sigma-good here; the sum
+    # of two in row (4, 4) is, and it is the two-generator answer
+    ann = annihilator_in_good(parse("-2*s^-1 - 1 - z*s"), parse("1/2*z*s - 2*z^-1*s^2"))
+    assert ann == IdealPresentation.two_generator(
+        parse(
+            "3/496*z^2 - 3/992*s + 3/1984*z^2*s + z^3*s - 3/992*s^2 - 1/64*z*s^2"
+            " + 251/992*z^3*s^2 - 223/1984*z*s^3 + z^4*s^3 - z^2*s^4"
+        ),
+        parse(
+            "1/8 + 1/16*z^2 + 2*z^5 + 1/8*s + 1/64*z^2*s + 31/8*z^3*s + 1/2*z^5*s"
+            " + 2*z*s^2 + 1/4*z^3*s^2 + z^6*s^2"
+        ),
+    )
+
+
+@pytest.mark.parametrize("q", [Fraction(2), Fraction(3), Fraction(-1, 2), Fraction(5, 7)])
+def test_minimal_width_annihilators_are_laurent_multiples_of_the_first(q):
+    # the theorem of `_annihilator_ideal`: every annihilator of s-support
+    # [0, width] is g(z) w for the first one w, and is sigma-good only if w is
+    rng = random.Random(f"minimal-row-{q}")
+    used = 0
+    with using_q(q):
+        for _ in range(8):
+            T = to_matrix(Good(rand_sigma_good(rng, t_max=2)))
+            v = aq_act(rand_aq(rng, max_width=2), T, [ONE] + [ZERO] * (T.n - 1))
+            if all(c.is_zero() for c in v):
+                continue
+            width = minimal_annihilator_width(T, v, T.n)
+            rows = (annihilator_space(T, v, width, zd) for zd in range(9))
+            w = next((space[0] for space in rows if space), None)
+            if w is None:
+                continue
+            used += 1
+            w0 = degrees(w).deg_z
+            for zd in range(w0, w0 + 3):
+                for x in annihilator_space(T, v, width, zd):
+                    g = divexact(x.coefficient(0), w.coefficient(0))
+                    for i in range(width + 1):
+                        assert x.coefficient(i) == g * w.coefficient(i)
+                    assert degrees(w).sigma_good or not degrees(x).sigma_good
+    assert used >= 2
+
+
+@pytest.mark.parametrize(
+    "M,bounds",
+    [(Torsion([(1, 2), (3, 1)]), SearchBounds(2, 8)), (LineBundle(3, 2), SearchBounds(0, 8))],
+)
+def test_cyclic_presentation_is_none_when_the_rank_exceeds_the_s_width_bound(M, bounds):
+    # the minimal width of a cyclic vector is the rank n > deg_sigma, so no
+    # row may be scanned, not even the minimal one
+    assert cyclic_presentation(to_matrix(M), bounds) is None
 
 
 def _triangular_lines(rng, cms, fill):

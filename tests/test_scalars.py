@@ -234,6 +234,22 @@ def test_q_power_class_does_not_walk_a_long_orbit():
     assert time.perf_counter() - start < 1
 
 
+def test_q_orbit_refuses_a_representative_past_the_digit_limit():
+    # 10 lies about 115,000 steps of q from its representative, whose
+    # height would run to millions of bits; the walk stops at the digit limit
+    q = QParam(Fraction(1000003, 999983))
+    start = time.perf_counter()
+    with pytest.raises(PreconditionViolation, match="digits to print"):
+        q_orbit(Fraction(10), q)
+    with pytest.raises(PreconditionViolation, match="digits to print"):
+        q_orbit(Fraction(1, 10), q)
+    assert time.perf_counter() - start < 1
+    # short walks at the same q still answer
+    r = Fraction(1000001, 1000000)
+    assert q_orbit(q.value**7, q) == (1, 7)
+    assert q_orbit(r * q.value**-5, q) == (r, -5)
+
+
 def test_q_power_class_zero_input():
     with pytest.raises(ZeroInput):
         q_power_class(Fraction(0))
