@@ -389,8 +389,9 @@ def to_str(x: AqElement) -> str:
     return _terms_to_str((c, (("z", zj), ("s", si))) for zj, si, c in x.monomials())
 
 
-# widest support, s-width plus z-width, that `parse` expands a power of a
-# non-monomial to; past it the power is a ParseError, not a long expansion
+# widest support, s-width plus z-width, that `parse` expands a power or a
+# product of non-monomials to; past it that is a ParseError, not a long
+# expansion
 POWER_WIDTH_LIMIT = 32
 # largest coefficient, in bits of numerator or denominator, that `parse`
 # lets a power of a monomial reach; past it the power is a ParseError.  The
@@ -403,6 +404,12 @@ def _height_bits(c) -> int:
     """floor(log2) of the height max(|num|, den) of a rational: 0 for +-1."""
     c = Fraction(c)
     return max(abs(c.numerator), c.denominator).bit_length() - 1
+
+
+def _width(x: AqElement) -> int:
+    """s-width plus z-width of a nonzero x."""
+    d = degrees(x)
+    return d.deg_sigma + d.deg_z
 
 
 def _monomial_power_bits(x: AqElement, e: int) -> int:
@@ -466,7 +473,16 @@ class _Parser:
     def term(self):
         x = self.factor()
         while self.take("*"):
-            x = x * self.factor()
+            y = self.factor()
+            if not any(f.is_zero() or f.is_unit() for f in (x, y)):
+                # x^e is a product of e copies, so a product has the same cap
+                width = _width(x) + _width(y)
+                if width > POWER_WIDTH_LIMIT:
+                    self.error(
+                        f"product of non-monomials reaches width {width},"
+                        f" past the limit {POWER_WIDTH_LIMIT}"
+                    )
+            x = x * y
         return x
 
     def factor(self):
@@ -486,8 +502,7 @@ class _Parser:
                         f" {bits} bits, past the limit {POWER_BITS_LIMIT}"
                     )
             elif e > 1 and not x.is_zero():
-                d = degrees(x)
-                width = e * (d.deg_sigma + d.deg_z)
+                width = e * _width(x)
                 if width > POWER_WIDTH_LIMIT:
                     self.error(
                         f"power of a non-monomial reaches width {width},"
@@ -534,7 +549,7 @@ class _Parser:
 def parse(text: str) -> AqElement:
     """Parse an expression in z, s, q and rationals into s-normal form.
     q resolves to the ambient session value.  ParseError for a power of a
-    non-monomial whose support would be wider than POWER_WIDTH_LIMIT, and
-    for a power of a monomial whose coefficient would need more than
-    POWER_BITS_LIMIT bits."""
+    non-monomial, or a product of two non-monomials, whose support would be
+    wider than POWER_WIDTH_LIMIT, and for a power of a monomial whose
+    coefficient would need more than POWER_BITS_LIMIT bits."""
     return _Parser(text).parse()

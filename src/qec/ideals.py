@@ -6,8 +6,10 @@ certificates obtained from fraction-free rank computations over K[z,z^-1].
 Searches are deterministic (fixed scan orders), so results are reproducible;
 when bounds run out the failure is explicit (SearchExhausted, or None
 from `cyclic_presentation`), never a silent guess.  The row of minimal
-s-width ends at its first annihilator, by a theorem (`_annihilator_ideal`);
-only wider rows are searched.  A cyclic vector is
+s-width ends at its first annihilator, by a theorem (`_annihilator_ideal`),
+and each wider row is decided by one exact test of its end coefficients
+(`_sigma_good_in`), so within the bounds no sigma-good annihilator is
+missed.  A cyclic vector is
 constructed, not searched (`cyclic_search`); the module's own S-rank is
 not searched either: `modules.rank_S` reads it off the slopes, and
 `cyclic_presentation` is kept as the independent check of that theorem.
@@ -16,7 +18,7 @@ not searched either: `modules.rank_S` reads it off the slopes, and
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import chain, islice, product
 
 from .aq import AqElement, degrees, sigma_divide, z_divide
 from .errors import CertificateFailure, PreconditionViolation, SearchExhausted
@@ -162,45 +164,53 @@ def annihilator_space(T: MatrixModule, v, d: int, zd: int):
     return basis
 
 
-def _sigma_good_in(space):
-    """A sigma-good element of the span, if a small combination shows one.
+def _sigma_good_in(space, d: int, zd: int):
+    """The first sigma-good element of row (d, zd) whose coefficients at
+    s^0 and s^d are nonzero, or None if there is none.  The row holds the
+    annihilators r = sum r_i s^i, i = 0..d, with each r_i supported in
+    z^0..z^zd; `space` is a basis of it.
 
-    Pairs do show elements no basis element does, in the rows wider than
-    the minimal width.  A pair's sum or difference is formed only when its
-    coefficients at the outer s-exponents of the two supports can be units:
-    there the coefficient is x_e + y_e or x_e - y_e (one of them zero when
-    the ends differ), and a nonzero non-unit there is the combination's
-    extreme coefficient.  A cancellation moves the end inward, so it falls
-    back to the full `degrees` test.
+    Such an r is sigma-good iff r_0 = c z^e0 and r_d = c' z^ed.  For each
+    (e0, ed) in lexicographic order, K is the kernel, over the basis
+    coordinates, of the s^0 coefficients other than z^e0 and the s^d
+    coefficients other than z^ed.  The sigma-good elements with those ends
+    are the elements of K nonzero at both z^e0 s^0 and z^ed s^d.  They exist
+    iff neither end vanishes on all of K: over an infinite field a vector
+    space is not the union of two proper subspaces.  Then for a in K
+    nonzero at the first end and b nonzero at the second, each end of
+    a + lam b vanishes for at most one lam, so one of lam = 0, 1, 2 works.
+
+    Every other element of the row has r_0 = 0 or r_d = 0, so it is s^j
+    times an element of row (d - 1, zd); left multiplication by s^j keeps
+    z-supports and sigma-goodness.  So when the narrower rows hold no
+    sigma-good element, None proves that row (d, zd) holds none either.
+    The result is re-checked: CertificateFailure if it is not sigma-good.
     """
-    for x in space:
-        if degrees(x).sigma_good:
-            return x
-    for x, y in combinations(space, 2):
-        sx, sy = x.sigma_support(), y.sigma_support()
-        outer = (min(sx[0], sy[0]), max(sx[-1], sy[-1]))
-        for sign in (1, -1):
-            if any(_two_terms(x.coefficient(e), y.coefficient(e), sign) for e in outer):
-                continue
-            cand = x + y if sign > 0 else x - y
-            dd = degrees(cand)
-            if dd is not None and dd.sigma_good:
-                return cand
+    # flat[k][t]: the coefficient of cells[k] = (i, j), z^j s^i, in space[t]
+    cells = [(i, j) for i in range(d + 1) for j in range(zd + 1)]
+    flat = [[x.coefficient(i).coeff(j) for x in space] for i, j in cells]
+    low, high = range(zd + 1), range(d * (zd + 1), len(flat))
+    for k0, kd in product(low, high):
+        if not any(flat[k0]) or not any(flat[kd]):
+            continue  # that end vanishes on the whole row
+        rows = [flat[k] for k in chain(low, high) if k not in (k0, kd)]
+        kernel = nullspace(rows, len(space))
+        a = next((u for u in kernel if _dot(flat[k0], u)), None)
+        b = next((u for u in kernel if _dot(flat[kd], u)), None)
+        if a is None or b is None:
+            continue
+        for lam in range(3):
+            u = [x + lam * y for x, y in zip(a, b)]
+            if _dot(flat[k0], u) and _dot(flat[kd], u):
+                p = _pack([_dot(row, u) for row in flat], d, zd)
+                if not degrees(p).sigma_good:
+                    raise CertificateFailure(f"{p} is not sigma-good")
+                return p
     return None
 
 
-def _two_terms(f, g, sign):
-    """Whether f + sign*g has two nonzero coefficients, so is a nonzero
-    non-unit, counted without forming it."""
-    ends = [(h.lo, h.top) for h in (f, g) if not h.is_zero()]
-    nonzero = 0
-    for e in range(min(lo for lo, _ in ends), max(top for _, top in ends) + 1):
-        a, b = f.coeff(e), g.coeff(e)
-        if a != (-b if sign > 0 else b):
-            nonzero += 1
-            if nonzero == 2:
-                return True
-    return False
+def _dot(row, u):
+    return sum((x * y for x, y in zip(row, u) if x and y), Fraction(0))
 
 
 def _annihilator_ideal(T: MatrixModule, v, width: int, bounds):
@@ -217,10 +227,15 @@ def _annihilator_ideal(T: MatrixModule, v, width: int, bounds):
     at a smaller z-width.  So each annihilator with s-support in [0, width]
     is g(z) w, g a Laurent polynomial; g w is sigma-good iff g w_0 and
     g w_width are monomials, iff g is a unit and w is sigma-good.  Hence no
-    element of the row, and no sum of two, is sigma-good when w is not.  A
+    element of the row is sigma-good when w is not.  A
     sigma-good element of a wider row is wider than w (one of width `width`
-    would be s^j g w), so (p) alone is never the answer there.  Wider rows
-    get no such rule: Gauss's lemma fails in the twisted ring.
+    would be s^j g w), so (p) alone is never the answer there.
+
+    The wider rows are scanned d-major, z-width inner, and each is decided
+    exactly by `_sigma_good_in`: a sigma-good element of row (d, zd) either
+    reaches both s^0 and s^d, which that test decides, or is s^j times an
+    element of a row already scanned.  So the last SearchExhausted is a proof: no
+    sigma-good annihilator has s-width <= deg_sigma and z-width <= deg_z.
     """
     if width > bounds.deg_sigma:
         raise SearchExhausted(
@@ -237,7 +252,7 @@ def _annihilator_ideal(T: MatrixModule, v, width: int, bounds):
         return IdealPresentation.principal(w)
     for d in range(width + 1, bounds.deg_sigma + 1):
         for zd in range(bounds.deg_z + 1):
-            p = _sigma_good_in(annihilator_space(T, v, d, zd))
+            p = _sigma_good_in(annihilator_space(T, v, d, zd), d, zd)
             if p is not None:
                 return IdealPresentation.two_generator(p, w)
     raise SearchExhausted(

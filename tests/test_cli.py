@@ -136,6 +136,30 @@ def test_large_powers_of_non_monomials_are_parse_errors(capsys, expr):
     assert err.startswith("error: power of a non-monomial") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "expr",
+    ["(1+z+s)^16*(1+z+s)^16*(1+z+s)^16", "(1+z)^16*(1+z)^17", "(1+z+s)^16*(1+s)"],
+)
+def test_wide_products_of_non_monomials_are_parse_errors(capsys, expr):
+    # x^e is a product of e copies, so a product has the power's width cap
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", expr)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: product of non-monomials") and err.count("\n") == 1
+
+
+def test_products_up_to_the_width_limit_expand(capsys):
+    n = POWER_WIDTH_LIMIT
+    power = (AqElement.one() + AqElement.monomial(1, zexp=1)) ** n
+    code, out, _ = run(capsys, "eval", f"(1 + z)^{n // 2}*(1 + z)^{n // 2}")
+    assert (code, out) == (0, to_str(power) + "\n")
+    # a monomial factor adds no width
+    code, out, _ = run(capsys, "eval", f"3*z*(1 + z)^{n}*s")
+    want = AqElement.monomial(3, zexp=1) * power * AqElement.sigma(1)
+    assert (code, out) == (0, to_str(want) + "\n")
+
+
 def test_powers_up_to_the_width_limit_and_monomial_powers_expand(capsys):
     n = POWER_WIDTH_LIMIT
     code, out, _ = run(capsys, "eval", f"(1 + z)^{n}")

@@ -8,9 +8,12 @@ import sys
 import textwrap
 import time
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
+from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
 
 import qec.ideals
 from qec.aq import AqElement, degrees, parse, sigma_divide, unit_normalize
@@ -230,20 +233,39 @@ def test_two_generator_answer_ends_the_minimal_row_at_its_first_element(monkeypa
     )
 
 
-def test_a_wider_row_shows_a_sigma_good_sum_of_two_basis_elements():
-    # no basis element of any row up to (6, 8) is sigma-good here; the sum
-    # of two in row (4, 4) is, and it is the two-generator answer
-    ann = annihilator_in_good(parse("-2*s^-1 - 1 - z*s"), parse("1/2*z*s - 2*z^-1*s^2"))
+def test_a_wider_row_decides_its_sigma_good_annihilator():
+    # no basis element of any row up to (6, 8) is sigma-good here; the exact
+    # end-coefficient test finds the first sigma-good element in row (4, 3)
+    pM, f = parse("-2*s^-1 - 1 - z*s"), parse("1/2*z*s - 2*z^-1*s^2")
+    ann = annihilator_in_good(pM, f)
+    p, w = ann.generators
     assert ann == IdealPresentation.two_generator(
         parse(
-            "3/496*z^2 - 3/992*s + 3/1984*z^2*s + z^3*s - 3/992*s^2 - 1/64*z*s^2"
-            " + 251/992*z^3*s^2 - 223/1984*z*s^3 + z^4*s^3 - z^2*s^4"
+            "-31/7*z^2 + 31/112*s - 143/28*z^2*s + 131/448*s^2 - z^2*s^2"
+            " - 31/14*z^3*s^2 + 1/64*s^3 + 62/7*z*s^3 - 4*z^3*s^3 + z*s^4"
         ),
         parse(
             "1/8 + 1/16*z^2 + 2*z^5 + 1/8*s + 1/64*z^2*s + 31/8*z^3*s + 1/2*z^5*s"
             " + 2*z*s^2 + 1/4*z^3*s^2 + z^6*s^2"
         ),
     )
+    assert (degrees(p).deg_sigma, degrees(p).deg_z) == (4, 3)
+    assert degrees(p).sigma_good
+    assert membership_principal(p * f, pM) and membership_principal(w * f, pM)
+
+
+def test_a_sigma_good_annihilator_no_small_combination_shows():
+    # no basis element, and no sum or difference of two, of any row is
+    # sigma-good; the exact test still finds one, in row (4, 4)
+    with using_q(Fraction(2)):
+        pM = parse("z^-2 - 3*z^-2*s^2")
+        f = parse("z^-2 + z^-1 - 1/3*z^-1*s + 3*s - 1/2*z*s - 1/2*s^2")
+        ann = annihilator_in_good(pM, f)
+        assert ann.kind == "two_generator"
+        p, w = ann.generators
+        assert degrees(p).sigma_good and not degrees(w).sigma_good
+        assert (degrees(p).deg_sigma, degrees(p).deg_z) == (4, 4)
+        assert membership_principal(p * f, pM) and membership_principal(w * f, pM)
 
 
 @pytest.mark.parametrize("q", [Fraction(2), Fraction(3), Fraction(-1, 2), Fraction(5, 7)])
@@ -272,6 +294,87 @@ def test_minimal_width_annihilators_are_laurent_multiples_of_the_first(q):
                         assert x.coefficient(i) == g * w.coefficient(i)
                     assert degrees(w).sigma_good or not degrees(x).sigma_good
     assert used >= 2
+
+
+def test_sigma_good_in_combines_the_two_end_vectors_with_the_first_good_lambda():
+    # row (1, 0) spanned by 1 and -1 + s: a = (1, 0) misses s^1, a + b misses
+    # s^0, so the answer is a + 2 b = -1 + 2 s
+    space = [AqElement.one(), parse("-1 + s")]
+    assert qec.ideals._sigma_good_in(space, 1, 0) == parse("-1 + 2*s")
+    # every s^0 coefficient of the span is a multiple of 1 + z: none
+    assert qec.ideals._sigma_good_in([parse("1 + z + s"), parse("s + z*s")], 1, 1) is None
+
+
+def test_the_bounds_are_inclusive():
+    # an answer's row may reach deg_sigma and deg_z, and one bound below it
+    # the scan proves that no sigma-good annihilator exists
+    assert annihilator_in_good(parse("s - 1"), parse("1"), SearchBounds(1, 0)).kind == "principal"
+    with using_q(Fraction(2)):
+        pM, f = parse("-3*z^-2 - 3*z^-2*s"), parse("-2/3*z^-1 + 1 + z*s")
+        ann = annihilator_in_good(pM, f)
+        p, w = (degrees(g) for g in ann.generators)
+        assert (p.deg_sigma, p.deg_z, w.deg_sigma, w.deg_z) == (2, 4, 1, 2)
+        assert annihilator_in_good(pM, f, SearchBounds(2, 4)) == ann
+        for bounds in (SearchBounds(1, 4), SearchBounds(2, 3)):
+            with pytest.raises(SearchExhausted, match="no sigma-good annihilator within bounds"):
+                annihilator_in_good(pM, f, bounds)
+
+
+def _sympy_first_sigma_good_row(T, v, bounds):
+    """The first row (d, zd), d-major, holding an annihilator r of v whose
+    s^0 and s^d coefficients are monomials, or None.  sympy decides each
+    (d, zd, e0, ed) on the raw system sum r_ij z^j s^i (v) = 0 in the
+    unknowns r_ij, with the s^0 and s^d unknowns other than z^e0 and z^ed
+    pinned to zero: some kernel vector must be nonzero at z^e0 s^0 and
+    some at z^ed s^d."""
+    for d in range(1, bounds.deg_sigma + 1):
+        for zd in range(bounds.deg_z + 1):
+            cols = list(product(range(d + 1), range(zd + 1)))
+            images = [aq_act(AqElement.monomial(1, j, i), T, v) for i, j in cols]
+            eqs = sorted({(r, e) for im in images for r, f in enumerate(im) for e, _ in f.terms()})
+            system = [[QQ(im[r].coeff(e)) for im in images] for r, e in eqs]
+            for e0, ed in product(range(zd + 1), repeat=2):
+                ends = [cols.index((0, e0)), cols.index((d, ed))]
+                pins = [
+                    [QQ(int(t == u)) for t in range(len(cols))]
+                    for u, (i, _) in enumerate(cols)
+                    if i in (0, d) and u not in ends
+                ]
+                rows = system + pins
+                kernel = DomainMatrix(rows, (len(rows), len(cols)), QQ).nullspace().to_Matrix()
+                if all(any(kernel[k, c] for k in range(kernel.rows)) for c in ends):
+                    return d, zd
+    return None
+
+
+@pytest.mark.parametrize("q", [Fraction(2), Fraction(3), Fraction(-1, 2)])
+def test_sigma_good_rows_match_sympy_on_the_raw_system(q):
+    # the library's answer comes from the first sigma-good row; an exhausted
+    # scan may only hide one when the minimal-width row is out of bounds
+    rng = random.Random(f"sigma-good-rows-{q}")
+    bounds = SearchBounds(3, 2)
+    seen = set()
+    with using_q(q):
+        for _ in range(24):
+            pM = rand_sigma_good(rng, t_max=2, max_shift=0)
+            f = AqElement({i: rand_laurent(rng, 1, 1) for i in range(rng.randint(1, 2))})
+            T = to_matrix(Good(pM))
+            v = aq_act(f, T, [ONE] + [ZERO] * (T.n - 1))
+            if all(c.is_zero() for c in v):
+                continue
+            want = _sympy_first_sigma_good_row(T, v, bounds)
+            try:
+                ann = annihilator_in_good(pM, f, bounds)
+            except SearchExhausted as exc:
+                seen.add(exc.args[0])
+                if want is not None:
+                    assert exc.args[0] == "minimal-width annihilator exceeds the z-width bound"
+                continue
+            seen.add(ann.kind)
+            p = degrees(ann.generators[0])
+            assert p.sigma_good
+            assert (p.deg_sigma, p.deg_z) == want
+    assert {"principal", "two_generator"} <= seen
 
 
 @pytest.mark.parametrize(
