@@ -178,7 +178,8 @@ def _sigma_good_in(space, d: int, zd: int):
     iff neither end vanishes on all of K: over an infinite field a vector
     space is not the union of two proper subspaces.  Then for a in K
     nonzero at the first end and b nonzero at the second, each end of
-    a + lam b vanishes for at most one lam, so one of lam = 0, 1, 2 works.
+    a + lam b vanishes for at most one lam, so one of lam = 0, 1, 2 works;
+    it is scaled so that its s^d coefficient is z^ed.
 
     Every other element of the row has r_0 = 0 or r_d = 0, so it is s^j
     times an element of row (d - 1, zd); left multiplication by s^j keeps
@@ -202,7 +203,8 @@ def _sigma_good_in(space, d: int, zd: int):
         for lam in range(3):
             u = [x + lam * y for x, y in zip(a, b)]
             if _dot(flat[k0], u) and _dot(flat[kd], u):
-                p = _pack([_dot(row, u) for row in flat], d, zd)
+                top = _dot(flat[kd], u)
+                p = _pack([_dot(row, u) / top for row in flat], d, zd)
                 if not degrees(p).sigma_good:
                     raise CertificateFailure(f"{p} is not sigma-good")
                 return p

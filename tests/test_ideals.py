@@ -298,9 +298,9 @@ def test_minimal_width_annihilators_are_laurent_multiples_of_the_first(q):
 
 def test_sigma_good_in_combines_the_two_end_vectors_with_the_first_good_lambda():
     # row (1, 0) spanned by 1 and -1 + s: a = (1, 0) misses s^1, a + b misses
-    # s^0, so the answer is a + 2 b = -1 + 2 s
+    # s^0, so the answer is a + 2 b = -1 + 2 s, scaled to a monic s^1 end
     space = [AqElement.one(), parse("-1 + s")]
-    assert qec.ideals._sigma_good_in(space, 1, 0) == parse("-1 + 2*s")
+    assert qec.ideals._sigma_good_in(space, 1, 0) == parse("-1/2 + s")
     # every s^0 coefficient of the span is a multiple of 1 + z: none
     assert qec.ideals._sigma_good_in([parse("1 + z + s"), parse("s + z*s")], 1, 1) is None
 

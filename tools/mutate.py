@@ -5,13 +5,15 @@ and print the mutants that the selection does not kill.
     python tools/mutate.py src/qec/ideals.py _sigma_good_in tests/test_ideals.py
     python tools/mutate.py src/qec/aq.py _Parser.term -- tests/test_cli.py -k product
 
-Pytest options go after `--`.  The function is named by its qualified name (`name` or `Class.name`).  The
-mutations are: a comparison operator swapped (for its negation, and `<` and
-`<=`, `>` and `>=` for each other), an arithmetic operator swapped, and an
-integer constant changed by +1 and by -1.  Mutants run one after another,
-each with `-x` under a timeout; a mutant that times out counts as killed.
-A surviving mutant is a test gap, or an equivalent mutant: read it before
-adding a test, and never weaken a check to kill one.  Standard library only.
+Pytest options go after `--`.  The function is named by its qualified name
+(`name` or `Class.name`).  The mutations are: a comparison operator swapped
+(for its negation, and `<` and `<=`, `>` and `>=` for each other), an
+arithmetic operator swapped, and an integer constant changed by +1 and by
+-1.  Mutants run one after another, each with `-x` under a timeout of ten
+times the unmutated run plus five seconds; a mutant that times out counts
+as killed.  A surviving mutant is a test gap, or an equivalent mutant: read
+it before adding a test, and never weaken a check to kill one.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import time
 from pathlib import Path
 
 COMPARE_SWAPS = {
@@ -132,7 +135,6 @@ def main(argv=None):
     ap.add_argument("file", help="source file, relative to the repository root")
     ap.add_argument("function", help="qualified name of the function to mutate")
     ap.add_argument("selection", nargs="+", help="pytest arguments, such as a test file")
-    ap.add_argument("--timeout", type=float, default=120.0, help="seconds per mutant")
     ap.add_argument("--scratch", help="directory for the copy (default: a temporary one)")
     args = ap.parse_args(argv)
 
@@ -147,13 +149,15 @@ def main(argv=None):
             ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis"),
         )
         target = tree / args.file
-        if run_tests(tree, args.selection, args.timeout) != "passed":
+        start = time.perf_counter()
+        if run_tests(tree, args.selection, None) != "passed":
             sys.exit("error: the selection does not pass on the unmutated copy")
+        timeout = 10 * (time.perf_counter() - start) + 5
         survivors = []
         for index in range(count):
             mutated, line, text = mutant_source(source, args.function, index)
             target.write_text(mutated)
-            outcome = run_tests(tree, args.selection, args.timeout)
+            outcome = run_tests(tree, args.selection, timeout)
             target.write_text(source)
             verdict = "SURVIVED" if outcome == "passed" else outcome
             print(f"{index + 1}/{count} {args.file}:{line} {text}: {verdict}", flush=True)
