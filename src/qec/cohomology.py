@@ -7,8 +7,9 @@ H^0(M) = Hom(O, M): a fixed vector is a line subbundle of type (c, k) =
 `modules.window_eigenspace` at that type.  A fixed vector with z-support
 inside [-w, w] satisfies T(z) f(qz) = f(z), a finite linear system over the
 scalar field once the window w is chosen.  Windows grow until the dimension
-stagnates twice or hits the rank_A ceiling; only the ceiling makes the answer
-certified, stagnation is reported as uncertified.
+stagnates twice or reaches n, the size of T, which it cannot exceed; only
+reaching n makes the answer certified, stagnation is reported as
+uncertified.
 
 Line bundles, torsion modules and matrices T(z) = z^m C with C constant share
 one closed form (`_scaled_report`).
@@ -24,11 +25,9 @@ from .modules import (
     MatrixModule,
     Torsion,
     _monomial_scaled,
-    _plain,
     _whole,
     hom,
     jordan_structure,
-    rank_A,
     rank_S,
     slopes,
     to_matrix,
@@ -52,9 +51,9 @@ class CohomologyReport:
 
     def to_json(self):
         return {
-            "h0": _plain(self.h0),
-            "h1": _plain(self.h1),
-            "chi": _plain(self.chi),
+            "h0": self.h0,
+            "h1": self.h1,
+            "chi": self.chi,
             "certified": self.certified,
             "window_used": self.window_used,
         }
@@ -73,16 +72,18 @@ def fixed_space(T: MatrixModule, window: int):
     return [tuple(f) for f in window_eigenspace(T, window, 0, 1)]
 
 
-def stabilized_h0(T: MatrixModule, cap: int):
+def stabilized_h0(T: MatrixModule):
     """(h0, certified, window_used) by growing the support window.  Stops
-    certified when the dimension reaches cap (it can never exceed it) and
-    uncertified after two consecutive stagnant growths."""
+    certified when the dimension reaches n = T.n, which it can never exceed:
+    fixed vectors independent over K are independent over K(z) (the
+    coefficients of a shortest relation are fixed by z |-> qz, so constant),
+    so h0 <= n.  Stops uncertified after two consecutive stagnant growths."""
     window = WINDOW_START
     dims = []
     while True:
         d = len(fixed_space(T, window))
         dims.append(d)
-        if d >= cap:
+        if d >= T.n:
             return d, True, window
         if len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3]:
             return d, False, window
@@ -136,8 +137,7 @@ def cohomology(M) -> CohomologyReport:
     if isinstance(M, (Good, MatrixModule)):
         T = to_matrix(M)
         rkS = rank_S(M)
-        cap = rank_A(M)
-        h0, certified, window = stabilized_h0(T, cap)
+        h0, certified, window = stabilized_h0(T)
         return CohomologyReport(h0, h0 + rkS, -rkS, certified, window)
     raise PreconditionViolation(f"not a module presentation: {M!r}")
 

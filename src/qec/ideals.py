@@ -23,7 +23,7 @@ from itertools import chain, islice, product
 from .aq import AqElement, degrees, sigma_divide, z_divide
 from .errors import CertificateFailure, PreconditionViolation, SearchExhausted
 from .laurent import ONE, ZERO, LaurentPoly, echelon
-from .linalg import _integer_row, charpoly, coefficient_rows, nullspace, rational_roots
+from .linalg import charpoly, coefficient_rows, nullspace, rational_roots
 from .modules import (
     Good,
     MatrixModule,
@@ -407,22 +407,21 @@ def cyclic_presentation(T: MatrixModule, bounds=None):
 def line_subbundle_probe(T: MatrixModule, k_range, window=12):
     """All (c, k, v) with T(z) v(qz) = c z^k v(z), v supported in the window.
 
-    Write A for the in-window rows of v |-> z^-k T(z) v(qz) and rest for the
-    rows outside the window: the equation is A x = c x for x in ker(rest).
-    The rows for k are the k = 0 rows with exponents shifted by k, so the
-    map is linearized once per probe.  The canonical kernel basis K is the
-    identity on its free rows, so on x = K u the free rows read H u = c u
-    with H = (A K)[free rows].  H only
-    supplies the candidate scalars, its rational eigenvalues; each candidate
-    is solved on the full equation by the shared window solver
-    (`modules.window_eigenspace`), which certifies every vector it returns.
-    Returns a list sorted by (k, c); empty means no line subbundle exists
-    inside the searched window.
+    Write A for the in-window rows of v |-> z^-k T(z) v(qz): the rows for k
+    are the k = 0 rows with exponents shifted by k, so the map is linearized
+    once per probe.  A solution is supported in the window, so its in-window
+    equations read A v = c v: the candidate scalars are the nonzero rational
+    eigenvalues of A.  Each candidate is solved on the full equation by the
+    shared window solver (`modules.window_eigenspace`), which certifies
+    every vector it returns.  Returns a list sorted by (k, c); empty means
+    no line subbundle exists inside the searched window.
 
     A solution spans a rank-1 submodule L(c, k), whose slope k is a slope
     of the module at both ends (`modules.slopes`), so every other k is
     skipped before anything is linearized.
     """
+    if window < 0:
+        raise PreconditionViolation("window must be >= 0")
     at_inf, at_zero = slopes(T)
     ends = {lam for lam, _ in at_inf} & {lam for lam, _ in at_zero}
     k_range = [k for k in k_range if k in ends]
@@ -431,33 +430,12 @@ def line_subbundle_probe(T: MatrixModule, k_range, window=12):
     n = T.n
     W = window
     rows = coefficient_rows(_window_images(T, W))
+    zero = [Fraction(0)] * (n * (2 * W + 1))
     results = []
     for k in k_range:
-        rest = [row for (_, e), row in rows.items() if not -W <= e - k <= W]
-        basis = nullspace(rest, n * (2 * W + 1))
-        if not basis:
-            continue
-        zero = [Fraction(0)] * len(basis)
-        # integer numerators: one denominator per kernel vector and per row,
-        # one Fraction per entry of H
-        columns = []
-        for y in basis:
-            yden, ys = _integer_row(y)
-            columns.append((yden, [(t, b) for t, b in enumerate(ys) if b]))
-        H = []
-        for x in basis:
-            # a canonical kernel vector's free column is its last nonzero entry
-            r, j = divmod(max(t for t, c in enumerate(x) if c), 2 * W + 1)
-            row = rows.get((r, j - W + k))
-            if row is None:
-                H.append(zero)
-                continue
-            den, ints = _integer_row(row)
-            H.append([
-                Fraction(sum(ints[t] * b for t, b in ys), den * yden)
-                for yden, ys in columns
-            ])
-        roots, _ = rational_roots(charpoly(H))
+        # the row of unknown (r, j) is the coefficient of z^(j + k) in component r
+        A = [rows.get((r, j + k), zero) for r in range(n) for j in range(-W, W + 1)]
+        roots, _ = rational_roots(charpoly(A))
         for c, _mult in roots:
             if c == 0:
                 continue

@@ -53,11 +53,6 @@ class Unknown:
         return f"Unknown(upper_bound={self.upper_bound})"
 
 
-def _plain(v):
-    """JSON form of a value: None for Unknown, else the value itself."""
-    return None if isinstance(v, Unknown) else v
-
-
 class MatrixModule:
     """Free module A^n with s(v) = T(z) v(qz), T = mat an invertible matrix
     over K[z,z^-1] (unit determinant): a q-difference module."""

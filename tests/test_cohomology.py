@@ -7,7 +7,6 @@ import pytest
 
 from qec.aq import parse
 from qec.cohomology import (
-    CohomologyReport,
     cohomology,
     dim_hom,
     euler_form,
@@ -15,7 +14,7 @@ from qec.cohomology import (
     stabilized_h0,
 )
 from qec.errors import PreconditionViolation
-from qec.ideals import SearchBounds
+from qec.ideals import SearchBounds, line_subbundle_probe
 from qec.laurent import LaurentMatrix
 from qec.modules import (
     Good,
@@ -106,6 +105,9 @@ def test_fixed_space_examples():
     assert fixed_space(to_matrix(extension_fixture()), 6) == []
     with pytest.raises(PreconditionViolation):
         fixed_space(_mat([["1"]]), -1)
+    # the probe refuses it too, even when the slopes rule out every k
+    with pytest.raises(PreconditionViolation, match="window must be >= 0"):
+        line_subbundle_probe(_mat([["1"]]), range(1, 4), window=-1)
 
 
 def test_fixed_space_window_monotone():
@@ -116,9 +118,10 @@ def test_fixed_space_window_monotone():
 
 
 def test_stabilized_h0_protocol():
-    assert stabilized_h0(_mat([["1"]]), 1) == (1, True, 8)
-    # cap never reached: two stagnant growths end the scan at window 16
-    assert stabilized_h0(to_matrix(extension_fixture()), 2) == (0, False, 16)
+    # the dimension reaches n = 1 at the first window: certified
+    assert stabilized_h0(_mat([["1"]])) == (1, True, 8)
+    # n = 2 never reached: two stagnant growths end the scan at window 16
+    assert stabilized_h0(to_matrix(extension_fixture())) == (0, False, 16)
 
 
 def test_h1_identity_on_randoms(rng):
@@ -180,10 +183,12 @@ def test_report_json():
     assert cohomology(O).to_json() == {
         "h0": 1, "h1": 1, "chi": 0, "certified": True, "window_used": 0,
     }
-    r = CohomologyReport(0, Unknown(3), Unknown(None), False, 16)
+    # the window protocol reports integers too
+    r = cohomology(extension_fixture())
     assert r.to_json() == {
-        "h0": 0, "h1": None, "chi": None, "certified": False, "window_used": 16,
+        "h0": 0, "h1": 1, "chi": -1, "certified": False, "window_used": 16,
     }
+    assert all(type(r.to_json()[key]) is int for key in ("h0", "h1", "chi"))
 
 
 def test_matrix_module_with_unknown_rank_reports_unknown_h1():

@@ -40,6 +40,7 @@ from qec.modules import (
     aq_act,
     dual,
     extension_fixture,
+    module_from_json,
     rank_S,
     to_matrix,
 )
@@ -436,6 +437,15 @@ def test_cyclic_search_constructs_a_cyclic_vector_without_a_cyclic_unit_vector()
     assert extended >= 20
 
 
+def test_cyclic_search_widens_the_first_of_tied_unit_vectors():
+    # every unit vector of diag(2, 3, 5) has width 1: the scan widens e_0
+    T = MatrixModule(
+        LaurentMatrix.from_strs([["2", "0", "0"], ["0", "3", "0"], ["0", "0", "5"]])
+    )
+    with using_q(2):
+        assert [laurent_to_str(f) for f in cyclic_search(T)] == ["1", "z", "z^2"]
+
+
 def test_cyclic_search_of_a_trivial_summand_is_fast():
     # O^4 + L(1, 1) and its n = 7 analogue: no unit vector is cyclic
     for n in (5, 7):
@@ -556,6 +566,16 @@ def test_pruned_probe_equals_the_probe_over_every_k(monkeypatch):
     assert found
 
 
+def test_probe_default_window_is_12():
+    # 3 z^2 v(qz) = c z^2 v(z) is solved by v = z^j, c = 3 q^j, for |j| <= 12
+    with using_q(2):
+        found = line_subbundle_probe(to_matrix(LineBundle(3, 2)), [2])
+    want = [
+        (3 * Fraction(2) ** j, 2, (LaurentPoly.monomial(1, j),)) for j in range(-12, 13)
+    ]
+    assert found == want
+
+
 def test_line_subbundle_probe_line_module():
     T = to_matrix(LineBundle(Fraction(3), 2))
     found = line_subbundle_probe(T, range(-1, 4), window=4)
@@ -568,8 +588,9 @@ def _show(found):
     ]
 
 
-# probe outputs recorded before the probe read its reduced map off the
-# canonical kernel basis (seeded rand_sigma_matrix(n_max=2), window 3)
+# probe outputs over k in [-2, 2] recorded before the probe took its candidate
+# scalars from the in-window map.  A case is a seed of rand_sigma_matrix(n_max=2)
+# probed at window 3, or a (descriptor, window) pair.
 PROBE_PINNED = [
     (Fraction(2), 13, [
         "-16 1 z^3 ; 0", "-8 1 z^2 ; 0", "-8 1 z^3 ; 1/4*z^2", "-4 1 z ; 0",
@@ -585,8 +606,7 @@ PROBE_PINNED = [
         "3 0 z ; -2/5*z^2 + 8/13*z^3", "4 0 0 ; z", "8 0 0 ; z^2",
         "16 0 0 ; z^3",
     ]),
-    # a kernel vector with more than one nonzero entry: the reduced map
-    # must read the free row, its last nonzero entry
+    # eigenvectors with more than one nonzero entry
     (Fraction(2), 80, [
         "1/4 0 z^-1 ; -3*z^-3", "1/2 0 1 ; -3*z^-2", "1 0 z ; -3*z^-1",
         "2 0 z^2 ; -3", "4 0 z^3 ; -3*z", "1/12 1 z^-3 ; 0",
@@ -605,14 +625,73 @@ PROBE_PINNED = [
         "-1/4 0 0 ; z^3", "1/2 0 0 ; z^2", "3/2 0 1 ; 2/5*z - 4*z^2",
         "2 0 0 ; 1", "6 0 z^-2 ; 2/5*z^-1 - 4", "8 0 0 ; z^-2",
     ]),
+    # a good module of s-width 2
+    (Fraction(3), ({"kind": "good", "p": "(s - 2*z)*(s - z^-1)"}, 3), [
+        "2/9 1 z^-3 ; -z^-2", "2/3 1 z^-2 ; -z^-1", "2 1 z^-1 ; -1",
+        "6 1 1 ; -z", "18 1 z ; -z^2", "54 1 z^2 ; -z^3",
+    ]),
+    # q = 5/7
+    (Fraction(5, 7), (
+        {"kind": "matrix", "entries": [["4/3*z", "0"], ["-z^-1 - 2", "4"]]}, 3,
+    ), [
+        "500/343 0 0 ; z^3", "100/49 0 0 ; z^2", "20/7 0 0 ; z", "4 0 0 ; 1",
+        "28/5 0 0 ; z^-1", "196/25 0 0 ; z^-2", "1372/125 0 0 ; z^-3",
+    ]),
+    # a 3 x 3 matrix at window 5
+    (Fraction(-1, 2), ({"kind": "matrix", "entries": [
+        ["-4", "-2 + 4*z", "0"],
+        ["0", "3", "0"],
+        ["1/2*z^-1", "1/4*z^-1 - 1/2 - z + 2*z^2", "1"],
+    ]}, 5), [
+        "-64 0 z^-4 ; 0 ; -1/4*z^-5", "-32 0 0 ; 0 ; z^-5",
+        "-24 0 z^-3 - 14*z^-2 ; -7/2*z^-3 ; -3/40*z^-4 + 21/8*z^-3 + z^-2 - 28/11*z^-1",
+        "-16 0 z^-2 ; 0 ; -1/4*z^-3", "-8 0 0 ; 0 ; z^-3",
+        "-6 0 z^-1 - 14 ; -7/2*z^-1 ; -3/40*z^-2 + 21/8*z^-1 + 1 - 28/11*z",
+        "-4 0 1 ; 0 ; -1/4*z^-1", "-2 0 0 ; 0 ; z^-1",
+        "-3/2 0 z - 14*z^2 ; -7/2*z ; -3/40 + 21/8*z + z^2 - 28/11*z^3",
+        "-1 0 z^2 ; 0 ; -1/4*z", "-1/2 0 0 ; 0 ; z",
+        "-3/8 0 z^3 - 14*z^4 ; -7/2*z^3 ; -3/40*z^2 + 21/8*z^3 + z^4 - 28/11*z^5",
+        "-1/4 0 z^4 ; 0 ; -1/4*z^3", "-1/8 0 0 ; 0 ; z^3",
+        "-1/32 0 0 ; 0 ; z^5", "1/16 0 0 ; 0 ; z^4", "1/8 0 z^5 ; 0 ; -1/4*z^4",
+        "1/4 0 0 ; 0 ; z^2", "1/2 0 z^3 ; 0 ; -1/4*z^2",
+        "3/4 0 z^2 - 14*z^3 ; -7/2*z^2 ; -3/40*z + 21/8*z^2 + z^3 - 28/11*z^4",
+        "1 0 0 ; 0 ; 1", "2 0 z ; 0 ; -1/4",
+        "3 0 1 - 14*z ; -7/2 ; -3/40*z^-1 + 21/8 + z - 28/11*z^2",
+        "4 0 0 ; 0 ; z^-2", "8 0 z^-1 ; 0 ; -1/4*z^-2",
+        "12 0 z^-2 - 14*z^-1 ; -7/2*z^-2 ; -3/40*z^-3 + 21/8*z^-2 + z^-1 - 28/11",
+        "16 0 0 ; 0 ; z^-4", "32 0 z^-3 ; 0 ; -1/4*z^-4",
+        "48 0 z^-4 - 14*z^-3 ; -7/2*z^-4 ; -3/40*z^-5 + 21/8*z^-4 + z^-3 - 28/11*z^-2",
+    ]),
+    # a 2 x 2 matrix at window 8
+    (Fraction(3), (
+        {"kind": "matrix", "entries": [["-2*z^-1", "-4"], ["0", "3*z^-1"]]}, 8,
+    ), [
+        "-13122 -1 z^8 ; 0", "-4374 -1 z^7 ; 0", "-1458 -1 z^6 ; 0",
+        "-486 -1 z^5 ; 0", "-162 -1 z^4 ; 0", "-54 -1 z^3 ; 0",
+        "-18 -1 z^2 ; 0", "-6 -1 z ; 0", "-2 -1 1 ; 0", "-2/3 -1 z^-1 ; 0",
+        "-2/9 -1 z^-2 ; 0", "-2/27 -1 z^-3 ; 0", "-2/81 -1 z^-4 ; 0",
+        "-2/243 -1 z^-5 ; 0", "-2/729 -1 z^-6 ; 0", "-2/2187 -1 z^-7 ; 0",
+        "-2/6561 -1 z^-8 ; 0", "1/2187 -1 z^-7 ; -9/4*z^-8",
+        "1/729 -1 z^-6 ; -9/4*z^-7", "1/243 -1 z^-5 ; -9/4*z^-6",
+        "1/81 -1 z^-4 ; -9/4*z^-5", "1/27 -1 z^-3 ; -9/4*z^-4",
+        "1/9 -1 z^-2 ; -9/4*z^-3", "1/3 -1 z^-1 ; -9/4*z^-2",
+        "1 -1 1 ; -9/4*z^-1", "3 -1 z ; -9/4", "9 -1 z^2 ; -9/4*z",
+        "27 -1 z^3 ; -9/4*z^2", "81 -1 z^4 ; -9/4*z^3", "243 -1 z^5 ; -9/4*z^4",
+        "729 -1 z^6 ; -9/4*z^5", "2187 -1 z^7 ; -9/4*z^6",
+        "6561 -1 z^8 ; -9/4*z^7",
+    ]),
 ]
 
 
-@pytest.mark.parametrize("q,seed,want", PROBE_PINNED)
-def test_line_subbundle_probe_pinned_outputs(q, seed, want):
+@pytest.mark.parametrize("q,case,want", PROBE_PINNED)
+def test_line_subbundle_probe_pinned_outputs(q, case, want):
     with using_q(q):
-        T = rand_sigma_matrix(random.Random(seed), n_max=2)
-        assert _show(line_subbundle_probe(T, range(-2, 3), window=3)) == want
+        if isinstance(case, int):
+            T, window = rand_sigma_matrix(random.Random(case), n_max=2), 3
+        else:
+            desc, window = case
+            T = to_matrix(module_from_json(desc))
+        assert _show(line_subbundle_probe(T, range(-2, 3), window=window)) == want
 
 
 def test_probe_with_many_divisor_pairs_stays_fast():
