@@ -418,13 +418,14 @@ def line_subbundle_probe(T: MatrixModule, k_range, window=12):
 
     A solution spans a rank-1 submodule L(c, k), whose slope k is a slope
     of the module at both ends (`modules.slopes`), so every other k is
-    skipped before anything is linearized.
+    skipped before anything is linearized.  A k repeated in `k_range` is
+    probed once.
     """
     if window < 0:
         raise PreconditionViolation("window must be >= 0")
     at_inf, at_zero = slopes(T)
     ends = {lam for lam, _ in at_inf} & {lam for lam, _ in at_zero}
-    k_range = [k for k in k_range if k in ends]
+    k_range = [k for k in dict.fromkeys(k_range) if k in ends]
     if not k_range:
         return []
     n = T.n

@@ -1,17 +1,35 @@
 """Laurent polynomials over Q and square matrices of them.
 
-A LaurentPoly stores the lowest exponent `lo` and a coefficient tuple whose
-first and last entries are nonzero; the zero polynomial is the empty tuple
-with lo = 0.  Units of the ring are exactly the monomials c*z^m.  The q-shift
-f(z) |-> f(q^k z) reads q from the ambient session (see scalars).
+A LaurentPoly stores the lowest exponent `lo` and a tuple of `Fraction`
+coefficients whose first and last entries are nonzero; the zero polynomial
+is the empty tuple with lo = 0.  Units of the ring are exactly the monomials
+c*z^m.  The q-shift f(z) |-> f(q^k z) reads q from the ambient session (see
+scalars).
+
+The public constructor `LaurentPoly(lo, coeffs)` converts and trims any
+int/`Fraction` input.  The arithmetic builds its results with `_trusted`,
+which checks nothing, because the canonical form is preserved by theorem:
+
+- Q[z] is a domain, so the end coefficients of a product are the products
+  of the end coefficients of its factors, and those are nonzero;
+- `qshift` scales the coefficient of z^i by q^(k i), and q != 0;
+- `shift`, negation and a product by a nonzero scalar keep every zero and
+  every nonzero coefficient where it is;
+- the exact quotient h = f/g of `divexact` has ends f_bot/g_bot and
+  f_top/g_top, nonzero since the ends of f are.
+
+Only a sum or a difference can cancel at an end; `_trim` trims it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import PreconditionViolation, ZeroInput
 from .scalars import get_q, scalar_to_str
+
+_F0 = Fraction(0)
 
 
 def _as_scalar(c):
@@ -22,24 +40,51 @@ def _as_scalar(c):
     raise TypeError(f"not a scalar: {c!r}")
 
 
+def _trusted(lo, coeffs):
+    """The LaurentPoly with these fields, unchecked: `coeffs` is a tuple of
+    `Fraction`s with nonzero ends, or () with lo = 0."""
+    f = object.__new__(LaurentPoly)
+    f.lo = lo
+    f.coeffs = coeffs
+    return f
+
+
+def _trim(lo, coeffs):
+    """The canonical (lo, coeffs) of a tuple of `Fraction`s whose ends may
+    be zero."""
+    start, end = 0, len(coeffs)
+    while start < end and not coeffs[start]:
+        start += 1
+    if start == end:
+        return 0, ()
+    while not coeffs[end - 1]:
+        end -= 1
+    return lo + start, coeffs[start:end]
+
+
+def _convolve(a, b):
+    """The coefficients of the product of two coefficient tuples with
+    nonzero ends, by one integer convolution: a = A/da and b = B/db with
+    integer A, B and the common denominators da, db, so a*b = (A*B)/(da*db).
+    One `Fraction` is built per output coefficient."""
+    da = lcm(*[x.denominator for x in a])
+    db = lcm(*[y.denominator for y in b])
+    A = [x.numerator * (da // x.denominator) for x in a]
+    B = [y.numerator * (db // y.denominator) for y in b]
+    out = [0] * (len(A) + len(B) - 1)
+    for i, x in enumerate(A):
+        if x:
+            for j, y in enumerate(B, i):
+                out[j] += x * y
+    d = da * db
+    return tuple([Fraction(n, d) for n in out])
+
+
 class LaurentPoly:
     __slots__ = ("lo", "coeffs")
 
     def __init__(self, lo=0, coeffs=()):
-        coeffs = tuple(_as_scalar(c) for c in coeffs)
-        # normalize: trim zero fringe so the representation is canonical
-        start = 0
-        while start < len(coeffs) and coeffs[start] == 0:
-            start += 1
-        end = len(coeffs)
-        while end > start and coeffs[end - 1] == 0:
-            end -= 1
-        if start == end:
-            self.lo = 0
-            self.coeffs = ()
-        else:
-            self.lo = lo + start
-            self.coeffs = coeffs[start:end]
+        self.lo, self.coeffs = _trim(lo, tuple([_as_scalar(c) for c in coeffs]))
 
     # -- constructors -----------------------------------------------------
 
@@ -87,39 +132,44 @@ class LaurentPoly:
         return [(self.lo + i, c) for i, c in enumerate(self.coeffs) if c != 0]
 
     def unit_decompose(self):
-        """(c, m) with self = c*z^m if self is a unit, else None."""
-        t = self.terms()
-        if len(t) == 1:
-            return (t[0][1], t[0][0])
+        """(c, m) with self = c*z^m if self is a unit, else None.  The ends
+        are nonzero, so the units are the one-coefficient polynomials."""
+        if len(self.coeffs) == 1:
+            return (self.coeffs[0], self.lo)
         return None
 
     def is_unit(self):
-        return self.unit_decompose() is not None
+        return len(self.coeffs) == 1
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        lo = min(self.lo, other.lo)
-        hi = max(self.lo + len(self.coeffs), other.lo + len(other.coeffs))
-        out = [Fraction(0)] * (hi - lo)
-        for i, c in enumerate(self.coeffs):
-            out[self.lo - lo + i] += c
-        for i, c in enumerate(other.coeffs):
-            out[other.lo - lo + i] += c
-        return LaurentPoly(lo, out)
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = LaurentPoly.const(other)
+        f, g = (self, other) if self.lo <= other.lo else (other, self)
+        a, b = f.coeffs, g.coeffs
+        if not b:
+            return f
+        if not a:
+            return g
+        # copy the lower operand and add the other where they overlap
+        off = g.lo - f.lo
+        gap = off - len(a)
+        if gap >= 0:
+            # disjoint supports: nothing cancels
+            return _trusted(f.lo, a + (_F0,) * gap + b)
+        out = list(a)
+        for i, c in enumerate(b[:-gap], off):
+            out[i] += c
+        out.extend(b[-gap:])
+        return _trusted(*_trim(f.lo, tuple(out)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.lo, tuple(-c for c in self.coeffs))
+        return _trusted(self.lo, tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -132,23 +182,26 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, LaurentPoly):
+            a, b = self.coeffs, other.coeffs
+            if not a or not b:
+                return ZERO
+            lo = self.lo + other.lo
+            if len(a) == 1:
+                c = a[0]
+                if len(b) == 1:
+                    return _trusted(lo, (c * b[0],))
+                return _trusted(lo, tuple([c * y for y in b]))
+            if len(b) == 1:
+                c = b[0]
+                return _trusted(lo, tuple([x * c for x in a]))
+            return _trusted(lo, _convolve(a, b))
         if isinstance(other, (int, Fraction)):
-            c = _as_scalar(other)
-            if c == 0:
-                return LaurentPoly.zero()
-            return LaurentPoly(self.lo, tuple(c * a for a in self.coeffs))
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return LaurentPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0:
-                    out[i + j] += a * b
-        return LaurentPoly(self.lo + other.lo, out)
+            if not other:
+                return ZERO
+            # int * Fraction is a Fraction
+            return _trusted(self.lo, tuple([other * x for x in self.coeffs]))
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -166,7 +219,9 @@ class LaurentPoly:
 
     def shift(self, k):
         """Multiply by z^k."""
-        return LaurentPoly(self.lo + k, self.coeffs)
+        if not self.coeffs:
+            return self
+        return _trusted(self.lo + k, self.coeffs)
 
     def inverse_unit(self):
         """Inverse of a unit c*z^m; PreconditionViolation otherwise."""
@@ -174,7 +229,7 @@ class LaurentPoly:
         if u is None:
             raise PreconditionViolation(f"not a unit: {self}")
         c, m = u
-        return LaurentPoly.monomial(1 / c, -m)
+        return _trusted(-m, (1 / c,))
 
     def eval(self, x):
         """Evaluate at a nonzero scalar (zero allowed when lo >= 0)."""
@@ -221,16 +276,20 @@ def qshift(f: LaurentPoly, k: int) -> LaurentPoly:
     """f(q^k z) for the ambient q; a ring automorphism for each k.  A
     constant is fixed, and q^k is not formed for it: s^k c = c s^k for any
     k, however large."""
-    if k == 0 or f.is_zero() or (f.lo == 0 and len(f.coeffs) == 1):
+    coeffs, lo = f.coeffs, f.lo
+    if k == 0 or not coeffs or (lo == 0 and len(coeffs) == 1):
         return f
     q = get_q()
+    # the coefficient of z^(lo + i) is scaled by q^(k (lo + i))
+    scale = q ** (k * lo)
+    if len(coeffs) == 1:
+        return _trusted(lo, (coeffs[0] * scale,))
     step = q**k
-    out = []
-    scale = step**f.lo
-    for c in f.coeffs:
-        out.append(c * scale)
+    out = [coeffs[0] * scale]
+    for c in coeffs[1:]:
         scale *= step
-    return LaurentPoly(f.lo, out)
+        out.append(c * scale)
+    return _trusted(lo, tuple(out))
 
 
 def divexact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
@@ -239,10 +298,14 @@ def divexact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         raise ZeroInput("division by zero polynomial")
     if f.is_zero():
         return ZERO
-    # reduce to ordinary polynomials with nonzero constant terms
     offset = f.lo - g.lo
-    rem = list(f.coeffs)
     div = g.coeffs
+    if len(div) == 1:
+        # a unit divides everything
+        c = div[0]
+        return _trusted(offset, tuple([x / c for x in f.coeffs]))
+    # reduce to ordinary polynomials with nonzero constant terms
+    rem = list(f.coeffs)
     out = [Fraction(0)] * (len(rem) - len(div) + 1)
     if len(out) <= 0:
         raise PreconditionViolation("inexact Laurent division (degree)")
@@ -255,7 +318,7 @@ def divexact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
                 rem[i + j] -= c * d
     if any(r != 0 for r in rem):
         raise PreconditionViolation("inexact Laurent division (remainder)")
-    return LaurentPoly(offset, out)
+    return _trusted(offset, tuple(out))
 
 
 # -- printing -------------------------------------------------------------

@@ -19,6 +19,7 @@ right, reported as non-split, or reported as out of the search bound.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -237,9 +238,10 @@ def rational_roots(p: LaurentPoly):
     from a positive valuation; the rest from the rational root theorem on
     the primitive integer polynomial, each divided out once found.  By
     Gauss's lemma the quotient by b*z - r is primitive with end coefficients
-    dividing the old ones, so the candidates only shrink.  SearchExhausted
-    when factoring an end coefficient needs a trial divisor above
-    TRIAL_DIVISION_LIMIT.
+    dividing the old ones, so the candidates only shrink.  Cauchy's bounds
+    skip the pairs that cannot be roots, so the walk finds the same roots
+    in the same order.  SearchExhausted when factoring an end coefficient
+    needs a trial divisor above TRIAL_DIVISION_LIMIT.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -253,9 +255,22 @@ def rational_roots(p: LaurentPoly):
     nums, dens = _divisors(ints[0]), _divisors(ints[-1])
     while len(ints) > 1:
         at_one, at_minus_one = sum(ints), sum(ints[::2]) - sum(ints[1::2])
+        # Cauchy's bound on the roots and on their reciprocals: a root r/b
+        # has |r|*lead <= b*(lead + max|lower|) and b*low <= |r|*(low +
+        # max|higher|), so for each b only a slice of the sorted nums is tried
+        low, lead = abs(ints[0]), abs(ints[-1])
+        up, down = lead + max(map(abs, ints[:-1])), low + max(map(abs, ints[1:]))
+        cands = (
+            (r, b)
+            for b in dens
+            for a in nums[
+                bisect_left(nums, -(-b * low // down)):bisect_right(nums, b * up // lead)
+            ]
+            if gcd(a, b) == 1
+            for r in (a, -a)
+        )
         # a root r/b in lowest terms makes b*z - r a factor over Z, so
         # b - r divides P(1) and b + r divides P(-1)
-        cands = ((r, b) for b in dens for a in nums if gcd(a, b) == 1 for r in (a, -a))
         root = next(
             (
                 (r, b) for r, b in cands

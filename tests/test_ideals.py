@@ -576,6 +576,15 @@ def test_probe_default_window_is_12():
     assert found == want
 
 
+def test_probe_reports_a_repeated_k_once():
+    T = to_matrix(LineBundle(3, 2))
+    with using_q(2):
+        once = line_subbundle_probe(T, [2], window=4)
+        assert len(once) == 9
+        assert line_subbundle_probe(T, [2, 2], window=4) == once
+        assert line_subbundle_probe(T, [2, -1, 2], window=4) == once
+
+
 def test_line_subbundle_probe_line_module():
     T = to_matrix(LineBundle(Fraction(3), 2))
     found = line_subbundle_probe(T, range(-1, 4), window=4)

@@ -114,6 +114,9 @@ def test_divexact(rng):
         assert divexact(f * g, g) == f
     with pytest.raises(PreconditionViolation):
         divexact(ONE + Z, ONE - Z)
+    # a divisor wider than the dividend is refused before any arithmetic
+    with pytest.raises(PreconditionViolation, match="degree"):
+        divexact(Z, ONE + Z)
     with pytest.raises((PreconditionViolation, ZeroInput)):
         divexact(ONE, ZERO)
 
@@ -128,6 +131,138 @@ def test_str_round_trip(rng):
     # sigma-bearing input is not a Laurent polynomial in z
     with pytest.raises(PreconditionViolation):
         laurent_from_str("s + 1")
+
+
+# -- the kernel against a dict-of-Fraction reference ----------------------------
+#
+# The arithmetic builds its results unchecked, trusting that products,
+# q-shifts and exact quotients keep nonzero ends; these tests check every
+# result against exponent -> Fraction dicts and assert the canonical form.
+
+# zero often, so that interior zeros and zero ends occur
+coeffs = st.lists(st.one_of(st.just(0), st.just(0), fracs), max_size=6)
+polys = st.one_of(
+    st.builds(LaurentPoly, st.integers(-6, 4), coeffs),
+    st.builds(LaurentPoly.monomial, fracs.filter(bool), st.integers(-6, 4)),
+)
+scalars = st.one_of(st.integers(-4, 4), fracs)
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """(f, g) where g agrees with -f on a low or high stretch of f, or on all
+    of it, so that f + g cancels at one end or to zero."""
+    f = draw(polys)
+    k = draw(st.integers(0, len(f.coeffs)))
+    rest = draw(coeffs)
+    neg = [-c for c in f.coeffs]
+    if draw(st.booleans()):
+        g = LaurentPoly(f.lo, neg[:k] + rest)
+    else:
+        g = LaurentPoly(f.lo + len(f.coeffs) - k - len(rest), rest + neg[len(neg) - k:])
+    return f, g
+
+
+def _ref(f):
+    return {f.lo + i: c for i, c in enumerate(f.coeffs) if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return out
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for j, y in b.items():
+        out[j] = out.get(j, 0) + sign * y
+    return out
+
+
+def _ref_divexact(a, b):
+    """The quotient a/b by long division from the top, or None if inexact."""
+    a, out = dict(a), {}
+    top_b = max(b)
+    while any(a.values()):
+        top = max(e for e, c in a.items() if c)
+        if top - top_b + min(b) < min(e for e, c in a.items() if c):
+            return None
+        c = a[top] / b[top_b]
+        out[top - top_b] = c
+        a = _ref_add(a, {e + top - top_b: c * x for e, x in b.items()}, -1)
+    return out
+
+
+def assert_is(f, ref):
+    """f is canonical and equals the reference dict."""
+    assert all(type(c) is Fraction for c in f.coeffs)
+    if f.coeffs:
+        assert f.coeffs[0] != 0 and f.coeffs[-1] != 0
+    else:
+        assert f.lo == 0
+    assert _ref(f) == {e: c for e, c in ref.items() if c}
+
+
+@given(polys, polys)
+def test_mul_add_sub_match_the_reference(f, g):
+    a, b = _ref(f), _ref(g)
+    assert_is(f * g, _ref_mul(a, b))
+    assert_is(f + g, _ref_add(a, b))
+    assert_is(f - g, _ref_add(a, b, -1))
+    assert_is(-f, _ref_add({}, a, -1))
+
+
+@given(cancelling_pairs())
+def test_sums_that_cancel_at_an_end_are_trimmed(pair):
+    f, g = pair
+    a, b = _ref(f), _ref(g)
+    assert_is(f + g, _ref_add(a, b))
+    assert_is(g + f, _ref_add(a, b))
+    assert_is(f - (-g), _ref_add(a, b))
+
+
+@given(polys, scalars)
+def test_scalar_products_and_sums_match_the_reference(f, c):
+    a = _ref(f)
+    want = {e: c * x for e, x in a.items()}
+    assert_is(f * c, want)
+    assert_is(c * f, want)
+    assert_is(f + c, _ref_add(a, {0: c}))
+    assert_is(c - f, _ref_add({0: c}, a, -1))
+
+
+@given(polys, st.integers(-5, 5), st.sampled_from([2, -3, Fraction(-1, 2), Fraction(5, 7)]))
+def test_shift_and_qshift_match_the_reference(f, k, q):
+    a = _ref(f)
+    assert_is(f.shift(k), {e + k: c for e, c in a.items()})
+    with using_q(q):
+        assert_is(qshift(f, k), {e: c * Fraction(q) ** (k * e) for e, c in a.items()})
+
+
+@given(polys, polys)
+def test_divexact_matches_the_reference(f, g):
+    if g.is_zero():
+        return
+    a, b = _ref(f), _ref(g)
+    assert_is(divexact(f * g, g), a)
+    want = _ref_divexact(a, b)
+    if want is None:
+        with pytest.raises(PreconditionViolation):
+            divexact(f, g)
+    else:
+        assert_is(divexact(f, g), want)
+
+
+def test_public_constructor_normalizes_its_input():
+    f = LaurentPoly(-3, (0, 2, 0, Fraction(1, 2), 0))
+    assert (f.lo, f.coeffs) == (-2, (Fraction(2), Fraction(0), Fraction(1, 2)))
+    assert all(type(c) is Fraction for c in f.coeffs)
+    assert (LaurentPoly(4, (0, 0)).lo, LaurentPoly(4, (0, 0)).coeffs) == (0, ())
+    with pytest.raises(TypeError):
+        LaurentPoly(0, (0.5,))
 
 
 # -- matrices -------------------------------------------------------------------

@@ -279,6 +279,32 @@ def test_rational_roots_match_sympy(rng):
         assert left == poly.degree() - sum(m for _, m in want)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.fractions(min_value=-12, max_value=12, max_denominator=9).filter(bool),
+        st.integers(1, 3),
+        max_size=4,
+    ),
+    st.integers(0, 2),
+    st.sampled_from((None, 1, 2, 7)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+)
+def test_rational_roots_returns_every_planted_root(planted, zero_mult, quad, scale):
+    """(z - r)^m for each planted root r, times z^zero_mult, times z^2 + quad
+    (no real root) when quad is set: every root comes back with its
+    multiplicity, however near 0 or far out the Cauchy bounds put it."""
+    p = LaurentPoly.monomial(scale, zero_mult)
+    for r, m in planted.items():
+        p = p * LaurentPoly(0, (-r, 1)) ** m
+    if quad is not None:
+        p = p * LaurentPoly(0, (quad, 0, 1))
+    want = dict(planted)
+    if zero_mult:
+        want[Fraction(0)] = zero_mult
+    assert rational_roots(p) == (sorted(want.items()), 0 if quad is None else 2)
+
+
 def test_rational_roots_stops_at_the_trial_division_limit():
     p, r = 1000000007, 998244353
     big = LaurentPoly(0, [p * r, -(p + r), 1])
