@@ -12,7 +12,8 @@ reaching n makes the answer certified, stagnation is reported as
 uncertified.
 
 Line bundles, torsion modules and matrices T(z) = z^m C with C constant share
-one closed form (`_scaled_report`).
+one closed form for h0 (`_closed_h0`), which also covers z-good generators;
+every route reads rank_S off the slopes.
 """
 
 from __future__ import annotations
@@ -90,56 +91,48 @@ def stabilized_h0(T: MatrixModule):
         window += WINDOW_STEP
 
 
-def _scaled_report(m, blocks, n):
-    """Closed form for T(z) = z^m C, C an invertible constant n x n matrix
-    with Jordan blocks `blocks` (read only when m == 0).  A line bundle
-    (c, m) is the case n = 1, blocks [(c, 1)]; a torsion module the case
-    m = 0.
+def _closed_h0(M):
+    """h0 by a closed form, or None when the window protocol must decide.
 
-    m != 0: a nonzero fixed vector is impossible — C preserves the top
-    z-layer of any candidate, so the equation forces top degree N + m = N —
-    hence h0 = 0; rank_S is |m| * n by multiplicativity across the torsion
-    factor.  m = 0: the module is torsion, so rank_S = 0 and the fixed space
-    has one line per Jordan block whose eigenvalue is a power of q.
+    T(z) = z^m C, C an invertible constant n x n matrix: a line bundle
+    (c, m) is the case n = 1, C = (c); a torsion module the case m = 0.
+    m != 0: a nonzero fixed vector is impossible, since C preserves the top
+    z-layer of any candidate, so the equation forces top degree N + m = N.
+    m = 0: the fixed space has one line per Jordan block of C whose
+    eigenvalue is a power of q.  A z-good generator makes Good(p) free over
+    S (z-division yields an S-basis), and free modules have no sigma-fixed
+    vectors.
     """
+    if isinstance(M, LineBundle):
+        m, blocks = M.m, [(M.c, 1)]
+    elif isinstance(M, Torsion):
+        m, blocks = 0, M.blocks
+    elif isinstance(M, Good):
+        return 0 if degrees(M.p).z_good else None
+    elif (scaled := _monomial_scaled(M)) is None:
+        return None
+    else:
+        m, rows = scaled
+        try:
+            blocks = jordan_structure(rows) if m == 0 else ()
+        except (NonSplitSpectrum, SearchExhausted):
+            return None  # no exact Jordan data
     if m != 0:
-        return CohomologyReport(0, abs(m) * n, -abs(m) * n, True, 0)
-    h = sum(1 for lam, _ in blocks if q_power_class(lam) is not None)
-    return CohomologyReport(h, h, 0, True, 0)
+        return 0
+    return sum(1 for lam, _ in blocks if q_power_class(lam) is not None)
 
 
 def cohomology(M) -> CohomologyReport:
-    """Exact closed forms for line bundles, torsion modules and monomial-scaled
-    matrices; the window protocol for the rest, with rank_S read off the
-    slopes.  h1 = h0 + rank_S throughout."""
-    if isinstance(M, LineBundle):
-        return _scaled_report(M.m, [(M.c, 1)], 1)
-    if isinstance(M, Torsion):
-        return _scaled_report(0, M.blocks, M.dim)
-    if isinstance(M, Good):
-        deg = degrees(M.p)
-        if deg.z_good:
-            # a z-good generator makes the module free over S (z-division
-            # yields an S-basis), and free modules have no sigma-fixed
-            # vectors: h0 = 0, h1 = rank_S exactly.
-            d = deg.deg_z
-            return CohomologyReport(0, d, -d, True, 0)
-    if isinstance(M, MatrixModule):
-        scaled = _monomial_scaled(M)
-        if scaled is not None:
-            m, rows = scaled
-            try:
-                blocks = jordan_structure(rows) if m == 0 else ()
-            except (NonSplitSpectrum, SearchExhausted):
-                pass  # no exact Jordan data: the window protocol decides
-            else:
-                return _scaled_report(m, blocks, M.n)
-    if isinstance(M, (Good, MatrixModule)):
-        T = to_matrix(M)
-        rkS = rank_S(M)
-        h0, certified, window = stabilized_h0(T)
-        return CohomologyReport(h0, h0 + rkS, -rkS, certified, window)
-    raise PreconditionViolation(f"not a module presentation: {M!r}")
+    """h0 from an exact closed form for line bundles, torsion modules,
+    monomial-scaled matrices and z-good generators, else from the window
+    protocol; rank_S read off the slopes, and h1 = h0 + rank_S."""
+    if not isinstance(M, (LineBundle, Torsion, Good, MatrixModule)):
+        raise PreconditionViolation(f"not a module presentation: {M!r}")
+    h0, certified, window = _closed_h0(M), True, 0
+    if h0 is None:
+        h0, certified, window = stabilized_h0(to_matrix(M))
+    rkS = rank_S(M)
+    return CohomologyReport(h0, h0 + rkS, -rkS, certified, window)
 
 
 def dim_hom(M, N) -> CohomologyReport:

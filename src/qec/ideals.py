@@ -5,25 +5,26 @@ solutions are algebra elements annihilating a module vector, plus degree
 certificates obtained from fraction-free rank computations over K[z,z^-1].
 Searches are deterministic (fixed scan orders), so results are reproducible;
 when bounds run out the failure is explicit (SearchExhausted, or None
-from `cyclic_presentation`), never a silent guess.  The row of minimal
-s-width ends at its first annihilator, by a theorem (`_annihilator_ideal`),
-and each wider row is decided by one exact test of its end coefficients
+from `cyclic_presentation`), never a silent guess.  Each annihilator row
+is decided on its own linear system in the unknowns r_ij, the coefficient
+of z^j s^i: the row of minimal s-width is one kernel, whose first vector
+decides it by a theorem (`_annihilator_ideal`), and each wider row is one
+elimination that tests every pair of end coefficients exactly
 (`_sigma_good_in`), so within the bounds no sigma-good annihilator is
-missed.  A cyclic vector is
-constructed, not searched (`cyclic_search`); the module's own S-rank is
-not searched either: `modules.rank_S` reads it off the slopes, and
-`cyclic_presentation` is kept as the independent check of that theorem.
+missed.  A cyclic vector is constructed, not searched (`cyclic_search`);
+the module's own S-rank is not searched either: `modules.rank_S` reads it
+off the slopes, and `cyclic_presentation` is kept as the independent
+check of that theorem.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import chain, islice, product
+from itertools import islice, product
 
 from .aq import AqElement, degrees, sigma_divide, z_divide
 from .errors import CertificateFailure, PreconditionViolation, SearchExhausted
 from .laurent import ONE, ZERO, LaurentPoly, echelon
-from .linalg import charpoly, coefficient_rows, nullspace, rational_roots
+from .linalg import charpoly, coefficient_rows, nullspace, rational_roots, rref
 from .modules import (
     Good,
     MatrixModule,
@@ -133,128 +134,160 @@ def minimal_annihilator_width(T: MatrixModule, v, cap: int):
 # -- annihilator solves --------------------------------------------------------
 
 
-def _pack(space_vec, d, zd):
-    coeffs = {}
-    for i in range(d + 1):
-        poly = [space_vec[i * (zd + 1) + j] for j in range(zd + 1)]
-        f = LaurentPoly(0, poly)
-        if not f.is_zero():
-            coeffs[i] = f
-    return AqElement(coeffs)
+def _row_system(orbit, d: int, zd: int):
+    """The rows of r(v) = 0 for r = sum r_ij z^j s^i, i <= d, j <= zd, over
+    the unknowns r_ij; `orbit` starts v, s(v), ..., s^d(v), and unknown
+    i * (zd + 1) + j is the coefficient of z^j s^i."""
+    images = [[f.shift(j) for f in w] for w in orbit[: d + 1] for j in range(zd + 1)]
+    return list(coefficient_rows(images).values())
+
+
+def _pack(vec, d, zd):
+    n = zd + 1
+    return AqElement({i: LaurentPoly(0, vec[i * n : i * n + n]) for i in range(d + 1)})
+
+
+def _killing(x, orbit):
+    """x, once x(v) = 0 is checked exactly, component by component, on the
+    orbit v, s(v), ...; CertificateFailure otherwise."""
+    for r in range(len(orbit[0])):
+        if not sum((f * orbit[i][r] for i, f in x.terms()), ZERO).is_zero():
+            raise CertificateFailure(f"{x} does not annihilate the vector")
+    return x
 
 
 def annihilator_space(T: MatrixModule, v, d: int, zd: int):
-    """Basis of {r = sum r_i(z) s^i : supports in [0,d] x [0,zd], r(v) = 0}."""
+    """Basis of {r = sum r_i(z) s^i : supports in [0,d] x [0,zd], r(v) = 0}:
+    the canonical kernel of the row system, each element re-verified."""
     orbit = list(islice(_orbit(T, v, 1), d + 1))
-    # unknown i * (zd + 1) + j is the coefficient of z^j s^i
-    images = [[f.shift(j) for f in w] for w in orbit for j in range(zd + 1)]
-    rows = coefficient_rows(images)
-    basis = []
-    for vec in nullspace(list(rows.values()), len(images)):
-        x = _pack(vec, d, zd)
-        if not x.is_zero():
-            # exact re-verification against the module action
-            combo = [ZERO] * T.n
-            for i, f in x.terms():
-                for r in range(T.n):
-                    combo[r] = combo[r] + f * orbit[i][r]
-            if not all(c.is_zero() for c in combo):
-                raise CertificateFailure(f"{x} does not annihilate the vector")
-            basis.append(x)
-    return basis
+    kernel = nullspace(_row_system(orbit, d, zd), (d + 1) * (zd + 1))
+    return [_killing(_pack(vec, d, zd), orbit) for vec in kernel]
 
 
-def _sigma_good_in(space, d: int, zd: int):
+def _direction(col):
+    """col scaled so that its first nonzero entry is 1; () if col is zero.
+    Two columns have the same direction iff a c0 + b c1 = 0 for some
+    nonzero scalars a, b."""
+    lead = next((x for x in col if x), None)
+    return () if lead is None else tuple(x / lead if x else 0 for x in col)
+
+
+def _sigma_good_in(orbit, d: int, zd: int):
     """The first sigma-good element of row (d, zd) whose coefficients at
     s^0 and s^d are nonzero, or None if there is none.  The row holds the
-    annihilators r = sum r_i s^i, i = 0..d, with each r_i supported in
-    z^0..z^zd; `space` is a basis of it.
+    annihilators r = sum r_ij z^j s^i of v, i <= d, j <= zd; `orbit`
+    starts v, s(v), ..., s^d(v).
 
-    Such an r is sigma-good iff r_0 = c z^e0 and r_d = c' z^ed.  For each
-    (e0, ed) in lexicographic order, K is the kernel, over the basis
-    coordinates, of the s^0 coefficients other than z^e0 and the s^d
-    coefficients other than z^ed.  The sigma-good elements with those ends
-    are the elements of K nonzero at both z^e0 s^0 and z^ed s^d.  They exist
-    iff neither end vanishes on all of K: over an infinite field a vector
-    space is not the union of two proper subspaces.  Then for a in K
-    nonzero at the first end and b nonzero at the second, each end of
-    a + lam b vanishes for at most one lam, so one of lam = 0, 1, 2 works;
-    it is scaled so that its s^d coefficient is z^ed.
+    Such an r is sigma-good iff r_0 = c z^e0 and r_d = c' z^ed.  Call the
+    unknowns of s^0 and s^d the ends and the others the middle, and reduce
+    the row system with the middle columns first.  A reduced row that
+    pivots on an end column vanishes on the middle; call these rows,
+    restricted to the end columns, E.  Every other reduced row is solved by
+    its middle pivot, so E cuts out exactly the end values of the row's
+    elements.  Hence the row holds an element whose only nonzero ends are
+    z^e0 s^0 and z^ed s^d iff columns e0 and ed of E are both zero, or
+    both nonzero and proportional: iff they have the same direction.
+    For the first such (e0, ed) in lexicographic order, K is the kernel of
+    the system restricted to the middle and those two ends, in the row's
+    own column order.  K holds such an element, so neither end vanishes on
+    all of K.  For a and b the first vectors of K nonzero at the first and
+    at the second end, each end of a + lam b vanishes for at most one lam,
+    so one of lam = 0, 1, 2 works; it is scaled so that its s^d coefficient
+    is z^ed.
+
+    The result does not depend on the coordinates K is taken in.  Over the
+    canonical kernel basis of the row (`annihilator_space`), basis vector t
+    is 1 at its free column f_t and 0 at the other free columns, and the
+    f_t increase, so an element's coordinate u_t is its entry at f_t, and
+    last nonzero positions map in the same order.  So the canonical basis
+    of K in those coordinates is, element for element and in order, the
+    canonical basis of the restricted system, and a, b and lam are the
+    same.
 
     Every other element of the row has r_0 = 0 or r_d = 0, so it is s^j
     times an element of row (d - 1, zd); left multiplication by s^j keeps
     z-supports and sigma-goodness.  So when the narrower rows hold no
     sigma-good element, None proves that row (d, zd) holds none either.
-    The result is re-checked: CertificateFailure if it is not sigma-good.
+    CertificateFailure if K contradicts the test on E, or if the result is
+    not sigma-good or does not kill v.
     """
-    # flat[k][t]: the coefficient of cells[k] = (i, j), z^j s^i, in space[t]
-    cells = [(i, j) for i in range(d + 1) for j in range(zd + 1)]
-    flat = [[x.coefficient(i).coeff(j) for x in space] for i, j in cells]
-    low, high = range(zd + 1), range(d * (zd + 1), len(flat))
-    for k0, kd in product(low, high):
-        if not any(flat[k0]) or not any(flat[kd]):
-            continue  # that end vanishes on the whole row
-        rows = [flat[k] for k in chain(low, high) if k not in (k0, kd)]
-        kernel = nullspace(rows, len(space))
-        a = next((u for u in kernel if _dot(flat[k0], u)), None)
-        b = next((u for u in kernel if _dot(flat[kd], u)), None)
-        if a is None or b is None:
-            continue
-        for lam in range(3):
-            u = [x + lam * y for x, y in zip(a, b)]
-            if _dot(flat[k0], u) and _dot(flat[kd], u):
-                top = _dot(flat[kd], u)
-                p = _pack([_dot(row, u) / top for row in flat], d, zd)
-                if not degrees(p).sigma_good:
-                    raise CertificateFailure(f"{p} is not sigma-good")
-                return p
-    return None
-
-
-def _dot(row, u):
-    return sum((x * y for x, y in zip(row, u) if x and y), Fraction(0))
+    rows = _row_system(orbit, d, zd)
+    n = zd + 1
+    middle = list(range(n, d * n))
+    order = middle + list(range(n)) + list(range(d * n, (d + 1) * n))
+    reduced, pivots = rref([[row[k] for k in order] for row in rows])
+    E = [row[len(middle) :] for row, pc in zip(reduced, pivots) if pc >= len(middle)]
+    dirs = [_direction([row[k] for row in E]) for k in range(2 * n)]
+    held = (p for p in product(range(n), repeat=2) if dirs[p[0]] == dirs[n + p[1]])
+    e0, ed = next(held, (None, None))
+    if e0 is None:
+        return None
+    keep = [e0] + middle + [d * n + ed]
+    kernel = nullspace([[row[k] for k in keep] for row in rows], len(keep))
+    a = next((x for x in kernel if x[0]), None)
+    b = next((x for x in kernel if x[-1]), None)
+    if a is None or b is None:
+        raise CertificateFailure(f"row ({d}, {zd}) contradicts its end test")
+    lam = next(t for t in range(3) if a[0] + t * b[0] and a[-1] + t * b[-1])
+    u = [x + lam * y for x, y in zip(a, b)]
+    vec = [0] * ((d + 1) * n)
+    for k, x in zip(keep, u):
+        vec[k] = x / u[-1]
+    p = _pack(vec, d, zd)
+    if not degrees(p).sigma_good:
+        raise CertificateFailure(f"{p} is not sigma-good")
+    return _killing(p, orbit)
 
 
 def _annihilator_ideal(T: MatrixModule, v, width: int, bounds):
     """Presentation of Ann(v) once its minimal s-width `width` is certified:
-    (w) for the first element w of the minimal row (z-width 0..deg_z) if w
-    is sigma-good (division by w leaves remainders narrower than the
-    minimal width, which vanish), else (p, w) for the first sigma-good p of
-    the wider rows up to deg_sigma.  SearchExhausted if width > deg_sigma,
-    if the minimal row is empty within deg_z, or if no wider row shows a p.
+    (w) for the first element w of the minimal row (width, deg_z) if w is
+    sigma-good (division by w leaves remainders narrower than the minimal
+    width, which vanish), else (p, w) for the first sigma-good p of the
+    wider rows up to deg_sigma.  SearchExhausted if width > deg_sigma, if
+    the minimal row is empty, or if no wider row shows a p.
 
-    Why the minimal row stops at w.  Over K(z) its annihilators are the
-    multiples of one relation.  w has the smallest z-width, so it is
-    primitive: if h(z) divided all its coefficients, z^j w/h would be found
-    at a smaller z-width.  So each annihilator with s-support in [0, width]
-    is g(z) w, g a Laurent polynomial; g w is sigma-good iff g w_0 and
-    g w_width are monomials, iff g is a unit and w is sigma-good.  Hence no
-    element of the row is sigma-good when w is not.  A
-    sigma-good element of a wider row is wider than w (one of width `width`
-    would be s^j g w), so (p) alone is never the answer there.
+    Why the minimal row is decided by w.  Over K(z) its annihilators are
+    the multiples of one relation.  Let w be one of smallest z-width zw,
+    with z-support starting at z^0; it is primitive: if h(z) divided all
+    its coefficients, w/h would have a smaller z-width.  So each
+    annihilator with s-support in [0, width] is g(z) w, g a Laurent
+    polynomial; g w is sigma-good iff g w_0 and g w_width are monomials,
+    iff g is a unit and w is sigma-good.  Hence no element of the row is
+    sigma-good when w is not.  The row (width, deg_z) is
+    {g w : g in K[z], deg g <= deg_z - zw}, empty exactly when
+    zw > deg_z.  In the unknowns' order (s-major) the last nonzero position
+    of g w is w's own moved up by deg g, so the smallest among the row's
+    elements is w's, and w is zero at the other free columns (the last
+    nonzero positions of z^k w, k > 0).  So the first canonical kernel
+    vector of the row is w scaled to end in 1.  A sigma-good element of a
+    wider row is wider than w (one of width `width` would be s^j g w), so
+    (p) alone is never the answer there.
 
-    The wider rows are scanned d-major, z-width inner, and each is decided
-    exactly by `_sigma_good_in`: a sigma-good element of row (d, zd) either
-    reaches both s^0 and s^d, which that test decides, or is s^j times an
-    element of a row already scanned.  So the last SearchExhausted is a proof: no
-    sigma-good annihilator has s-width <= deg_sigma and z-width <= deg_z.
+    The wider rows are scanned d-major, z-width inner, on one orbit, and
+    each is decided exactly by `_sigma_good_in`: a sigma-good element of
+    row (d, zd) either reaches both s^0 and s^d, which that test decides,
+    or is s^j times an element of a row already scanned.  So the last
+    SearchExhausted is a proof: no sigma-good annihilator has s-width
+    <= deg_sigma and z-width <= deg_z.
     """
     if width > bounds.deg_sigma:
         raise SearchExhausted(
             "no sigma-good annihilator within bounds", bounds.as_dict()
         )
-    row = (annihilator_space(T, v, width, zd) for zd in range(bounds.deg_z + 1))
-    w = next((space[0] for space in row if space), None)
-    if w is None:
+    row = annihilator_space(T, v, width, bounds.deg_z)
+    if not row:
         raise SearchExhausted(
             "minimal-width annihilator exceeds the z-width bound",
             bounds.as_dict(),
         )
+    w = row[0]
     if degrees(w).sigma_good:
         return IdealPresentation.principal(w)
+    orbit = list(islice(_orbit(T, v, 1), bounds.deg_sigma + 1))
     for d in range(width + 1, bounds.deg_sigma + 1):
         for zd in range(bounds.deg_z + 1):
-            p = _sigma_good_in(annihilator_space(T, v, d, zd), d, zd)
+            p = _sigma_good_in(orbit, d, zd)
             if p is not None:
                 return IdealPresentation.two_generator(p, w)
     raise SearchExhausted(
@@ -431,7 +464,7 @@ def line_subbundle_probe(T: MatrixModule, k_range, window=12):
     n = T.n
     W = window
     rows = coefficient_rows(_window_images(T, W))
-    zero = [Fraction(0)] * (n * (2 * W + 1))
+    zero = [0] * (n * (2 * W + 1))
     results = []
     for k in k_range:
         # the row of unknown (r, j) is the coefficient of z^(j + k) in component r

@@ -73,7 +73,8 @@ def rref(rows):
     ncols = len(u[0]) if u else 0
     reduced = _back_substitute(u, pivots, d, range(ncols))
     reduced += [[0] * ncols for _ in range(len(u) - len(pivots))]
-    return [[Fraction(x, d) for x in row] for row in reduced], pivots
+    zero = Fraction(0)
+    return [[Fraction(x, d) if x else zero for x in row] for row in reduced], pivots
 
 
 def rank(rows):
@@ -108,13 +109,14 @@ def coefficient_rows(images):
     """Linearize a map on unknowns: images[t] is the vector of Laurent
     polynomials that unknown t maps to.  Returns {(component, exponent): row}
     over the unknowns, one row per coefficient some image touches, sorted by
-    (component, exponent)."""
+    (component, exponent).  Entries are `Fraction`s, with int 0 for the
+    coefficients an image does not touch."""
     rows = {}
     for t, vec in enumerate(images):
         for i, f in enumerate(vec):
             for e, c in f.terms():
                 if (i, e) not in rows:
-                    rows[(i, e)] = [Fraction(0)] * len(images)
+                    rows[(i, e)] = [0] * len(images)
                 rows[(i, e)][t] = c
     return dict(sorted(rows.items()))
 

@@ -97,7 +97,7 @@ def qpow(n: int) -> Fraction:
     return get_q() ** n
 
 
-def q_orbit(c: Fraction, qp: QParam | None = None):
+def q_orbit(c: Fraction):
     """(r, n) with c = r * step^n and 1 <= |r| < |step|, where step is q or
     1/q, whichever has |step| > 1: r is the canonical representative of the
     q^Z-orbit of a nonzero c.
@@ -109,7 +109,7 @@ def q_orbit(c: Fraction, qp: QParam | None = None):
     could never print that representative, and the walk could run on for
     millions of bits.
     """
-    q = (qp or _session_q.get()).value
+    q = get_q()
     step = q if abs(q) > 1 else 1 / q
     digits = sys.get_int_max_str_digits()  # 0 when the limit is off
 
@@ -131,7 +131,7 @@ def q_orbit(c: Fraction, qp: QParam | None = None):
     return r, n
 
 
-def q_power_class(c, qp: QParam | None = None):
+def q_power_class(c):
     """The unique n with c = q^n, or None if c is not a power of q.
 
     Decided from heights H(x) = max(|num|, den), without walking the orbit:
@@ -140,7 +140,7 @@ def q_power_class(c, qp: QParam | None = None):
     c = Fraction(c)
     if c == 0:
         raise ZeroInput("0 is not in any q-power class")
-    q = (qp or _session_q.get()).value
+    q = get_q()
     base, target = (max(abs(x.numerator), x.denominator) for x in (q, c))
     # base^k >= 2^(k (bits(base) - 1)), so k <= bits(target) // (bits(base) - 1)
     lo, hi = 0, target.bit_length() // (base.bit_length() - 1)

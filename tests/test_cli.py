@@ -471,6 +471,46 @@ def test_verify_cli_matches_library(capsys):
     assert out == "suite division: 20 cases, 20 passed, 0 skipped (unknown), 0 failed\n"
 
 
+def test_strict_verify_exits_1_on_a_skipped_case(capsys):
+    # riemann_roch at seed 0 skips one case as unknown: a report, not a
+    # failure, unless --strict asks for every case to be decided
+    line = "suite riemann_roch: 25 cases, 24 passed, 1 skipped (unknown), 0 failed\n"
+    assert run(capsys, "verify", "riemann_roch", "--cases", "25") == (0, line, "")
+    assert run(capsys, "--strict", "verify", "riemann_roch", "--cases", "25") == (1, line, "")
+
+
+def test_a_failing_suite_case_exits_1_with_a_fail_line(capsys, monkeypatch):
+    def failing(rng, ci, tally, bounds):
+        if ci == 1:
+            tally.fail(ci, "broken identity")
+        else:
+            tally.ok()
+
+    monkeypatch.setitem(qec.suites._SUITES, "division", failing)
+    code, out, err = run(capsys, "verify", "division", "--cases", "3")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "suite division: 3 cases, 2 passed, 0 skipped (unknown), 1 failed",
+        "  FAIL case 1: broken identity",
+    ]
+
+
+def test_mod_info_good_reports_sigma_and_z_goodness(capsys):
+    code, payload, _ = run_json(capsys, "mod", "info", GOOD_BAD_DESC)
+    assert code == 0
+    assert payload == {
+        "kind": "good",
+        "p": "-s^-1 + z - s",
+        "rank_A": 2,
+        "rank_S": 1,
+        "sigma_good": True,
+        "z_good": False,
+    }
+    code, payload, _ = run_json(capsys, "mod", "info", '{"kind":"good","p":"z + 2*s"}')
+    assert code == 0
+    assert (payload["sigma_good"], payload["z_good"]) == (True, True)
+
+
 def test_verify_suite_passes_its_bounds_to_every_search(monkeypatch):
     # the suites' annihilator search runs under the suite's bounds, never
     # under the defaults

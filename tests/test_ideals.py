@@ -218,8 +218,9 @@ def test_cyclic_search_stops_at_an_empty_minimal_width_row(monkeypatch):
 
 
 def test_two_generator_answer_ends_the_minimal_row_at_its_first_element(monkeypatch):
-    # the width-1 row first shows the non-sigma-good w at z-width 1, so the
-    # rest of that row is skipped and the width-2 row starts at once
+    # the minimal (width-1) row is one kernel at the z-width bound, whose
+    # first vector is the non-sigma-good w; the wider rows solve their own
+    # systems and never ask for a basis
     calls = []
 
     def spy(T, v, d, zd):
@@ -228,7 +229,7 @@ def test_two_generator_answer_ends_the_minimal_row_at_its_first_element(monkeypa
 
     monkeypatch.setattr(qec.ideals, "annihilator_space", spy)
     ann = annihilator_in_good(parse("s - 1"), parse("1 + z"))
-    assert calls == [(1, 0), (1, 1), (2, 0)]
+    assert calls == [(1, 8)]
     assert ann == IdealPresentation.two_generator(
         parse("2 - 3*s + s^2"), parse("-1 - 2*z + s + z*s")
     )
@@ -269,6 +270,13 @@ def test_a_sigma_good_annihilator_no_small_combination_shows():
         assert membership_principal(p * f, pM) and membership_principal(w * f, pM)
 
 
+def _first_by_z_width(T, v, width, deg_z):
+    """The minimal row's first element by the z-width scan: the first
+    basis element of the first nonempty row (width, zd), zd = 0..deg_z."""
+    rows = (annihilator_space(T, v, width, zd) for zd in range(deg_z + 1))
+    return next((space[0] for space in rows if space), None)
+
+
 @pytest.mark.parametrize("q", [Fraction(2), Fraction(3), Fraction(-1, 2), Fraction(5, 7)])
 def test_minimal_width_annihilators_are_laurent_multiples_of_the_first(q):
     # the theorem of `_annihilator_ideal`: every annihilator of s-support
@@ -282,8 +290,7 @@ def test_minimal_width_annihilators_are_laurent_multiples_of_the_first(q):
             if all(c.is_zero() for c in v):
                 continue
             width = minimal_annihilator_width(T, v, T.n)
-            rows = (annihilator_space(T, v, width, zd) for zd in range(9))
-            w = next((space[0] for space in rows if space), None)
+            w = _first_by_z_width(T, v, width, 8)
             if w is None:
                 continue
             used += 1
@@ -297,13 +304,51 @@ def test_minimal_width_annihilators_are_laurent_multiples_of_the_first(q):
     assert used >= 2
 
 
+def _orbit_of(*vectors):
+    return [[parse(c).coefficient(0) for c in vec] for vec in vectors]
+
+
 def test_sigma_good_in_combines_the_two_end_vectors_with_the_first_good_lambda():
-    # row (1, 0) spanned by 1 and -1 + s: a = (1, 0) misses s^1, a + b misses
-    # s^0, so the answer is a + 2 b = -1 + 2 s, scaled to a monic s^1 end
-    space = [AqElement.one(), parse("-1 + s")]
-    assert qec.ideals._sigma_good_in(space, 1, 0) == parse("-1/2 + s")
-    # every s^0 coefficient of the span is a multiple of 1 + z: none
-    assert qec.ideals._sigma_good_in([parse("1 + z + s"), parse("s + z*s")], 1, 1) is None
+    # row (2, 0) of v, s(v), s^2(v) = `orbit`, the kernel of one equation
+    cases = [
+        # a = 1 + s misses s^2 and a + b misses s^0 for b = -1 + s^2, so the
+        # answer is a + 2 b = -1 + s + 2 s^2, scaled to a monic s^2 end
+        ((["1"], ["-1"], ["1"]), "-1/2 + 1/2*s + s^2"),
+        # a = 2 + s, b = -2 + s^2: a + b misses s^0 again, now with b_0 != +-1
+        ((["1"], ["-2"], ["2"]), "-1 + 1/2*s + s^2"),
+        # a = -1 + s, b = s^2, whose s^0 coefficient is 0: a + b
+        ((["1"], ["1"], ["0"]), "-1 + s + s^2"),
+        # a = b = -1 + s^2 reaches both ends: lam = 0
+        ((["1"], ["0"], ["1"]), "-1 + s^2"),
+    ]
+    for orbit, want in cases:
+        assert qec.ideals._sigma_good_in(_orbit_of(*orbit), 2, 0) == parse(want)
+    # row (1, 1) of v, s(v) = 1, -(1 + z) is spanned by 1 + z + s, whose s^0
+    # coefficient is no monomial: none
+    assert qec.ideals._sigma_good_in(_orbit_of(["1"], ["-1 - z"]), 1, 1) is None
+
+
+@pytest.mark.parametrize("q", [Fraction(2), Fraction(3), Fraction(-1, 2), Fraction(5, 7)])
+def test_the_minimal_row_at_the_bound_starts_with_the_first_element_by_z_width(q):
+    # `_annihilator_ideal` reads w off one kernel at deg_z: its first vector
+    # is the element the z-width scan finds first, and it is empty exactly
+    # when the scan is
+    rng = random.Random(f"minimal-row-at-the-bound-{q}")
+    found = empty = 0
+    with using_q(q):
+        for _ in range(16):
+            T = to_matrix(Good(rand_sigma_good(rng, t_max=2)))
+            v = aq_act(rand_aq(rng, max_width=2), T, [ONE] + [ZERO] * (T.n - 1))
+            if all(c.is_zero() for c in v):
+                continue
+            width = minimal_annihilator_width(T, v, T.n)
+            for deg_z in (1, 3, 6):
+                space = annihilator_space(T, v, width, deg_z)
+                want = _first_by_z_width(T, v, width, deg_z)
+                assert (space[0] if space else None) == want
+                found += want is not None
+                empty += want is None
+    assert found >= 8 and empty >= 8
 
 
 def test_the_bounds_are_inclusive():

@@ -199,16 +199,18 @@ def test_q_orbit_representative(q, n, c):
     if c == 0:
         return
     step = q if abs(q) > 1 else 1 / q
-    r, m = q_orbit(c, QParam(q))
-    assert c == r * step**m and 1 <= abs(r) < abs(step)
-    # the representative is constant on the orbit c * q^Z
-    assert q_orbit(c * q**n, QParam(q))[0] == r
+    with using_q(q):
+        r, m = q_orbit(c)
+        assert c == r * step**m and 1 <= abs(r) < abs(step)
+        # the representative is constant on the orbit c * q^Z
+        assert q_orbit(c * q**n)[0] == r
 
 
 def _walk_power_class(c, q):
     """The orbit walk: c is a power of q exactly when its orbit
     representative is 1."""
-    r, n = q_orbit(c, QParam(q))
+    with using_q(q):
+        r, n = q_orbit(c)
     if r != 1:
         return None
     return n if abs(q) > 1 else -n
@@ -221,33 +223,36 @@ def test_q_power_class_agrees_with_the_orbit_walk():
             c = q ** rng.randint(-30, 30) * rng.choice(
                 (1, -1, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
             )
-            assert q_power_class(c, QParam(q)) == _walk_power_class(c, q), (q, c)
+            with using_q(q):
+                assert q_power_class(c) == _walk_power_class(c, q), (q, c)
 
 
 def test_q_power_class_does_not_walk_a_long_orbit():
     # c = 10 lies about 115,000 steps of q from its orbit representative
-    q = QParam(Fraction(1000003, 999983))
+    q = Fraction(1000003, 999983)
     start = time.perf_counter()
-    assert q_power_class(Fraction(10), q) is None
-    assert q_power_class(Fraction(10) ** 4000, q) is None
-    assert q_power_class(q.value**-5000, q) == -5000
+    with using_q(q):
+        assert q_power_class(Fraction(10)) is None
+        assert q_power_class(Fraction(10) ** 4000) is None
+        assert q_power_class(q**-5000) == -5000
     assert time.perf_counter() - start < 1
 
 
 def test_q_orbit_refuses_a_representative_past_the_digit_limit():
     # 10 lies about 115,000 steps of q from its representative, whose
     # height would run to millions of bits; the walk stops at the digit limit
-    q = QParam(Fraction(1000003, 999983))
+    q = Fraction(1000003, 999983)
     start = time.perf_counter()
-    with pytest.raises(PreconditionViolation, match="digits to print"):
-        q_orbit(Fraction(10), q)
-    with pytest.raises(PreconditionViolation, match="digits to print"):
-        q_orbit(Fraction(1, 10), q)
-    assert time.perf_counter() - start < 1
-    # short walks at the same q still answer
-    r = Fraction(1000001, 1000000)
-    assert q_orbit(q.value**7, q) == (1, 7)
-    assert q_orbit(r * q.value**-5, q) == (r, -5)
+    with using_q(q):
+        with pytest.raises(PreconditionViolation, match="digits to print"):
+            q_orbit(Fraction(10))
+        with pytest.raises(PreconditionViolation, match="digits to print"):
+            q_orbit(Fraction(1, 10))
+        assert time.perf_counter() - start < 1
+        # short walks at the same q still answer
+        r = Fraction(1000001, 1000000)
+        assert q_orbit(q**7) == (1, 7)
+        assert q_orbit(r * q**-5) == (r, -5)
 
 
 def test_q_power_class_zero_input():
