@@ -24,12 +24,13 @@ from itertools import islice, product
 from .aq import AqElement, degrees, sigma_divide, z_divide
 from .errors import CertificateFailure, PreconditionViolation, SearchExhausted
 from .laurent import ONE, ZERO, LaurentPoly, echelon
-from .linalg import charpoly, coefficient_rows, nullspace, rational_roots, rref
+from .linalg import charpoly, nullspace, rational_roots, rref, shift_rows
 from .modules import (
     Good,
     MatrixModule,
     _orbit,
-    _window_images,
+    _window_keys,
+    _window_rows,
     aq_act,
     slopes,
     to_matrix,
@@ -138,8 +139,7 @@ def _row_system(orbit, d: int, zd: int):
     """The rows of r(v) = 0 for r = sum r_ij z^j s^i, i <= d, j <= zd, over
     the unknowns r_ij; `orbit` starts v, s(v), ..., s^d(v), and unknown
     i * (zd + 1) + j is the coefficient of z^j s^i."""
-    images = [[f.shift(j) for f in w] for w in orbit[: d + 1] for j in range(zd + 1)]
-    return list(coefficient_rows(images).values())
+    return list(shift_rows(orbit[: d + 1], range(zd + 1), 1).values())
 
 
 def _pack(vec, d, zd):
@@ -461,19 +461,16 @@ def line_subbundle_probe(T: MatrixModule, k_range, window=12):
     k_range = [k for k in dict.fromkeys(k_range) if k in ends]
     if not k_range:
         return []
-    n = T.n
-    W = window
-    rows = coefficient_rows(_window_images(T, W))
-    zero = [0] * (n * (2 * W + 1))
+    rows = _window_rows(T, window)
+    zero = [0] * (T.n * (2 * window + 1))
     results = []
     for k in k_range:
-        # the row of unknown (r, j) is the coefficient of z^(j + k) in component r
-        A = [rows.get((r, j + k), zero) for r in range(n) for j in range(-W, W + 1)]
+        A = [rows.get(key, zero) for key in _window_keys(T.n, window, k)]
         roots, _ = rational_roots(charpoly(A))
         for c, _mult in roots:
             if c == 0:
                 continue
-            for vec in window_eigenspace(T, W, k, c):
+            for vec in window_eigenspace(T, window, k, c):
                 # scale the leading coefficient to 1 for a canonical report
                 lead = next(f.coeffs[0] for f in vec if not f.is_zero())
                 results.append((c, k, tuple(f * (1 / lead) for f in vec)))

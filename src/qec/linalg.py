@@ -8,8 +8,12 @@ that updated it), so a step costs what its nonzero multipliers cost and the
 results are those of dense Bareiss.  `rref` back-substitutes d * RREF at
 every column and `nullspace` only at the free columns, stopping after
 `echelon` when there is none.  Every solver that looks for
-Laurent-polynomial vectors linearizes through `coefficient_rows` and solves
-with `nullspace`; these systems are banded in z-degree and mostly zero.
+Laurent-polynomial vectors linearizes through `shift_rows`, the map
+x |-> sum_b sum_j x_(b, j) scale^j z^j col_b on a few Laurent columns, and
+solves with `nullspace`: the window map of s has the columns of T, shifts
+-W..W and scale q (`modules.window_eigenspace`, the probe), and an
+annihilator row has the orbit v, ..., s^d(v), shifts 0..zd and scale 1
+(`ideals`).  These systems are banded in z-degree and mostly zero.
 
 Characteristic polynomials come from a Hessenberg reduction over Q, O(n^3)
 field operations.  Eigenvalues come from exact rational root extraction
@@ -105,19 +109,26 @@ def nullspace(rows, ncols):
     return basis
 
 
-def coefficient_rows(images):
-    """Linearize a map on unknowns: images[t] is the vector of Laurent
-    polynomials that unknown t maps to.  Returns {(component, exponent): row}
-    over the unknowns, one row per coefficient some image touches, sorted by
-    (component, exponent).  Entries are `Fraction`s, with int 0 for the
-    coefficients an image does not touch."""
+def shift_rows(cols, shifts, scale):
+    """Linearize x |-> sum_b sum_j x_(b, j) scale^j z^j col_b, where each
+    col_b is a vector of Laurent polynomials and j runs over the range
+    `shifts`; unknown (b, j) is column b * len(shifts) + j - shifts[0].  The
+    coefficient a of z^e in component i of col_b lands in row (i, e + j),
+    column (b, j), as a * scale^j.  Returns {(component, exponent): row},
+    one row per coefficient some unknown touches, sorted by (component,
+    exponent).  Entries are `Fraction`s, with int 0 where nothing lands."""
+    width = len(shifts)
+    ncols = len(cols) * width
+    powers = [Fraction(scale) ** j for j in shifts]
     rows = {}
-    for t, vec in enumerate(images):
-        for i, f in enumerate(vec):
-            for e, c in f.terms():
-                if (i, e) not in rows:
-                    rows[(i, e)] = [0] * len(images)
-                rows[(i, e)][t] = c
+    for b, col in enumerate(cols):
+        for i, f in enumerate(col):
+            for e, a in f.terms():
+                for t, (j, p) in enumerate(zip(shifts, powers), b * width):
+                    row = rows.get((i, e + j))
+                    if row is None:
+                        row = rows[(i, e + j)] = [0] * ncols
+                    row[t] = a * p
     return dict(sorted(rows.items()))
 
 

@@ -32,7 +32,7 @@ from .laurent import (
     det_and_inverse,
     qshift,
 )
-from .linalg import coefficient_rows, jordan_structure_constant, nullspace
+from .linalg import jordan_structure_constant, nullspace, shift_rows
 from .scalars import get_q, q_orbit, q_power_class, scalar_from_str, scalar_to_str
 
 
@@ -123,15 +123,18 @@ def sigma_apply(T: MatrixModule, vec, k: int = 1):
     return next(islice(_orbit(T, vec, 1 if k >= 0 else -1), abs(k), None))
 
 
-def _window_images(T: MatrixModule, window: int):
-    """s(z^j e_r) = q^j z^j T[:, r] for r < n and |j| <= window, in
-    component-major order: the unknowns of a window, as linear images."""
-    q = get_q()
-    return [
-        [(f * q**j).shift(j) for f in col]
-        for col in zip(*T.mat.rows)
-        for j in range(-window, window + 1)
-    ]
+def _window_rows(T: MatrixModule, window: int):
+    """The rows of v |-> T(z) v(qz) on the window unknowns, keyed and sorted
+    by (component, exponent): unknown r (2 window + 1) + j + window is the
+    coefficient of z^j in component r, |j| <= window, and maps to
+    s(z^j e_r) = q^j z^j T[:, r]."""
+    return shift_rows(list(zip(*T.mat.rows)), range(-window, window + 1), get_q())
+
+
+def _window_keys(n: int, window: int, k: int):
+    """The row where c z^k v(z) puts each window unknown, in the unknowns'
+    order: (r, j + k) for the coefficient of z^j in component r."""
+    return [(r, j + k) for r in range(n) for j in range(-window, window + 1)]
 
 
 def _window_vector(x, n: int, window: int):
@@ -152,16 +155,13 @@ def window_eigenspace(T: MatrixModule, window: int, k: int, c):
     """
     if window < 0:
         raise PreconditionViolation("window must be >= 0")
-    images = _window_images(T, window)
-    for t, img in enumerate(images):
-        # unknown t is the coefficient of z^j in component r
-        r, j = divmod(t, 2 * window + 1)
-        img[r] = img[r] - LaurentPoly.monomial(c, j - window + k)
-    rows = coefficient_rows(images)
-    basis = [
-        _window_vector(x, T.n, window)
-        for x in nullspace(list(rows.values()), len(images))
-    ]
+    rows = _window_rows(T, window)
+    keys = _window_keys(T.n, window, k)
+    for t, key in enumerate(keys):
+        rows.setdefault(key, [0] * len(keys))[t] -= c
+    # -c may open rows T leaves empty; re-sort, as echelon's fill follows row order
+    system = [rows[key] for key in sorted(rows)]
+    basis = [_window_vector(x, T.n, window) for x in nullspace(system, len(keys))]
     # exact certificate on the full equation
     for v in basis:
         if sigma_apply(T, v, 1) != [f.shift(k) * c for f in v]:

@@ -18,7 +18,7 @@ import random
 from .aq import AqElement, degrees, sigma_divide, to_z_form, z_divide
 from .cohomology import cohomology, euler_form
 from .duality import dual_certificate, double_dual_check, good_dual
-from .errors import UnknownSuite
+from .errors import PreconditionViolation, UnknownSuite
 from .ideals import cyclic_presentation
 from .modules import (
     Good,
@@ -233,6 +233,8 @@ def verify_suite(name: str, cases: int = 100, seed: int = 0, bounds=None) -> dic
     """Run one named suite and return its report dict."""
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {suite_names()}")
+    if cases < 0:
+        raise PreconditionViolation(f"cases must be >= 0, got {cases}")
     rng = random.Random(seed)
     tally = _Tally(name, seed, cases)
     case = _SUITES[name]

@@ -479,6 +479,12 @@ def test_strict_verify_exits_1_on_a_skipped_case(capsys):
     assert run(capsys, "--strict", "verify", "riemann_roch", "--cases", "25") == (1, line, "")
 
 
+def test_verify_refuses_a_negative_case_count(capsys):
+    code, out, err = run(capsys, "verify", "chi_rank", "--cases", "-5")
+    assert (code, out) == (2, "")
+    assert err == "error: cases must be >= 0, got -5\n"
+
+
 def test_a_failing_suite_case_exits_1_with_a_fail_line(capsys, monkeypatch):
     def failing(rng, ci, tally, bounds):
         if ci == 1:

@@ -587,10 +587,10 @@ def test_probe_skips_k_outside_the_slopes_before_linearizing(monkeypatch):
     # lambda_inf = {-1, 1} and lambda_0 = {0}: no k can carry a line subbundle
     T = to_matrix(Good(parse("z - s - s^-1")))
 
-    def no_rows(images):
+    def no_rows(T, window):
         raise AssertionError("probe linearized")
 
-    monkeypatch.setattr(qec.ideals, "coefficient_rows", no_rows)
+    monkeypatch.setattr(qec.ideals, "_window_rows", no_rows)
     assert line_subbundle_probe(T, range(-4, 5), window=10) == []
 
 

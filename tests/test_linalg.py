@@ -5,7 +5,8 @@ dependency on it.  Rational matrices exercise `rref`, `rank`, `nullspace` and
 `charpoly` (sparse ones reach every branch of the Hessenberg reduction),
 integer matrices exercise `echelon` over Z, products of linear factors
 exercise `rational_roots`, and Laurent matrices exercise `echelon`, `det` and
-the annihilator width over Q(z).
+the annihilator width over Q(z).  `shift_rows` is checked against the walk
+over Laurent image vectors that it replaced.
 """
 
 import random
@@ -25,11 +26,11 @@ from qec.laurent import ONE, ZERO, LaurentMatrix, LaurentPoly, det, divexact, ec
 from qec.linalg import (
     TRIAL_DIVISION_LIMIT,
     charpoly,
-    coefficient_rows,
     nullspace,
     rank,
     rational_roots,
     rref,
+    shift_rows,
 )
 from qec.modules import Good, sigma_apply, to_matrix, window_eigenspace
 from qec.samples import rand_laurent, rand_scalar, rand_sigma_matrix
@@ -245,14 +246,48 @@ def test_minimal_annihilator_width_is_the_first_dependent_orbit_prefix(rng):
                     assert minimal_annihilator_width(T, v, cap) == want
 
 
-def test_coefficient_rows_sorted_by_component_and_exponent():
+def test_shift_rows_sorted_by_component_and_exponent():
     x = LaurentPoly.monomial(1, 1)
-    images = [[x, LaurentPoly.const(2)], [ZERO, x * x - 3]]
-    rows = coefficient_rows(images)
+    cols = [[x, LaurentPoly.const(2)], [ZERO, x * x - 3]]
+    rows = shift_rows(cols, range(1), 1)
     assert list(rows) == [(0, 1), (1, 0), (1, 2)]
     assert rows[(0, 1)] == [1, 0]
     assert rows[(1, 0)] == [2, -3]
     assert rows[(1, 2)] == [0, 1]
+
+
+def _image_rows(cols, shifts, scale):
+    """The image-list linearization, kept as the oracle of `shift_rows`:
+    each scale^j z^j col_b built as a Laurent vector, then its terms
+    collected into rows keyed (component, exponent)."""
+    images = [
+        [(f * Fraction(scale) ** j).shift(j) for f in col] for col in cols for j in shifts
+    ]
+    rows = {}
+    for t, vec in enumerate(images):
+        for i, f in enumerate(vec):
+            for e, c in f.terms():
+                rows.setdefault((i, e), [0] * len(images))[t] = c
+    return dict(sorted(rows.items()))
+
+
+def test_shift_rows_match_the_image_list_linearization(rng):
+    for scale in (1, 2, 3, Fraction(-1, 2), Fraction(5, 7)):
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            cols = [
+                [
+                    ZERO if rng.random() < 0.2 else rand_laurent(rng, max_width=3)
+                    for _ in range(n)
+                ]
+                for _ in range(rng.randint(1, 3))
+            ]
+            lo = rng.randint(-3, 1)
+            shifts = range(lo, lo + rng.randint(1, 5))
+            want = _image_rows(cols, shifts, scale)
+            rows = shift_rows(cols, shifts, scale)
+            assert list(rows) == list(want)
+            assert rows == want
 
 
 def test_rational_roots_match_sympy(rng):
