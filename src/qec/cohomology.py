@@ -109,7 +109,7 @@ def _closed_h0(M):
         m, blocks = 0, M.blocks
     elif isinstance(M, Good):
         return 0 if degrees(M.p).z_good else None
-    elif (scaled := _monomial_scaled(M)) is None:
+    elif (scaled := _monomial_scaled(M.mat)) is None:
         return None
     else:
         m, rows = scaled

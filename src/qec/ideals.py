@@ -19,12 +19,13 @@ check of that theorem.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import islice, product
 
 from .aq import AqElement, degrees, sigma_divide, z_divide
 from .errors import CertificateFailure, PreconditionViolation, SearchExhausted
 from .laurent import ONE, ZERO, LaurentPoly, echelon
-from .linalg import charpoly, nullspace, rational_roots, rref, shift_rows
+from .linalg import _primitive, charpoly, nullspace, rational_roots, shift_rows
 from .modules import (
     Good,
     MatrixModule,
@@ -137,9 +138,10 @@ def minimal_annihilator_width(T: MatrixModule, v, cap: int):
 
 def _row_system(orbit, d: int, zd: int):
     """The rows of r(v) = 0 for r = sum r_ij z^j s^i, i <= d, j <= zd, over
-    the unknowns r_ij; `orbit` starts v, s(v), ..., s^d(v), and unknown
-    i * (zd + 1) + j is the coefficient of z^j s^i."""
-    return list(shift_rows(orbit[: d + 1], range(zd + 1), 1).values())
+    the unknowns r_ij, in integers (`linalg.shift_rows`); `orbit` starts
+    v, s(v), ..., s^d(v), and unknown i * (zd + 1) + j is the coefficient
+    of z^j s^i."""
+    return list(shift_rows(orbit[: d + 1], range(zd + 1), 1)[1].values())
 
 
 def _pack(vec, d, zd):
@@ -164,14 +166,6 @@ def annihilator_space(T: MatrixModule, v, d: int, zd: int):
     return [_killing(_pack(vec, d, zd), orbit) for vec in kernel]
 
 
-def _direction(col):
-    """col scaled so that its first nonzero entry is 1; () if col is zero.
-    Two columns have the same direction iff a c0 + b c1 = 0 for some
-    nonzero scalars a, b."""
-    lead = next((x for x in col if x), None)
-    return () if lead is None else tuple(x / lead if x else 0 for x in col)
-
-
 def _sigma_good_in(orbit, d: int, zd: int):
     """The first sigma-good element of row (d, zd) whose coefficients at
     s^0 and s^d are nonzero, or None if there is none.  The row holds the
@@ -179,14 +173,19 @@ def _sigma_good_in(orbit, d: int, zd: int):
     starts v, s(v), ..., s^d(v).
 
     Such an r is sigma-good iff r_0 = c z^e0 and r_d = c' z^ed.  Call the
-    unknowns of s^0 and s^d the ends and the others the middle, and reduce
-    the row system with the middle columns first.  A reduced row that
-    pivots on an end column vanishes on the middle; call these rows,
-    restricted to the end columns, E.  Every other reduced row is solved by
-    its middle pivot, so E cuts out exactly the end values of the row's
-    elements.  Hence the row holds an element whose only nonzero ends are
-    z^e0 s^0 and z^ed s^d iff columns e0 and ed of E are both zero, or
-    both nonzero and proportional: iff they have the same direction.
+    unknowns of s^0 and s^d the ends and the others the middle, and bring
+    the row system to echelon form (`laurent.echelon`) with the middle
+    columns first.  An echelon row that pivots on an end column vanishes
+    on the middle; call these rows, restricted to the end columns, E.  They
+    are the last pivot rows, so back-substitution among themselves turns
+    them into the reduced rows at the same pivots, an invertible change of
+    rows that keeps every relation between columns.  Every other reduced
+    row is solved by its middle pivot, so E cuts out exactly the end values
+    of the row's elements.  Hence the row holds an element whose only
+    nonzero ends are z^e0 s^0 and z^ed s^d iff columns e0 and ed of E are
+    both zero, or both nonzero and proportional: iff they have the same
+    primitive form (`linalg._primitive`), the one integer vector of content
+    1 and positive first entry on each line.
     For the first such (e0, ed) in lexicographic order, K is the kernel of
     the system restricted to the middle and those two ends, in the row's
     own column order.  K holds such an element, so neither end vanishes on
@@ -215,9 +214,9 @@ def _sigma_good_in(orbit, d: int, zd: int):
     n = zd + 1
     middle = list(range(n, d * n))
     order = middle + list(range(n)) + list(range(d * n, (d + 1) * n))
-    reduced, pivots = rref([[row[k] for k in order] for row in rows])
-    E = [row[len(middle) :] for row, pc in zip(reduced, pivots) if pc >= len(middle)]
-    dirs = [_direction([row[k] for row in E]) for k in range(2 * n)]
+    pivots, ech, _, _ = echelon([_primitive([row[k] for k in order]) for row in rows])
+    E = [row[len(middle) :] for row, pc in zip(ech, pivots) if pc >= len(middle)]
+    dirs = [_primitive([row[k] for row in E]) for k in range(2 * n)]
     held = (p for p in product(range(n), repeat=2) if dirs[p[0]] == dirs[n + p[1]])
     e0, ed = next(held, (None, None))
     if e0 is None:
@@ -461,11 +460,13 @@ def line_subbundle_probe(T: MatrixModule, k_range, window=12):
     k_range = [k for k in dict.fromkeys(k_range) if k in ends]
     if not k_range:
         return []
-    rows = _window_rows(T, window)
+    unit, rows = _window_rows(T, window)
     zero = [0] * (T.n * (2 * window + 1))
     results = []
     for k in k_range:
-        A = [rows.get(key, zero) for key in _window_keys(T.n, window, k)]
+        # the map's own rows: the window rows are unit times them
+        keys = _window_keys(T.n, window, k)
+        A = [[Fraction(x, unit) if x else 0 for x in rows.get(r, zero)] for r in keys]
         roots, _ = rational_roots(charpoly(A))
         for c, _mult in roots:
             if c == 0:

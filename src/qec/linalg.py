@@ -1,19 +1,22 @@
-"""Exact linear algebra over Q with Fraction entries; nothing is numerical.
+"""Exact linear algebra over Q; nothing is numerical.
 
 The one elimination loop is the fraction-free `laurent.echelon`, run over
-the rows scaled to integers.  Its scaling is lazy: a row whose multiplier
-is zero is not touched, and a deferred row equals its Bareiss minors after
-one exact division by the pivot ratio dets[k] / dets[l] (l the last step
-that updated it), so a step costs what its nonzero multipliers cost and the
-results are those of dense Bareiss.  `rref` back-substitutes d * RREF at
-every column and `nullspace` only at the free columns, stopping after
-`echelon` when there is none.  Every solver that looks for
-Laurent-polynomial vectors linearizes through `shift_rows`, the map
-x |-> sum_b sum_j x_(b, j) scale^j z^j col_b on a few Laurent columns, and
-solves with `nullspace`: the window map of s has the columns of T, shifts
--W..W and scale q (`modules.window_eigenspace`, the probe), and an
-annihilator row has the orbit v, ..., s^d(v), shifts 0..zd and scale 1
-(`ideals`).  These systems are banded in z-degree and mostly zero.
+integer rows: `rref`, `rank` and `nullspace` take rational or integer rows
+and make each one primitive (`_primitive`) before they eliminate.  The
+scaling is lazy: a row whose multiplier is zero is not touched, and a
+deferred row equals its Bareiss minors after one exact division by the
+pivot ratio dets[k] / dets[l] (l the last step that updated it), so a step
+costs what its nonzero multipliers cost and the results are those of dense
+Bareiss.  `rref` back-substitutes d * RREF at every column and `nullspace`
+only at the free columns, stopping after `echelon` when there is none.
+Every solver that looks for Laurent-polynomial vectors linearizes through
+`shift_rows`, the map x |-> sum_b sum_j x_(b, j) scale^j z^j col_b on a
+few Laurent columns, and solves with `nullspace`: the window map of s has
+the columns of T, shifts -W..W and scale q (`modules.window_eigenspace`,
+the probe), and an annihilator row has the orbit v, ..., s^d(v), shifts
+0..zd and scale 1 (`ideals`).  `shift_rows` writes integer rows, the map's
+rows times one integer `unit` that it returns with them, so no `Fraction`
+is built per cell.  These systems are banded in z-degree and mostly zero.
 
 Characteristic polynomials come from a Hessenberg reduction over Q, O(n^3)
 field operations.  Eigenvalues come from exact rational root extraction
@@ -34,16 +37,20 @@ from .laurent import LaurentPoly, _divexact_int, echelon
 TRIAL_DIVISION_LIMIT = 1 << 20
 
 
-def _integer_row(row):
-    """(d, d * row) for d the least common denominator of the entries."""
-    d = lcm(*(x.denominator for x in row))
-    return d, [x.numerator * (d // x.denominator) if x else 0 for x in row]
-
-
-def _integer_echelon(rows):
-    """`echelon` over the rows scaled to integers, which have the same row
-    space, so the same RREF and the same kernel."""
-    return echelon([_integer_row(row)[1] for row in rows])
+def _primitive(row):
+    """The integer row with content 1 and a positive first nonzero entry on
+    the line of `row`, whose entries are ints or Fractions; a zero row
+    comes back as zeros.  A row and its primitive form have the same
+    span, so the same RREF and the same kernel.  An integer row, the form
+    `shift_rows` writes, skips the denominators."""
+    try:
+        g = gcd(*row)
+    except TypeError:  # Fraction entries: clear the denominators first
+        d = lcm(*(x.denominator for x in row))
+        return _primitive([x.numerator * (d // x.denominator) for x in row])
+    if next((x for x in row if x), 0) < 0:
+        g = -g
+    return [x // g if x else 0 for x in row]
 
 
 def _back_substitute(u, pivots, d, cols):
@@ -73,7 +80,7 @@ def _back_substitute(u, pivots, d, cols):
 def rref(rows):
     """Reduced row echelon form, zero rows last; returns (rows, pivots):
     `_back_substitute` at every column, over the last pivot d."""
-    pivots, u, _, d = _integer_echelon(rows)
+    pivots, u, _, d = echelon([_primitive(row) for row in rows])
     ncols = len(u[0]) if u else 0
     reduced = _back_substitute(u, pivots, d, range(ncols))
     reduced += [[0] * ncols for _ in range(len(u) - len(pivots))]
@@ -92,7 +99,7 @@ def nullspace(rows, ncols):
     column is its last nonzero entry.  Only the free columns of d * RREF are
     back-substituted, and a system without a free column stops after
     `echelon`."""
-    pivots, u, _, d = _integer_echelon(rows)
+    pivots, u, _, d = echelon([_primitive(row) for row in rows])
     pivot_set = set(pivots)
     free = [j for j in range(ncols) if j not in pivot_set]
     if not free:
@@ -114,22 +121,33 @@ def shift_rows(cols, shifts, scale):
     col_b is a vector of Laurent polynomials and j runs over the range
     `shifts`; unknown (b, j) is column b * len(shifts) + j - shifts[0].  The
     coefficient a of z^e in component i of col_b lands in row (i, e + j),
-    column (b, j), as a * scale^j.  Returns {(component, exponent): row},
-    one row per coefficient some unknown touches, sorted by (component,
-    exponent).  Entries are `Fraction`s, with int 0 where nothing lands."""
+    column (b, j).  Returns (unit, rows): rows is {(component, exponent):
+    row}, one row per coefficient some unknown touches, sorted by
+    (component, exponent), and each row is the map's row times the integer
+    `unit`, in ints, with 0 where nothing lands.
+
+    With scale = u/v in lowest terms, den the lcm of the coefficient
+    denominators of the columns, j0 = min(shifts[0], 0) and
+    j1 = max(shifts[-1], 0), the cell a scale^j is written as the integer
+    a den u^(j - j0) v^(j1 - j), and unit = den v^j1 u^(-j0).  Solvers
+    make each row primitive, so the scaling costs their elimination
+    nothing."""
     width = len(shifts)
-    ncols = len(cols) * width
-    powers = [Fraction(scale) ** j for j in shifts]
+    u, v = scale.numerator, scale.denominator
+    j0, j1 = min(shifts[0], 0), max(shifts[-1], 0)
+    powers = [u ** (j - j0) * v ** (j1 - j) for j in shifts]
+    den = lcm(*(a.denominator for col in cols for f in col for a in f.coeffs))
     rows = {}
     for b, col in enumerate(cols):
         for i, f in enumerate(col):
             for e, a in f.terms():
+                a = a.numerator * (den // a.denominator)
                 for t, (j, p) in enumerate(zip(shifts, powers), b * width):
                     row = rows.get((i, e + j))
                     if row is None:
-                        row = rows[(i, e + j)] = [0] * ncols
+                        row = rows[(i, e + j)] = [0] * (len(cols) * width)
                     row[t] = a * p
-    return dict(sorted(rows.items()))
+    return den * v**j1 * u**-j0, dict(sorted(rows.items()))
 
 
 def mat_mul(a, b):

@@ -91,18 +91,15 @@ class MatrixModule:
         return f"MatrixModule({self.mat!r})"
 
 
-def _monomial_scaled(T: MatrixModule):
-    """(m, rows) when every nonzero entry of T is c z^m with one shared
-    exponent m, so that T(z) = z^m C for a constant matrix C; else None."""
-    m = None
-    for row in T.mat.rows:
-        for e in row:
-            if e.is_zero():
-                continue
-            if e.bot != e.top or (m is not None and e.bot != m):
-                return None
-            m = e.bot
-    return m, [[e.coeff(m) for e in row] for row in T.mat.rows]
+def _monomial_scaled(mat: LaurentMatrix):
+    """(m, rows) when every nonzero entry of mat is c z^m with one shared
+    exponent m, so that mat = z^m C for a constant matrix C (the rows of C);
+    m = 0 when mat is zero; else None."""
+    entries = [e for row in mat.rows for e in row if not e.is_zero()]
+    m = entries[0].bot if entries else 0
+    if any(e.bot != m or e.top != m for e in entries):
+        return None
+    return m, [[e.coeff(m) for e in row] for row in mat.rows]
 
 
 # -- module element plumbing -------------------------------------------------
@@ -124,8 +121,9 @@ def sigma_apply(T: MatrixModule, vec, k: int = 1):
 
 
 def _window_rows(T: MatrixModule, window: int):
-    """The rows of v |-> T(z) v(qz) on the window unknowns, keyed and sorted
-    by (component, exponent): unknown r (2 window + 1) + j + window is the
+    """(unit, rows) for the rows of v |-> T(z) v(qz) on the window unknowns,
+    keyed and sorted by (component, exponent), each times the integer unit
+    (`linalg.shift_rows`): unknown r (2 window + 1) + j + window is the
     coefficient of z^j in component r, |j| <= window, and maps to
     s(z^j e_r) = q^j z^j T[:, r]."""
     return shift_rows(list(zip(*T.mat.rows)), range(-window, window + 1), get_q())
@@ -155,11 +153,15 @@ def window_eigenspace(T: MatrixModule, window: int, k: int, c):
     """
     if window < 0:
         raise PreconditionViolation("window must be >= 0")
-    rows = _window_rows(T, window)
+    unit, rows = _window_rows(T, window)
     keys = _window_keys(T.n, window, k)
+    # the rows are unit times the map's, so c z^k v(z) enters as c unit, an
+    # int when integral so that the rows stay integer rows
+    cell = c * unit
+    cell = cell.numerator if cell.denominator == 1 else cell
     for t, key in enumerate(keys):
-        rows.setdefault(key, [0] * len(keys))[t] -= c
-    # -c may open rows T leaves empty; re-sort, as echelon's fill follows row order
+        rows.setdefault(key, [0] * len(keys))[t] -= cell
+    # -c unit may open rows T leaves empty; re-sort, as echelon's fill follows row order
     system = [rows[key] for key in sorted(rows)]
     basis = [_window_vector(x, T.n, window) for x in nullspace(system, len(keys))]
     # exact certificate on the full equation
@@ -414,7 +416,7 @@ def slopes(M):
     if isinstance(M, Good):
         return _newton_polygons(M.p.terms())
     if isinstance(M, MatrixModule):
-        scaled = _monomial_scaled(M)
+        scaled = _monomial_scaled(M.mat)
         if scaled is not None:
             return [(Fraction(scaled[0]), M.n)], [(Fraction(scaled[0]), M.n)]
         return _cramer_slopes(M)
@@ -580,14 +582,9 @@ def jordan_structure(T):
         return list(T.blocks)
     mat = T.mat if isinstance(T, MatrixModule) else T
     if isinstance(mat, LaurentMatrix):
-        rows = []
-        for row in mat.rows:
-            out = []
-            for e in row:
-                if not e.is_zero() and (e.bot != 0 or e.top != 0):
-                    raise PreconditionViolation("jordan data needs a constant matrix")
-                out.append(e.coeff(0))
-            rows.append(out)
+        if (scaled := _monomial_scaled(mat)) is None or scaled[0] != 0:
+            raise PreconditionViolation("jordan data needs a constant matrix")
+        rows = scaled[1]
     else:
         rows = [[Fraction(e) for e in row] for row in mat]
     return jordan_structure_constant(rows)

@@ -8,7 +8,7 @@ import sys
 import textwrap
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
@@ -31,12 +31,13 @@ from qec.ideals import (
     minimal_annihilator_width,
 )
 from qec.laurent import ONE, ZERO, LaurentPoly, det_and_inverse, divexact, laurent_to_str
-from qec.linalg import rank
+from qec.linalg import nullspace, rank, rref
 from qec.modules import (
     Good,
     LineBundle,
     MatrixModule,
     Torsion,
+    _orbit,
     aq_act,
     dual,
     extension_fixture,
@@ -326,6 +327,60 @@ def test_sigma_good_in_combines_the_two_end_vectors_with_the_first_good_lambda()
     # row (1, 1) of v, s(v) = 1, -(1 + z) is spanned by 1 + z + s, whose s^0
     # coefficient is no monomial: none
     assert qec.ideals._sigma_good_in(_orbit_of(["1"], ["-1 - z"]), 1, 1) is None
+
+
+def _direction(col):
+    """col scaled so that its first nonzero entry is 1; () if col is zero."""
+    lead = next((x for x in col if x), None)
+    return () if lead is None else tuple(x / lead if x else 0 for x in col)
+
+
+def _first_sigma_good_by_rref(orbit, d, zd):
+    """The end test of `_sigma_good_in` by a full `rref` to Fractions, kept
+    as its oracle: E is the reduced rows that pivot on an end column, and
+    two end columns hold a sigma-good element iff their directions agree;
+    the kernel step for the winning (e0, ed) is the library's."""
+    rows = qec.ideals._row_system(orbit, d, zd)
+    n = zd + 1
+    middle = list(range(n, d * n))
+    order = middle + list(range(n)) + list(range(d * n, (d + 1) * n))
+    reduced, pivots = rref([[row[k] for k in order] for row in rows])
+    E = [row[len(middle) :] for row, pc in zip(reduced, pivots) if pc >= len(middle)]
+    dirs = [_direction([row[k] for row in E]) for k in range(2 * n)]
+    held = (p for p in product(range(n), repeat=2) if dirs[p[0]] == dirs[n + p[1]])
+    e0, ed = next(held, (None, None))
+    if e0 is None:
+        return None
+    keep = [e0] + middle + [d * n + ed]
+    kernel = nullspace([[row[k] for k in keep] for row in rows], len(keep))
+    a = next(x for x in kernel if x[0])
+    b = next(x for x in kernel if x[-1])
+    lam = next(t for t in range(3) if a[0] + t * b[0] and a[-1] + t * b[-1])
+    u = [x + lam * y for x, y in zip(a, b)]
+    vec = [0] * ((d + 1) * n)
+    for k, x in zip(keep, u):
+        vec[k] = x / u[-1]
+    return qec.ideals._pack(vec, d, zd)
+
+
+@pytest.mark.parametrize("q", [Fraction(2), Fraction(3), Fraction(-1, 2), Fraction(5, 7)])
+def test_sigma_good_in_matches_the_rref_end_test(q):
+    rng = random.Random(f"sigma-good-in-by-rref-{q}")
+    found = none = 0
+    with using_q(q):
+        for _ in range(30):
+            T = to_matrix(Good(rand_sigma_good(rng, t_max=2)))
+            v = aq_act(rand_aq(rng, max_width=1), T, [ONE] + [ZERO] * (T.n - 1))
+            if all(c.is_zero() for c in v):
+                continue
+            orbit = list(islice(_orbit(T, v, 1), 4))
+            for d in range(1, 4):
+                for zd in range(4):
+                    want = _first_sigma_good_by_rref(orbit, d, zd)
+                    assert qec.ideals._sigma_good_in(orbit, d, zd) == want
+                    found += want is not None
+                    none += want is None
+    assert found and none
 
 
 @pytest.mark.parametrize("q", [Fraction(2), Fraction(3), Fraction(-1, 2), Fraction(5, 7)])

@@ -12,6 +12,7 @@ over Laurent image vectors that it replaced.
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -25,6 +26,7 @@ from qec.aq import parse
 from qec.laurent import ONE, ZERO, LaurentMatrix, LaurentPoly, det, divexact, echelon
 from qec.linalg import (
     TRIAL_DIVISION_LIMIT,
+    _primitive,
     charpoly,
     nullspace,
     rank,
@@ -248,12 +250,18 @@ def test_minimal_annihilator_width_is_the_first_dependent_orbit_prefix(rng):
 
 def test_shift_rows_sorted_by_component_and_exponent():
     x = LaurentPoly.monomial(1, 1)
-    cols = [[x, LaurentPoly.const(2)], [ZERO, x * x - 3]]
-    rows = shift_rows(cols, range(1), 1)
+    cols = [[x, LaurentPoly.const(Fraction(2, 3))], [ZERO, x * x - 3]]
+    unit, rows = shift_rows(cols, range(1), 1)
     assert list(rows) == [(0, 1), (1, 0), (1, 2)]
-    assert rows[(0, 1)] == [1, 0]
-    assert rows[(1, 0)] == [2, -3]
-    assert rows[(1, 2)] == [0, 1]
+    assert unit == 3
+    want = {(0, 1): [1, 0], (1, 0): [Fraction(2, 3), -3], (1, 2): [0, 1]}
+    for key, row in want.items():
+        assert rows[key] == [unit * x for x in row]
+        assert all(type(x) is int for x in rows[key])
+    # unit = den v^j1 u^-j0 for scale u/v, j0 = min(shifts[0], 0) and
+    # j1 = max(shifts[-1], 0)
+    assert shift_rows(cols, range(1), Fraction(2, 5))[0] == 3
+    assert shift_rows(cols, range(-1, 3), Fraction(2, 5))[0] == 3 * 5**2 * 2
 
 
 def _image_rows(cols, shifts, scale):
@@ -285,9 +293,37 @@ def test_shift_rows_match_the_image_list_linearization(rng):
             lo = rng.randint(-3, 1)
             shifts = range(lo, lo + rng.randint(1, 5))
             want = _image_rows(cols, shifts, scale)
-            rows = shift_rows(cols, shifts, scale)
+            unit, rows = shift_rows(cols, shifts, scale)
+            assert type(unit) is int
             assert list(rows) == list(want)
-            assert rows == want
+            for key, row in want.items():
+                assert rows[key] == [unit * x for x in row]
+                assert all(type(x) is int for x in rows[key])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.just(0),
+            st.integers(-30, 30),
+            st.fractions(min_value=-20, max_value=20, max_denominator=12),
+        ),
+        max_size=8,
+    )
+)
+def test_primitive_rows_are_integral_with_content_one_on_the_same_line(row):
+    out = _primitive(row)
+    assert len(out) == len(row)
+    assert all(type(x) is int for x in out)
+    if not any(row):
+        assert out == [0] * len(row)
+        return
+    assert gcd(*out) == 1
+    assert next(x for x in out if x) > 0
+    i = next(i for i, x in enumerate(row) if x)
+    lam = Fraction(out[i]) / row[i]
+    assert out == [lam * x for x in row]
 
 
 def test_rational_roots_match_sympy(rng):

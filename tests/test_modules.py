@@ -37,6 +37,7 @@ from qec.modules import (
     tensor,
     to_matrix,
     torsion_tensor_rank_check,
+    window_eigenspace,
 )
 from qec.samples import (
     rand_aq,
@@ -264,6 +265,28 @@ def test_jordan_round_trip():
         jordan_structure(MatrixModule(LaurentMatrix.from_strs([["0", "-1"], ["1", "0"]])))
     with pytest.raises(PreconditionViolation):
         jordan_structure(extension_fixture())  # entries not constant
+    with pytest.raises(PreconditionViolation):
+        jordan_structure(MatrixModule(LaurentMatrix.from_strs([["z", "0"], ["0", "2*z"]])))
+    # the zero matrix is constant: z^0 times itself
+    zero = LaurentMatrix.from_strs([["0", "0"], ["0", "0"]])
+    assert jordan_structure(zero) == [(0, 1), (0, 1)]
+
+
+@pytest.mark.parametrize(
+    "entry,window,c",
+    [("2", 0, Fraction(1, 3)), ("2", 2, Fraction(1, 3)), ("1", 0, Fraction(1, 2)),
+     ("1", 2, Fraction(1, 8))],
+)
+def test_window_eigenspace_with_a_fractional_unit_cell(entry, window, c):
+    # the window rows are unit times the map's (unit = 1 at window 0 and 4
+    # at window 2, q = 2), and c * unit is no integer: a solution would make
+    # c an eigenvalue of the in-window map, whose unit multiple is an
+    # integer matrix, so unit * c an algebraic integer
+    T = MatrixModule(LaurentMatrix.from_strs([[entry]]))
+    with using_q(2):
+        assert window_eigenspace(T, window, 0, c) == []
+        # T v(qz) = T v(z) holds for the constants, at an integral cell
+        assert window_eigenspace(T, window, 0, int(entry)) == [[LaurentPoly.const(1)]]
 
 
 def test_module_json_round_trip():
