@@ -6,10 +6,12 @@ H^0(M) = Hom(O, M): a fixed vector is a line subbundle of type (c, k) =
 (1, 0), so H^0 of a matrix-presented module is the window solver
 `modules.window_eigenspace` at that type.  A fixed vector with z-support
 inside [-w, w] satisfies T(z) f(qz) = f(z), a finite linear system over the
-scalar field once the window w is chosen.  Windows grow until the dimension
-stagnates twice or reaches n, the size of T, which it cannot exceed; only
-reaching n makes the answer certified, stagnation is reported as
-uncertified.
+scalar field once the window w is chosen.  Windows grow through 8, 12, 16,
+... until the dimension stagnates twice or reaches n, the size of T, which
+it cannot exceed; only reaching n makes the answer certified, stagnation is
+reported as uncertified.  One solve at window 16 decides the first three
+windows: the fixed vectors supported in a smaller window are the ones of
+that kernel that vanish outside it (`stabilized_h0`).
 
 Line bundles, torsion modules and matrices T(z) = z^m C with C constant share
 one closed form for h0 (`_closed_h0`), which also covers z-good generators;
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from .aq import degrees
 from .errors import NonSplitSpectrum, PreconditionViolation, SearchExhausted
+from .linalg import rank
 from .modules import (
     Good,
     LineBundle,
@@ -73,22 +76,53 @@ def fixed_space(T: MatrixModule, window: int):
     return [tuple(f) for f in window_eigenspace(T, window, 0, 1)]
 
 
+def _dim_within(basis, solved: int, window: int) -> int:
+    """dim of the vectors in the span of `basis`, a basis of the fixed space
+    at window `solved`, whose z-support lies in [-window, window]: the
+    number of vectors less the rank of their coefficients at the exponents
+    outside.  An empty basis leaves nothing to read."""
+    if not basis:
+        return 0
+    outside = [
+        [f.coeff(e) for f in v for e in range(-solved, solved + 1) if abs(e) > window]
+        for v in basis
+    ]
+    return len(basis) - rank(outside)
+
+
 def stabilized_h0(T: MatrixModule):
-    """(h0, certified, window_used) by growing the support window.  Stops
-    certified when the dimension reaches n = T.n, which it can never exceed:
-    fixed vectors independent over K are independent over K(z) (the
-    coefficients of a shortest relation are fixed by z |-> qz, so constant),
-    so h0 <= n.  Stops uncertified after two consecutive stagnant growths."""
-    window = WINDOW_START
-    dims = []
-    while True:
-        d = len(fixed_space(T, window))
-        dims.append(d)
+    """(h0, certified, window_used) by growing the support window through
+    8, 12, 16, 20, ...  Stops certified at the first window whose dimension
+    reaches n = T.n, which it can never exceed: fixed vectors independent
+    over K are independent over K(z) (the coefficients of a shortest
+    relation are fixed by z |-> qz, so constant), so h0 <= n.  Stops
+    uncertified when the dimension has stayed the same over three windows
+    in a row.
+
+    The first window that can end the protocol uncertified is 16, so that
+    one is solved once and the dimensions at 8 and 12 are read off its
+    kernel (`_dim_within`).  This is exact: `window_eigenspace` writes its
+    equations over the full exponent range, so the fixed vectors supported
+    in [-w, w] are exactly the vectors of the window-16 kernel that vanish
+    outside [-w, w].  For a kernel basis of k vectors that subspace has
+    dimension k less the rank of their coefficients outside [-w, w].  Most
+    calls find k = 0, and then there is nothing to read.  Past 16 the
+    windows are solved one at a time, as each may be the last."""
+    windows = [WINDOW_START + i * WINDOW_STEP for i in range(3)]
+    basis = fixed_space(T, windows[-1])
+    dims = [_dim_within(basis, windows[-1], window) for window in windows[:-1]]
+    dims.append(len(basis))
+    for window, d in zip(windows, dims):
         if d >= T.n:
             return d, True, window
-        if len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3]:
-            return d, False, window
+    window = windows[-1]
+    while not dims[-1] == dims[-2] == dims[-3]:
         window += WINDOW_STEP
+        d = len(fixed_space(T, window))
+        if d >= T.n:
+            return d, True, window
+        dims.append(d)
+    return dims[-1], False, window
 
 
 def _closed_h0(M):

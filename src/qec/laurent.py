@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import add as plus, sub as minus
 
 from .errors import PreconditionViolation, ZeroInput
 from .scalars import get_q, scalar_to_str
@@ -78,6 +79,49 @@ def _convolve(a, b):
                 out[j] += x * y
     d = da * db
     return tuple([Fraction(n, d) for n in out])
+
+
+def _sum(f, g, sub):
+    """f + g, or f - g when `sub`, with no negated copy of g.
+
+    The lower operand's coefficients are copied, and the other's are added
+    (or subtracted) where the supports overlap and appended past its end.
+    For a difference only the cells that are g's alone are negated.
+    Disjoint supports are joined by zeros and cannot cancel; an overlap can
+    cancel at either end, so that result is trimmed."""
+    a, b = f.coeffs, g.coeffs
+    if not b:
+        return f
+    if not a:
+        return -g if sub else g
+    if f.lo <= g.lo:
+        lo, off, neg_low, neg_high = f.lo, g.lo - f.lo, False, sub
+        op = minus if sub else plus
+    else:
+        # g is the lower operand: an overlap cell is f's minus g's
+        lo, off, neg_low, neg_high, a, b = g.lo, f.lo - g.lo, sub, False, b, a
+        op = _rminus if sub else plus
+    gap = off - len(a)
+    if gap >= 0:
+        return _trusted(lo, _signed(a, neg_low) + (_F0,) * gap + _signed(b, neg_high))
+    out = list(a)
+    for i, c in enumerate(b[:-gap], off):
+        out[i] = op(out[i], c)
+    out.extend(_signed(b[-gap:], neg_high))
+    if neg_low:
+        # g's cells below f and, when g reaches further, above it
+        out[:off] = _signed(a[:off], True)
+        end = off + len(b)
+        out[end : len(a)] = _signed(a[end:], True)
+    return _trusted(*_trim(lo, tuple(out)))
+
+
+def _signed(coeffs, neg):
+    return tuple([-c for c in coeffs]) if neg else coeffs
+
+
+def _rminus(x, y):
+    return y - x
 
 
 class LaurentPoly:
@@ -148,23 +192,7 @@ class LaurentPoly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = LaurentPoly.const(other)
-        f, g = (self, other) if self.lo <= other.lo else (other, self)
-        a, b = f.coeffs, g.coeffs
-        if not b:
-            return f
-        if not a:
-            return g
-        # copy the lower operand and add the other where they overlap
-        off = g.lo - f.lo
-        gap = off - len(a)
-        if gap >= 0:
-            # disjoint supports: nothing cancels
-            return _trusted(f.lo, a + (_F0,) * gap + b)
-        out = list(a)
-        for i, c in enumerate(b[:-gap], off):
-            out[i] += c
-        out.extend(b[-gap:])
-        return _trusted(*_trim(f.lo, tuple(out)))
+        return _sum(self, other, False)
 
     __radd__ = __add__
 
@@ -176,7 +204,7 @@ class LaurentPoly:
             other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self + (-other)
+        return _sum(self, other, True)
 
     def __rsub__(self, other):
         return (-self) + other

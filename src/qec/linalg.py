@@ -17,6 +17,13 @@ the probe), and an annihilator row has the orbit v, ..., s^d(v), shifts
 0..zd and scale 1 (`ideals`).  `shift_rows` writes integer rows, the map's
 rows times one integer `unit` that it returns with them, so no `Fraction`
 is built per cell.  These systems are banded in z-degree and mostly zero.
+The window solver eliminates in the banded order: unknowns exponent-major,
+rows sorted by exponent, so each row meets about n (deg_z T + 1)
+neighbouring columns and the Bareiss fill stays in that band.  The
+canonical `nullspace` basis depends on the column order, so the window
+solver rewrites it in the component-major order `shift_rows` uses: that
+basis is the unique reduced row echelon form of the kernel with its
+columns reversed, one small `rref` of the kernel vectors.
 
 Characteristic polynomials come from a Hessenberg reduction over Q, O(n^3)
 field operations.  Eigenvalues come from exact rational root extraction

@@ -32,7 +32,7 @@ from .laurent import (
     det_and_inverse,
     qshift,
 )
-from .linalg import jordan_structure_constant, nullspace, shift_rows
+from .linalg import jordan_structure_constant, nullspace, rref, shift_rows
 from .scalars import get_q, q_orbit, q_power_class, scalar_from_str, scalar_to_str
 
 
@@ -122,23 +122,49 @@ def sigma_apply(T: MatrixModule, vec, k: int = 1):
 
 def _window_rows(T: MatrixModule, window: int):
     """(unit, rows) for the rows of v |-> T(z) v(qz) on the window unknowns,
-    keyed and sorted by (component, exponent), each times the integer unit
-    (`linalg.shift_rows`): unknown r (2 window + 1) + j + window is the
-    coefficient of z^j in component r, |j| <= window, and maps to
-    s(z^j e_r) = q^j z^j T[:, r]."""
-    return shift_rows(list(zip(*T.mat.rows)), range(-window, window + 1), get_q())
+    keyed by (component, exponent), each times the integer unit
+    (`linalg.shift_rows`).  The unknowns are exponent-major: unknown
+    (j + window) n + r is the coefficient of z^j in component r, |j| <=
+    window, and maps to s(z^j e_r) = q^j z^j T[:, r].  A row at exponent e
+    then touches only the unknowns with e - j in the z-support of T, about
+    n (deg_z T + 1) neighbouring columns."""
+    n, width = T.n, 2 * window + 1
+    unit, rows = shift_rows(list(zip(*T.mat.rows)), range(-window, window + 1), get_q())
+    if n == 1:  # one component: the two orders are the same
+        return unit, rows
+    # shift_rows lays out the columns component-major, r width + j + window
+    order = [r * width + j for j in range(width) for r in range(n)]
+    return unit, {key: [row[t] for t in order] for key, row in rows.items()}
 
 
 def _window_keys(n: int, window: int, k: int):
     """The row where c z^k v(z) puts each window unknown, in the unknowns'
     order: (r, j + k) for the coefficient of z^j in component r."""
-    return [(r, j + k) for r in range(n) for j in range(-window, window + 1)]
+    return [(r, j + k) for j in range(-window, window + 1) for r in range(n)]
 
 
 def _window_vector(x, n: int, window: int):
-    """The Laurent vector whose window coordinates (component-major) are x."""
+    """The Laurent vector whose window coordinates, component-major (all of
+    component 0 first), are x."""
     width = 2 * window + 1
     return [LaurentPoly(-window, x[r * width : (r + 1) * width]) for r in range(n)]
+
+
+def _component_major(basis, n: int):
+    """The canonical kernel basis (`linalg.nullspace`) of the span of the
+    exponent-major window vectors `basis`, taken in the component-major
+    order, each vector rewritten in that order.
+
+    A canonical basis has 1 at each vector's own free column, 0 at the
+    other vectors' free columns, and each free column is its vector's last
+    nonzero entry.  With the columns reversed that is the reduced row
+    echelon form of the span, which is unique, so one `rref` of the
+    reversed vectors gives it, last free column first.  With one component
+    the two orders are the same, and so are the two bases."""
+    if n == 1:
+        return basis
+    rows, _ = rref([[a for r in range(n) for a in x[r::n]][::-1] for x in basis])
+    return [row[::-1] for row in reversed(rows)]
 
 
 def window_eigenspace(T: MatrixModule, window: int, k: int, c):
@@ -149,7 +175,17 @@ def window_eigenspace(T: MatrixModule, window: int, k: int, c):
     subbundle of type (c, k) is a nonzero solution.  The equations run over
     the full exponent range touched by T and the window, so every returned
     vector is a genuine solution, not a truncation artifact; the basis is the
-    canonical kernel basis, which depends only on the solution space.
+    canonical kernel basis of the component-major unknowns (all of component
+    0 first), which depends only on the solution space.
+
+    The system is solved banded: the unknowns are exponent-major
+    (`_window_rows`) and the rows sorted by (exponent, component), so each
+    row meets only its neighbours' columns and the Bareiss fill of
+    `nullspace` stays inside a band of about n (deg_z T + 1) columns, not
+    one as wide as the window.  Reordering the unknowns permutes the
+    kernel's coordinates and nothing else, and `_component_major` turns the
+    kernel back into the component-major canonical basis, so the answer
+    does not depend on the order the solve used.
     """
     if window < 0:
         raise PreconditionViolation("window must be >= 0")
@@ -161,9 +197,12 @@ def window_eigenspace(T: MatrixModule, window: int, k: int, c):
     cell = cell.numerator if cell.denominator == 1 else cell
     for t, key in enumerate(keys):
         rows.setdefault(key, [0] * len(keys))[t] -= cell
-    # -c unit may open rows T leaves empty; re-sort, as echelon's fill follows row order
-    system = [rows[key] for key in sorted(rows)]
-    basis = [_window_vector(x, T.n, window) for x in nullspace(system, len(keys))]
+    # -c unit may open rows T leaves empty; echelon's fill follows row order
+    system = [rows[key] for key in sorted(rows, key=lambda key: (key[1], key[0]))]
+    kernel = nullspace(system, len(keys))
+    if not kernel:
+        return []
+    basis = [_window_vector(x, T.n, window) for x in _component_major(kernel, T.n)]
     # exact certificate on the full equation
     for v in basis:
         if sigma_apply(T, v, 1) != [f.shift(k) * c for f in v]:
@@ -431,17 +470,26 @@ def _whole(total) -> int:
     return total.numerator
 
 
+def _rise(lam, length) -> int:
+    """length * lam, the rise of one polygon edge: an integer, since the
+    edge joins two lattice points."""
+    rise, rem = divmod(lam.numerator * length, lam.denominator)
+    if rem:
+        raise CertificateFailure(f"edge of slope {lam} and length {length} has no integer rise")
+    return rise
+
+
 def rank_S(M, bounds=None):
     """Rank over K[s,s^-1], read off the slopes (see `slopes`):
     the sum of length * max(slope, 0) at infinity and of
     length * max(-slope, 0) at 0.  That is |m| for L(c, m), 0 for torsion
-    and deg_z p for a good module.  `bounds` is accepted and not read: no
-    search runs on this path."""
+    and deg_z p for a good module.  Each edge's rise is summed as an int
+    (`_rise`), so no `Fraction` arithmetic runs.  `bounds` is accepted and
+    not read: no search runs on this path."""
     at_inf, at_zero = slopes(M)
-    return _whole(
-        sum(length * max(lam, 0) for lam, length in at_inf)
-        + sum(length * max(-lam, 0) for lam, length in at_zero)
-    )
+    up = sum(_rise(lam, length) for lam, length in at_inf if lam.numerator > 0)
+    down = sum(_rise(lam, length) for lam, length in at_zero if lam.numerator < 0)
+    return up - down
 
 
 # -- tensor, dual, hom ---------------------------------------------------------

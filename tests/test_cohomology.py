@@ -1,12 +1,15 @@
 """Cohomology: closed forms, the fixed-space solver, the window protocol,
 h1 = h0 + rank_S, and the Euler form."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from qec.aq import parse
 from qec.cohomology import (
+    WINDOW_START,
+    WINDOW_STEP,
     cohomology,
     dim_hom,
     euler_form,
@@ -15,7 +18,7 @@ from qec.cohomology import (
 )
 from qec.errors import PreconditionViolation
 from qec.ideals import SearchBounds, line_subbundle_probe
-from qec.laurent import LaurentMatrix
+from qec.laurent import LaurentMatrix, LaurentPoly
 from qec.modules import (
     Good,
     LineBundle,
@@ -27,8 +30,8 @@ from qec.modules import (
     rank_S,
     to_matrix,
 )
-from qec.samples import rand_module, rand_sigma_matrix
-from qec.scalars import set_q
+from qec.samples import rand_laurent, rand_module, rand_sigma_matrix
+from qec.scalars import set_q, using_q
 
 O = LineBundle(1, 0)
 
@@ -122,6 +125,91 @@ def test_stabilized_h0_protocol():
     assert stabilized_h0(_mat([["1"]])) == (1, True, 8)
     # n = 2 never reached: two stagnant growths end the scan at window 16
     assert stabilized_h0(to_matrix(extension_fixture())) == (0, False, 16)
+
+
+def _window_by_window(T):
+    """The window protocol with every window solved on its own: 8, 12, 16,
+    ..., certified once the dimension reaches n, uncertified after three
+    equal dimensions in a row.  The reference for `stabilized_h0`."""
+    window, dims = WINDOW_START, []
+    while True:
+        d = len(fixed_space(T, window))
+        dims.append(d)
+        if d >= T.n:
+            return d, True, window
+        if len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3]:
+            return d, False, window
+        window += WINDOW_STEP
+
+
+# sigma-good generators that are not z-good: cohomology of Good(p) reaches
+# the window protocol
+GOOD_NOT_Z_GOOD = (
+    "z - s - s^-1",
+    "s - 1 - z + z*s^-1",
+    "z + s^2 - s^-1",
+    "s^2 - 3*s + 2 + z*s",
+    "s^2 - 5*s + 4",
+    "s - 2 + z*s^-1 - 2*z",
+    "(s - 1)*(z - s - s^-1)",
+)
+
+
+def _rand_gauge_parts(rng, q):
+    """(G, D) for `gauge`: G unit upper triangular with entries reaching up
+    to z^+-12, so that fixed vectors reach past windows 8 and 12; D diagonal
+    with entries c z^m, c mostly a power of q."""
+    n = rng.randint(1, 3)
+    g = [[LaurentPoly.const(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            g[i][j] = rand_laurent(rng, 1, 12)
+    d = [[LaurentPoly.zero()] * n for _ in range(n)]
+    for i in range(n):
+        c = q ** rng.randint(-2, 2) if rng.random() < 0.7 else Fraction(3)
+        d[i][i] = LaurentPoly.monomial(c, rng.choice((0, 0, 0, 1, -1)))
+    return LaurentMatrix(tuple(map(tuple, g))), LaurentMatrix(tuple(map(tuple, d)))
+
+
+@pytest.mark.parametrize("q", [2, 3, Fraction(-1, 2), Fraction(5, 7)])
+def test_stabilized_h0_matches_the_window_by_window_protocol(q, gauge):
+    rng = random.Random(f"stabilized-h0-{q}")
+    with using_q(q):
+        mods = [to_matrix(Good(parse(p))) for p in GOOD_NOT_Z_GOOD]
+        mods += [rand_sigma_matrix(rng) for _ in range(6)]
+        mods += [gauge(*_rand_gauge_parts(rng, Fraction(q))) for _ in range(10)]
+        for T in mods:
+            assert stabilized_h0(T) == _window_by_window(T), T
+
+
+I2 = [["1", "0"], ["0", "1"]]
+I3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+
+@pytest.mark.parametrize(
+    "g,expected",
+    [
+        ([["1"]], (1, True, 8)),
+        # fixed vectors e_1 and (-z^j, 1): the dimension reaches 2 at the
+        # first window that holds z^j, including on its boundary
+        ([["1", "z^10"], ["0", "1"]], (2, True, 12)),
+        ([["1", "z^-8"], ["0", "1"]], (2, True, 8)),
+        ([["1", "z^12"], ["0", "1"]], (2, True, 12)),
+        ([["1", "z^16"], ["0", "1"]], (2, True, 16)),
+        ([["1", "z^-16"], ["0", "1"]], (2, True, 16)),
+        # supports 0, 10 and 30: dimensions 1, 2, 2, 2 stop the protocol past 16
+        ([["1", "z^10", "0"], ["0", "1", "z^20"], ["0", "0", "1"]], (2, False, 20)),
+        # supports 0, 10 and 18: dimensions 1, 2, 2, 3 certify at 20
+        ([["1", "z^10", "0"], ["0", "1", "z^8"], ["0", "0", "1"]], (3, True, 20)),
+        # supports 0, 14 and 22: dimensions 1, 1, 2, 2, 3 certify at 24
+        ([["1", "z^14", "0"], ["0", "1", "z^8"], ["0", "0", "1"]], (3, True, 24)),
+    ],
+)
+def test_stabilized_h0_on_trivial_modules_in_a_wide_basis(g, expected, gauge):
+    # T = G(z)^-1 G(qz) is the trivial module of rank n written in the basis
+    # G, with det G = 1: its fixed vectors are the columns of G^-1
+    T = gauge(g, {1: [["1"]], 2: I2, 3: I3}[len(g)])
+    assert stabilized_h0(T) == expected == _window_by_window(T)
 
 
 def test_h1_identity_on_randoms(rng):

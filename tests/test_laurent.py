@@ -224,6 +224,17 @@ def test_sums_that_cancel_at_an_end_are_trimmed(pair):
     assert_is(f - (-g), _ref_add(a, b))
 
 
+@given(st.one_of(st.tuples(polys, polys), cancelling_pairs()))
+def test_difference_is_the_sum_with_the_negation(pair):
+    # a difference never builds -g, so check it against the sum that does,
+    # with either operand the lower one and with cancellation at an end
+    f, g = pair
+    for x, y in ((f, g), (g, f), (f, -g), (-g, f)):
+        d, want = x - y, x + (-y)
+        assert (d.lo, d.coeffs) == (want.lo, want.coeffs)
+        assert_is(d, _ref(want))
+
+
 @given(polys, scalars)
 def test_scalar_products_and_sums_match_the_reference(f, c):
     a = _ref(f)

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -10,7 +11,7 @@ import pytest
 from qec.aq import AqElement, degrees, parse
 from qec.errors import NonSplitSpectrum, ParseError, PreconditionViolation, ZeroInput
 from qec.laurent import ZERO, LaurentMatrix, LaurentPoly, laurent_to_str
-from qec.linalg import jordan_structure_constant
+from qec.linalg import jordan_structure_constant, nullspace, shift_rows
 from qec.modules import (
     Good,
     LineBundle,
@@ -47,7 +48,7 @@ from qec.samples import (
     rand_sigma_matrix,
     rand_torsion,
 )
-from qec.scalars import using_q
+from qec.scalars import get_q, using_q
 
 O = LineBundle(1, 0)
 
@@ -287,6 +288,52 @@ def test_window_eigenspace_with_a_fractional_unit_cell(entry, window, c):
         assert window_eigenspace(T, window, 0, c) == []
         # T v(qz) = T v(z) holds for the constants, at an integral cell
         assert window_eigenspace(T, window, 0, int(entry)) == [[LaurentPoly.const(1)]]
+
+
+def _component_major_basis(T, window, k, c):
+    """The window solver's answer as one nullspace over the component-major
+    unknowns (the coefficient of z^j in component r is unknown
+    r (2 window + 1) + j + window), rows sorted by (component, exponent):
+    the reference for `window_eigenspace`'s banded solve."""
+    width = 2 * window + 1
+    unit, rows = shift_rows(list(zip(*T.mat.rows)), range(-window, window + 1), get_q())
+    keys = [(r, j + k) for r in range(T.n) for j in range(-window, window + 1)]
+    for t, key in enumerate(keys):
+        rows.setdefault(key, [0] * len(keys))[t] -= c * unit
+    kernel = nullspace([rows[key] for key in sorted(rows)], len(keys))
+    return [
+        [LaurentPoly(-window, x[r * width : (r + 1) * width]) for r in range(T.n)]
+        for x in kernel
+    ]
+
+
+@pytest.mark.parametrize("q", [2, Fraction(-1, 2), Fraction(5, 7)])
+def test_window_eigenspace_is_the_component_major_nullspace_basis(q, gauge):
+    # D = diag(c_i z^m_i) in a wide basis G: eigenlines at k = m_i with
+    # c = c_i q^j, several of them at once, with vectors that spread over
+    # every component
+    with using_q(q):
+        q = get_q()
+        g = [["1", "z^2 - 1/2*z^-3", "z^-1"], ["0", "1", "3*z^4 + z"], ["0", "0", "1"]]
+        cases = [
+            (gauge(g, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]), 0, (1, q, 3)),
+            (gauge(g, [["z", "0", "0"], ["0", "2", "0"], ["0", "0", "2*z"]]), 1, (2, 2 * q, 1)),
+            # c = 1/5 is no eigenvalue, and c unit is no integer
+            (gauge([["1", "z^-5"], ["0", "1"]], [["1/3", "0"], ["0", "1/3"]]), 0,
+             (Fraction(1, 3), Fraction(1, 3) / q, Fraction(1, 5))),
+            (to_matrix(extension_fixture()), 1, (1, q)),
+            (rand_sigma_matrix(random.Random(3), n_max=3), -1, (1, 2)),
+        ]
+        seen = set()
+        for T, k, cs in cases:
+            for window in range(11):
+                for kk, c in [(0, 1)] + [(k, c) for c in cs]:
+                    got = window_eigenspace(T, window, kk, c)
+                    assert got == _component_major_basis(T, window, kk, c), (T, window, kk, c)
+                    seen.add(len(got))
+        assert {0, 1, 2, 3} <= seen
+        with pytest.raises(PreconditionViolation, match="window must be >= 0"):
+            window_eigenspace(T, -1, 0, 1)
 
 
 def test_module_json_round_trip():

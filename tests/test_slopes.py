@@ -11,9 +11,12 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from qec import ideals
+import pytest
+
+from qec import ideals, modules
 from qec.aq import parse
 from qec.cohomology import cohomology, euler_form
+from qec.errors import CertificateFailure
 from qec.ideals import cyclic_presentation
 from qec.laurent import ONE, ZERO, LaurentMatrix, LaurentPoly, det, det_and_inverse
 from qec.modules import (
@@ -229,6 +232,19 @@ def test_slopes_closed_forms():
     # a fractional slope: s^2 - z, one edge of slope 1/2 and length 2
     assert slopes(Good(parse("s^2 - z"))) == ([(Fraction(1, 2), 2)], [(Fraction(1, 2), 2)])
     assert rank_S(Good(parse("s^2 - z"))) == 1
+
+
+def test_rank_S_sums_integer_rises(monkeypatch):
+    assert type(rank_S(Good(parse("s^2 - z")))) is int
+    assert rank_S(Good(parse("z^-3*s^3 - 1"))) == 3
+    # each edge joins lattice points, so each rise is an integer; two rises
+    # of 1/2 add up to an integer and are still reported, at either end
+    half = [(Fraction(1, 2), 1), (Fraction(1, 2), 1)]
+    flat = [(Fraction(0), 2)]
+    for polygons in ((half, flat), (flat, [(-lam, n) for lam, n in half])):
+        monkeypatch.setattr(modules, "slopes", lambda M, polygons=polygons: polygons)
+        with pytest.raises(CertificateFailure, match="no integer rise"):
+            rank_S(LineBundle(1, 0))
 
 
 def test_cramer_certificate_survives_python_O():
