@@ -80,9 +80,7 @@ def _dim_within(basis, solved: int, window: int) -> int:
     """dim of the vectors in the span of `basis`, a basis of the fixed space
     at window `solved`, whose z-support lies in [-window, window]: the
     number of vectors less the rank of their coefficients at the exponents
-    outside.  An empty basis leaves nothing to read."""
-    if not basis:
-        return 0
+    outside."""
     outside = [
         [f.coeff(e) for f in v for e in range(-solved, solved + 1) if abs(e) > window]
         for v in basis
@@ -100,29 +98,25 @@ def stabilized_h0(T: MatrixModule):
     in a row.
 
     The first window that can end the protocol uncertified is 16, so that
-    one is solved once and the dimensions at 8 and 12 are read off its
+    one is solved once and the dimensions at 8, 12 and 16 are read off its
     kernel (`_dim_within`).  This is exact: `window_eigenspace` writes its
     equations over the full exponent range, so the fixed vectors supported
     in [-w, w] are exactly the vectors of the window-16 kernel that vanish
     outside [-w, w].  For a kernel basis of k vectors that subspace has
-    dimension k less the rank of their coefficients outside [-w, w].  Most
-    calls find k = 0, and then there is nothing to read.  Past 16 the
-    windows are solved one at a time, as each may be the last."""
-    windows = [WINDOW_START + i * WINDOW_STEP for i in range(3)]
-    basis = fixed_space(T, windows[-1])
-    dims = [_dim_within(basis, windows[-1], window) for window in windows[:-1]]
-    dims.append(len(basis))
-    for window, d in zip(windows, dims):
-        if d >= T.n:
-            return d, True, window
-    window = windows[-1]
-    while not dims[-1] == dims[-2] == dims[-3]:
-        window += WINDOW_STEP
-        d = len(fixed_space(T, window))
-        if d >= T.n:
-            return d, True, window
+    dimension k less the rank of their coefficients outside [-w, w].  Past
+    16 the windows are solved one at a time, as each may be the last."""
+    last = WINDOW_START + 2 * WINDOW_STEP
+    basis = fixed_space(T, last)
+    window = WINDOW_START
+    dims = []
+    while True:
+        d = _dim_within(basis, last, window) if window <= last else len(fixed_space(T, window))
         dims.append(d)
-    return dims[-1], False, window
+        if d >= T.n:
+            return d, True, window
+        if len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3]:
+            return d, False, window
+        window += WINDOW_STEP
 
 
 def _closed_h0(M):

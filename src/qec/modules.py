@@ -200,8 +200,6 @@ def window_eigenspace(T: MatrixModule, window: int, k: int, c):
     # -c unit may open rows T leaves empty; echelon's fill follows row order
     system = [rows[key] for key in sorted(rows, key=lambda key: (key[1], key[0]))]
     kernel = nullspace(system, len(keys))
-    if not kernel:
-        return []
     basis = [_window_vector(x, T.n, window) for x in _component_major(kernel, T.n)]
     # exact certificate on the full equation
     for v in basis:
