@@ -96,13 +96,15 @@ class AqElement:
 
     # -- arithmetic -------------------------------------------------------
 
-    def __add__(self, other):
+    def _sum(self, other, op):
+        """self + other or self - other, by `op` (`LaurentPoly.__add__` or
+        `__sub__`) per s-coefficient, with no negated copy of other."""
         other = _coerce(other)
         if other is None:
             return NotImplemented
         c = dict(self._c)
         for i, f in other._c.items():
-            g = c.get(i, ZERO) + f
+            g = op(c.get(i, ZERO), f)
             if g.is_zero():
                 c.pop(i, None)
             else:
@@ -110,6 +112,9 @@ class AqElement:
         out = AqElement.__new__(AqElement)
         out._c = c
         return out
+
+    def __add__(self, other):
+        return self._sum(other, LaurentPoly.__add__)
 
     __radd__ = __add__
 
@@ -119,10 +124,7 @@ class AqElement:
         return out
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._sum(other, LaurentPoly.__sub__)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -212,21 +214,22 @@ def epsilon(x: AqElement) -> AqElement:
 
 
 def fourier(x: AqElement) -> AqElement:
-    """Automorphism with z |-> s, s |-> z^-1; its fourth power is the identity."""
-    acc = {}
-    q = get_q()
-    for j, i, c in x.monomials():
-        # c z^j s^i |-> c s^j z^-i = c q^{-ij} z^-i s^j
-        row = acc.setdefault(j, {})
-        row[-i] = row.get(-i, Fraction(0)) + c * q ** (-i * j)
-    out = {}
-    for sexp, zmap in acc.items():
-        lo = min(zmap)
-        hi = max(zmap)
-        f = LaurentPoly(lo, [zmap.get(k, Fraction(0)) for k in range(lo, hi + 1)])
-        if not f.is_zero():
-            out[sexp] = f
-    return AqElement(out)
+    """Automorphism with z |-> s, s |-> z^-1; its fourth power is the identity.
+
+    c z^j s^i |-> c s^j z^-i = c q^(-ij) z^-i s^j, so the coefficient of s^j
+    in the image has the coefficient of z^j of qshift(x_i, -i) at z^-i: the
+    rows qshift(x_i, -i), i from the top down, transposed.  Each (i, j)
+    occurs once in x, and each column j taken holds a nonzero entry."""
+    if x.is_zero():
+        return x
+    top, bot = max(x._c), min(x._c)
+    rows = [qshift(x.coefficient(i), -i) for i in range(top, bot - 1, -1)]
+    out = AqElement.__new__(AqElement)
+    out._c = {
+        j: LaurentPoly(-top, [f.coeff(j) for f in rows])
+        for j in {j for f in rows for j, _ in f.terms()}
+    }
+    return out
 
 
 def sigma_conj(x: AqElement, k: int) -> AqElement:

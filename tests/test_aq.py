@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qec.aq import (
     AqElement,
@@ -20,7 +22,9 @@ from qec.aq import (
 from qec.errors import ParseError, PreconditionViolation, ZeroInput
 from qec.laurent import LaurentPoly, laurent_to_str, qshift
 from qec.samples import rand_aq, rand_laurent, rand_sigma_good
-from qec.scalars import using_q
+from qec.scalars import get_q, using_q
+
+QS = (2, Fraction(-1, 2), Fraction(5, 7))
 
 
 def test_defining_relation():
@@ -116,6 +120,33 @@ def test_fourier_automorphism(rng):
         assert fourier(x * y) == fourier(x) * fourier(y)
         z4 = fourier(fourier(fourier(fourier(x))))
         assert z4 == x
+
+
+def test_fourier_matches_the_image_of_each_monomial(rng):
+    # c z^j s^i |-> c s^j z^-i = c q^(-ij) z^-i s^j, summed monomial by monomial
+    for q in QS:
+        with using_q(q):
+            for _ in range(60):
+                x = rand_aq(rng, max_width=3)
+                want = AqElement.zero()
+                for j, i, c in x.monomials():
+                    want = want + AqElement.monomial(c * get_q() ** (-i * j), -i, j)
+                got = fourier(x)
+                assert got == want
+                assert all(type(c) is Fraction for _, _, c in got.monomials())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(QS))
+def test_difference_is_the_sum_with_the_negation(seed, q):
+    r = random.Random(seed)
+    with using_q(q):
+        a, b, c = (rand_aq(r, max_width=3) for _ in range(3))
+        assert a - b == a + (-b)
+        assert a - a == 0
+        # b + c shares b's coefficients, so some differences cancel
+        assert (b + c) - b == c
+        assert b - (b + c) == -c
 
 
 def test_sigma_conj(rng):

@@ -6,7 +6,8 @@ dependency on it.  Rational matrices exercise `rref`, `rank`, `nullspace` and
 integer matrices exercise `echelon` over Z, products of linear factors
 exercise `rational_roots`, and Laurent matrices exercise `echelon`, `det` and
 the annihilator width over Q(z).  `shift_rows` is checked against the walk
-over Laurent image vectors that it replaced.
+over Laurent image vectors that it replaced, and `jordan_structure_constant`
+against `jordan_form` on planted Jordan matrices.
 """
 
 import random
@@ -20,7 +21,8 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from qec.errors import SearchExhausted
+from qec import linalg
+from qec.errors import CertificateFailure, SearchExhausted
 from qec.ideals import minimal_annihilator_width
 from qec.aq import parse
 from qec.laurent import ONE, ZERO, LaurentMatrix, LaurentPoly, det, divexact, echelon
@@ -28,6 +30,7 @@ from qec.linalg import (
     TRIAL_DIVISION_LIMIT,
     _primitive,
     charpoly,
+    jordan_structure_constant,
     nullspace,
     rank,
     rational_roots,
@@ -374,6 +377,106 @@ def test_rational_roots_returns_every_planted_root(planted, zero_mult, quad, sca
     if zero_mult:
         want[Fraction(0)] = zero_mult
     assert rational_roots(p) == (sorted(want.items()), 0 if quad is None else 2)
+
+
+def _planted_jordan(rng, blocks):
+    """P J P^-1 as Fraction rows, for J with these (eigenvalue, size) blocks
+    and a random invertible integer P."""
+    n = sum(size for _, size in blocks)
+    J = sympy.zeros(n, n)
+    at = 0
+    for lam, size in blocks:
+        for i in range(at, at + size):
+            J[i, i] = sympy.Rational(lam.numerator, lam.denominator)
+            if i + 1 < at + size:
+                J[i, i + 1] = 1
+        at += size
+    P = sympy.zeros(n, n)
+    while P.det() == 0:
+        P = sympy.Matrix(n, n, lambda i, j: rng.randint(-3, 3))
+    A = P * J * P.inv()
+    return A, [[_frac(A[i, j]) for j in range(n)] for i in range(n)]
+
+
+def _sympy_jordan_blocks(A):
+    """(eigenvalue, size) of each block of sympy's Jordan form, in its order."""
+    _, J = A.jordan_form()
+    blocks, size = [], 1
+    for i in range(J.rows):
+        if i + 1 < J.rows and J[i, i + 1] == 1:
+            size += 1
+        else:
+            blocks.append((_frac(J[i, i]), size))
+            size = 1
+    return blocks
+
+
+JORDAN_CASES = [
+    [(0, 4)],  # nilpotent
+    [(0, 2), (0, 1), (3, 2)],
+    [(Fraction(1, 2), 1), (Fraction(1, 2), 3), (-2, 2)],
+    [(Fraction(-2, 3), 2), (Fraction(5, 4), 4)],
+    [(1, 1), (1, 2), (1, 1), (1, 3)],
+]
+
+
+def test_jordan_structure_constant_matches_sympy_jordan_form(rng, monkeypatch):
+    """Planted blocks of sizes up to 4, with eigenvalue 0, repeated
+    eigenvalues of mixed sizes and non-integer eigenvalues; the list must
+    come in the order (eigenvalue, -size) itself.  The rank chain of an
+    eigenvalue stops at its longest block: one `echelon` per power."""
+    calls = []
+    echelon_ = linalg.echelon
+
+    def counted(rows):
+        calls.append(rows)
+        return echelon_(rows)
+
+    monkeypatch.setattr(linalg, "echelon", counted)
+    eigenvalues = (0, 1, -2, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4))
+    cases = [[(Fraction(lam), size) for lam, size in case] for case in JORDAN_CASES]
+    for _ in range(25):
+        blocks, n = [], 0
+        for lam in rng.sample(eigenvalues, rng.randint(1, 3)):
+            for _ in range(rng.randint(1, 2)):
+                size = rng.randint(1, 4)
+                if n + size <= 7:
+                    blocks.append((Fraction(lam), size))
+                    n += size
+        cases.append(blocks)
+    for blocks in cases:
+        A, rows = _planted_jordan(rng, blocks)
+        want = sorted(blocks, key=lambda b: (b[0], -b[1]))
+        assert sorted(_sympy_jordan_blocks(A)) == sorted(blocks)
+        calls.clear()
+        assert jordan_structure_constant(rows) == want
+        longest = {}
+        for lam, size in blocks:
+            longest[lam] = max(size, longest.get(lam, 0))
+        assert len(calls) == sum(longest.values())
+
+
+def test_jordan_blocks_that_miss_the_multiplicity_are_a_certificate_failure(monkeypatch):
+    """A rank of the chain that comes out one too small (an echelon that
+    drops its last pivot) gives blocks covering more than the eigenvalue's
+    multiplicity, and a rank that never falls (an echelon that keeps every
+    row as a pivot) ends the chain at the multiplicity with blocks covering
+    less: both are the typed error, not wrong Jordan data or a hang."""
+    echelon_ = linalg.echelon
+
+    def drop_last_pivot(rows):
+        pivots, u, sign, last = echelon_(rows)
+        return pivots[:-1], u, sign, last
+
+    def keep_every_row(rows):
+        return list(range(len(rows))), rows, 1, 1
+
+    monkeypatch.setattr(linalg, "echelon", drop_last_pivot)
+    with pytest.raises(CertificateFailure, match="blocks of 1 cover 2 of multiplicity 1"):
+        jordan_structure_constant([[1, 0], [0, 2]])
+    monkeypatch.setattr(linalg, "echelon", keep_every_row)
+    with pytest.raises(CertificateFailure, match="blocks of 0 cover 0 of multiplicity 2"):
+        jordan_structure_constant([[0, 1], [0, 0]])
 
 
 def test_rational_roots_stops_at_the_trial_division_limit():
