@@ -9,15 +9,24 @@ comes from the session (scalars module).
 Units are exactly the monomials c * z^m * s^n.  An element is "sigma-good"
 when both extreme s-coefficients are units of K[z,z^-1], "z-good" when both
 extreme z-coefficients (z-normal form) are units of K[s,s^-1].
+
+`parse` splits its text into tokens in one regex pass: a run of decimal
+digits (the characters int() reads) or one other non-space character.  A
+monomial atom, and a power of a monomial, is carried as the triple
+(c, a, b) = c z^a s^b in closed form: (c z^a s^b)^n = c^n q^(ab n(n-1)/2)
+z^(an) s^(bn), and (c z^a s^b)^-1 = c^-1 q^(ab) z^-a s^-b.  It becomes an
+AqElement where it meets a sum or a product, and every "*" in the text is
+one AqElement product, so the q-commutation rule has one statement.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ParseError, PreconditionViolation
-from .laurent import ONE, ZERO, LaurentPoly, _terms_to_str, qshift
+from .laurent import ONE, ZERO, LaurentPoly, _terms_to_str, _trusted, qshift
 from .scalars import get_q
 
 
@@ -405,7 +414,6 @@ POWER_BITS_LIMIT = 1 << 13
 
 def _height_bits(c) -> int:
     """floor(log2) of the height max(|num|, den) of a rational: 0 for +-1."""
-    c = Fraction(c)
     return max(abs(c.numerator), c.denominator).bit_length() - 1
 
 
@@ -415,48 +423,70 @@ def _width(x: AqElement) -> int:
     return d.deg_sigma + d.deg_z
 
 
-def _monomial_power_bits(x: AqElement, e: int) -> int:
+def _monomial_power_bits(c, a, b, e: int) -> int:
     """Bits of the coefficient of (c z^a s^b)^e = c^e q^(a b e(e-1)/2)
     z^(a e) s^(b e), counted from the heights of c and q, without forming
     it (e >= 0)."""
-    ((a, b, c),) = x.monomials()
-    return e * _height_bits(c) + abs(a * b) * (e * (e - 1) // 2) * _height_bits(get_q())
+    bits = e * _height_bits(c)
+    if a and b:
+        bits += abs(a * b) * (e * (e - 1) // 2) * _height_bits(get_q())
+    return bits
+
+
+def _element(x) -> AqElement:
+    """x as an AqElement; the parser carries a monomial c z^a s^b as the
+    triple (c, a, b)."""
+    if type(x) is not tuple:
+        return x
+    c, a, b = x
+    out = AqElement.__new__(AqElement)
+    out._c = {b: _trusted(a, (c,))} if c else {}
+    return out
+
+
+# one token: a run of decimal digits (exactly the characters int() reads) or
+# one other character, after any white space; "" at the end of the text
+_TOKEN = re.compile(r"\s*(\d+|\S|$)")
+_ONE = Fraction(1)
 
 
 class _Parser:
     """Recursive descent for:  expr := term {(+|-) term};
     term := factor {"*" factor}; factor := ["-"] atom ["^" sint];
-    atom := "z" | "s" | "q" | rational | "(" expr ")"."""
+    atom := "z" | "s" | "q" | rational | "(" expr ")".
+
+    The text is split into tokens once, and `tok[i]` is the next one.  A
+    monomial atom, or a power of one, stays a triple (c, a, b) = c z^a s^b
+    until a sum or a product needs an AqElement.  A ParseError points at the
+    start of the token that does not fit, or, after `after=True`, at the
+    end of the last token taken."""
 
     def __init__(self, text):
         self.text = text
-        self.pos = 0
+        self.tok = _TOKEN.findall(text)
+        self.i = 0
 
-    def error(self, msg):
-        raise ParseError(msg, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def error(self, msg, after=False):
+        # offsets are found only here, by a second pass of the same regex
+        spans = [m.span(1) for m in _TOKEN.finditer(self.text)]
+        raise ParseError(msg, spans[self.i - 1][1] if after else spans[self.i][0])
 
     def take(self, ch):
-        if self.peek() == ch:
-            self.pos += 1
+        if self.tok[self.i] == ch:
+            self.i += 1
             return True
         return False
 
     def integer(self):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
+        t = self.tok[self.i]
+        if not t.isdecimal():
             self.error("expected integer")
-        return int(self.text[start : self.pos])
+        try:
+            n = int(t)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            self.error(f"integer of {len(t)} digits is too long")
+        self.i += 1
+        return n
 
     def sint(self):
         neg = self.take("-")
@@ -467,23 +497,26 @@ class _Parser:
         x = self.term()
         while True:
             if self.take("+"):
-                x = x + self.term()
+                x = _element(x) + _element(self.term())
             elif self.take("-"):
-                x = x - self.term()
+                x = _element(x) - _element(self.term())
             else:
                 return x
 
     def term(self):
         x = self.factor()
         while self.take("*"):
-            y = self.factor()
+            x, y = _element(x), _element(self.factor())
             if not any(f.is_zero() or f.is_unit() for f in (x, y)):
                 # x^e is a product of e copies, so a product has the same cap
                 width = _width(x) + _width(y)
                 if width > POWER_WIDTH_LIMIT:
+                    # past y: at the end of its exponent, or, if y ends
+                    # in ")", at the next token, where the look for "^" ended
                     self.error(
                         f"product of non-monomials reaches width {width},"
-                        f" past the limit {POWER_WIDTH_LIMIT}"
+                        f" past the limit {POWER_WIDTH_LIMIT}",
+                        after=self.tok[self.i - 1] != ")",
                     )
             x = x * y
         return x
@@ -493,60 +526,77 @@ class _Parser:
         x = self.atom()
         if self.take("^"):
             e = self.sint()
-            if e < 0:
-                if not x.is_unit():
-                    self.error("negative power of a non-unit")
-                x, e = x.inverse_unit(), -e
-            if x.is_unit():
-                bits = _monomial_power_bits(x, e)
+            if type(x) is not tuple and x.is_unit():
+                ((b, f),) = x._c.items()
+                x = (*f.unit_decompose(), b)
+            if type(x) is tuple:
+                c, a, b = x
+                if e < 0:
+                    if not c:
+                        self.error("negative power of a non-unit", after=True)
+                    # (c z^a s^b)^-1 = c^-1 q^(ab) z^-a s^-b
+                    c, a, b, e = get_q() ** (a * b) / c, -a, -b, -e
+                bits = _monomial_power_bits(c, a, b, e)
                 if bits > POWER_BITS_LIMIT:
                     self.error(
                         f"power of a monomial reaches a coefficient of about"
-                        f" {bits} bits, past the limit {POWER_BITS_LIMIT}"
+                        f" {bits} bits, past the limit {POWER_BITS_LIMIT}",
+                        after=True,
                     )
-            elif e > 1 and not x.is_zero():
-                width = e * _width(x)
-                if width > POWER_WIDTH_LIMIT:
-                    self.error(
-                        f"power of a non-monomial reaches width {width},"
-                        f" past the limit {POWER_WIDTH_LIMIT}"
-                    )
-            x = x**e
-        return -x if neg else x
+                # s^b z^a = q^(ab) z^a s^b, so moving every z of the e
+                # copies left past the s's collects q^(ab e(e-1)/2)
+                k = a * b * (e * (e - 1) // 2)
+                x = (c**e * get_q() ** k if k else c**e), a * e, b * e
+            else:
+                if e < 0:
+                    self.error("negative power of a non-unit", after=True)
+                if e > 1 and not x.is_zero():
+                    width = e * _width(x)
+                    if width > POWER_WIDTH_LIMIT:
+                        self.error(
+                            f"power of a non-monomial reaches width {width},"
+                            f" past the limit {POWER_WIDTH_LIMIT}",
+                            after=True,
+                        )
+                x = x**e
+        if not neg:
+            return x
+        if type(x) is tuple:
+            return (-x[0], x[1], x[2])
+        return -x
 
     def atom(self):
-        ch = self.peek()
-        if ch == "(":
-            self.take("(")
+        t = self.tok[self.i]
+        if t == "(":
+            self.i += 1
             x = self.expr()
             if not self.take(")"):
                 self.error("expected ')'")
             return x
-        if ch == "z":
-            self.pos += 1
-            return AqElement.monomial(1, zexp=1)
-        if ch == "s":
-            self.pos += 1
-            return AqElement.sigma(1)
-        if ch == "q":
-            self.pos += 1
-            return AqElement.monomial(get_q())
-        if ch.isdigit():
+        if t == "z":
+            self.i += 1
+            return (_ONE, 1, 0)
+        if t == "s":
+            self.i += 1
+            return (_ONE, 0, 1)
+        if t == "q":
+            self.i += 1
+            return (get_q(), 0, 0)
+        if t.isdecimal():
             num = self.integer()
             if self.take("/"):
                 den = self.integer()
                 if den == 0:
-                    self.error("zero denominator")
-                return AqElement.monomial(Fraction(num, den))
-            return AqElement.monomial(Fraction(num))
+                    self.error("zero denominator", after=True)
+                return (Fraction(num, den), 0, 0)
+            return (Fraction(num), 0, 0)
         self.error("expected atom")
 
     def parse(self):
         x = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
+        if self.tok[self.i]:
             self.error("unexpected trailing input")
-        return x
+        return _element(x)
 
 
 def parse(text: str) -> AqElement:

@@ -1,10 +1,14 @@
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qec.aq import (
+    POWER_BITS_LIMIT,
+    POWER_WIDTH_LIMIT,
     AqElement,
     degrees,
     epsilon,
@@ -23,8 +27,18 @@ from qec.errors import ParseError, PreconditionViolation, ZeroInput
 from qec.laurent import LaurentPoly, laurent_to_str, qshift
 from qec.samples import rand_aq, rand_laurent, rand_sigma_good
 from qec.scalars import get_q, using_q
+from reference_parser import reference_parse
 
 QS = (2, Fraction(-1, 2), Fraction(5, 7))
+
+# the benchmark's own input generators (perfbench/inputs.py imports its
+# sibling oracle.py by name)
+_PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+sys.path.insert(0, _PERFBENCH)
+try:
+    import inputs as bench_inputs
+finally:
+    sys.path.remove(_PERFBENCH)
 
 
 def test_defining_relation():
@@ -63,6 +77,124 @@ def test_parse_grammar_pieces():
     assert parse("(z + s)^2") == parse("z^2 + 3*z*s + s^2")  # q = 2 cross term
     assert parse("z^0") == AqElement.one()
     assert parse("2 - 3*s + s^2") == parse("s^2 - 3*s + 2")
+    # powers of monomials against repeated products, so that an off-by-one
+    # in the q-exponent c^e q^(ab e(e-1)/2) of the closed form shows
+    for q in (2, Fraction(5, 7)):
+        with using_q(q):
+            z, s = AqElement.monomial(1, 1), AqElement.sigma(1)
+            z_inv, s_inv = AqElement.monomial(1, -1), AqElement.sigma(-1)
+            two, qq = AqElement.monomial(2), AqElement.monomial(q)
+            cases = {
+                "(2*z*s)^3": [two * z * s] * 3,
+                "(z*s)^-2": [s_inv * z_inv] * 2,
+                "(q*z^2*s^-1)^5": [qq * z * z * s_inv] * 5,
+                "z^-3": [z_inv] * 3,
+                "(2/3*z^2*s)^-2": [s_inv * z_inv * z_inv * AqElement.monomial(Fraction(3, 2))] * 2,
+            }
+            for text, copies in cases.items():
+                expected = AqElement.one()
+                for x in copies:
+                    expected = expected * x
+                assert parse(text) == expected, (q, text)
+
+
+def test_parse_power_limits_are_strict():
+    # a power that reaches a limit exactly expands; one past it does not
+    assert parse(f"2^{POWER_BITS_LIMIT}") == AqElement.monomial(2**POWER_BITS_LIMIT)
+    wide = f"(1 + z^{POWER_WIDTH_LIMIT + 1})"
+    assert parse(wide + "^1") == parse(wide)
+    assert parse(wide + "^0") == AqElement.one()
+    for text in (f"2^{POWER_BITS_LIMIT + 1}", f"(1 + z^{POWER_WIDTH_LIMIT // 2 + 1})^2",
+                 wide + "^-1", "0^-1"):
+        with pytest.raises(ParseError):
+            parse(text)
+
+
+def _parse_outcome(parse_text, text):
+    """The element as its monomials, or the ParseError's message and pos."""
+    try:
+        x = parse_text(text)
+    except ParseError as e:
+        return ("error", str(e), e.pos)
+    return ("element", x.monomials())
+
+
+def _same_as_reference(text):
+    try:
+        want = _parse_outcome(reference_parse, text)
+    except ValueError:
+        # the reference's digit test also takes digits int() does not read
+        assert _parse_outcome(parse, text)[0] == "error", text
+        return
+    assert _parse_outcome(parse, text) == want, text
+
+
+# every grammar character, digits, digits that int() does and does not
+# read, and white space that str.isspace() accepts
+_PARSE_ALPHABET = "zsq()+-*^/0123456789\u0663\u00b2\t\u00a0 "
+# and pieces that reach the width and bit limits
+_PARSE_PIECES = [*_PARSE_ALPHABET, "(1+z^20)", "(z + s)", "17", "-2", "2000"]
+
+
+@settings(max_examples=600, derandomize=True, deadline=None, database=None)
+@given(q=st.sampled_from([2, 3, Fraction(-1, 2), Fraction(5, 7)]),
+       text=st.one_of(st.text(alphabet=_PARSE_ALPHABET, max_size=14),
+                      st.lists(st.sampled_from(_PARSE_PIECES), max_size=8).map("".join)))
+def test_parse_matches_the_reference_parser_on_any_text(q, text):
+    with using_q(q):
+        _same_as_reference(text)
+
+
+@pytest.mark.parametrize("text", [
+    "(1+z^20)*(1+z^20) ", "(1+z^20) * (1+z^20)\t+ 1", "(1+z^20)*(1+z^10)^2 ",
+    "(1+z^20)*(1+z^10) ^ 2 *z", "1 / 0 ", "(1+z) ^ -1 ", "(1+z+s)^17 ", "2 ^ 100000 ",
+    "(z*s)^100000\t", "(z*s) ^ -1 ^ 2", "( z", "z ^\u00a0", "z z",
+])
+def test_parse_error_positions_match_the_reference_parser(text):
+    _same_as_reference(text)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(q=st.sampled_from([2, 3, Fraction(-1, 2), Fraction(5, 7)]),
+       seed=st.integers(0, 2**32), kind=st.sampled_from(["element", "good", "gauge"]))
+def test_parse_matches_the_reference_parser_on_benchmark_texts(q, seed, kind):
+    rng = random.Random(seed)
+    if kind == "element":
+        texts = [bench_inputs.element_expr(bench_inputs.rand_element(rng))]
+    elif kind == "good":
+        texts = [bench_inputs.unit_times(rng, bench_inputs.rand_sigma_good(rng), Fraction(q))]
+    else:
+        desc, _, _ = bench_inputs.gauge_module(rng, Fraction(q))
+        texts = [e for row in desc["entries"] for e in row]
+    with using_q(q):
+        for text in texts:
+            _same_as_reference(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("z^\u00b2", "expected integer (at position 2)"),
+        ("3\u00b2", "unexpected trailing input (at position 1)"),
+        ("\u00b2", "expected atom (at position 0)"),
+    ],
+)
+def test_parse_reads_exactly_the_digits_int_reads(text, message):
+    assert parse("z^\u0663") == parse("z^3")
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert str(e.value) == message
+
+
+def test_parse_an_integer_past_the_int_digit_limit_is_a_parse_error():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ParseError) as e:
+            parse("z + 1" + "0" * 4300)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(e.value) == "integer of 4301 digits is too long (at position 4)"
 
 
 def test_mul_associative_distributive(rng):

@@ -322,6 +322,15 @@ def test_picard_class_past_the_digit_limit_is_a_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv", [["eval", "z^\u00b2"], ["coh", '{"kind":"matrix","entries":[["z^\u00b2"]]}']]
+)
+def test_a_digit_that_int_does_not_read_is_a_parse_error(capsys, argv):
+    # str.isdigit accepts a superscript two; int() does not
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: expected integer (at position 2)\n")
+
+
+@pytest.mark.parametrize(
     "desc",
     ['{"kind":"line","c":"10","m":0}', '{"kind":"torsion","blocks":[{"lambda":"10","size":1}]}'],
 )
@@ -744,7 +753,9 @@ _EXPRS = st.recursive(
     ),
     max_leaves=6,
 )
-_JUNK = st.text(alphabet="zsq0123+-*^()/ ,.", max_size=10)
+# with a digit int() does not read (superscript two), one it does (Arabic-Indic
+# three), a tab and a no-break space
+_JUNK = st.text(alphabet="zsq0123+-*^()/ ,.\u00b2\u0663\t\u00a0", max_size=10)
 _SIGMA_GOOD = st.sampled_from(
     ["s - 2", "s^2 - 3*s + 2", "z - s - s^-1", "s + z", "(1 + z)*s + 1", "s^-1 + 3 + z^2*s"])
 _Z_LAURENT = st.sampled_from(["0", "1", "z", "-2*z^-1", "1 + z", "z^2 - 3"])
