@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ParseError, PreconditionViolation
-from .laurent import ONE, ZERO, LaurentPoly, _terms_to_str, _trusted, qshift
+from .laurent import ONE, ZERO, LaurentPoly, _power, _terms_to_str, _trusted, qshift
 from .scalars import get_q
 
 
@@ -167,14 +167,7 @@ class AqElement:
             raise PreconditionViolation("integer powers only")
         if n < 0:
             return self.inverse_unit() ** (-n)
-        result = AqElement.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, AqElement.one())
 
     def is_unit(self):
         if len(self._c) != 1:
@@ -410,6 +403,10 @@ POWER_WIDTH_LIMIT = 32
 # count is floor(log2) of the heights, at most log2(3) times too small, so a
 # coefficient in the limit prints in fewer than 4,000 digits.
 POWER_BITS_LIMIT = 1 << 13
+# widest z-span, top z-exponent minus bottom plus one, that `parse` lets a
+# sum build at one s-exponent; a coefficient is stored densely, so past it
+# the sum is a ParseError, not a gap of zeros the size of the span
+SPAN_LIMIT = 1 << 20
 
 
 def _height_bits(c) -> int:
@@ -421,6 +418,18 @@ def _width(x: AqElement) -> int:
     """s-width plus z-width of a nonzero x."""
     d = degrees(x)
     return d.deg_sigma + d.deg_z
+
+
+def _sum_span(x: AqElement, y: AqElement) -> int:
+    """Widest z-span of x + y at an s-exponent where both x and y have a
+    coefficient (0 if there is none)."""
+    span = 0
+    for i, g in y._c.items():
+        f = x._c.get(i)
+        if f is not None:
+            top = max(f.lo + len(f.coeffs), g.lo + len(g.coeffs))
+            span = max(span, top - min(f.lo, g.lo))
+    return span
 
 
 def _monomial_power_bits(c, a, b, e: int) -> int:
@@ -495,13 +504,16 @@ class _Parser:
 
     def expr(self):
         x = self.term()
-        while True:
-            if self.take("+"):
-                x = _element(x) + _element(self.term())
-            elif self.take("-"):
-                x = _element(x) - _element(self.term())
-            else:
-                return x
+        while (op := self.tok[self.i]) in ("+", "-"):
+            self.i += 1
+            x, y = _element(x), _element(self.term())
+            span = _sum_span(x, y)
+            if span > SPAN_LIMIT:
+                self.error(
+                    f"sum reaches z-span {span}, past the limit {SPAN_LIMIT}", after=True
+                )
+            x = x + y if op == "+" else x - y
+        return x
 
     def term(self):
         x = self.factor()
@@ -603,6 +615,7 @@ def parse(text: str) -> AqElement:
     """Parse an expression in z, s, q and rationals into s-normal form.
     q resolves to the ambient session value.  ParseError for a power of a
     non-monomial, or a product of two non-monomials, whose support would be
-    wider than POWER_WIDTH_LIMIT, and for a power of a monomial whose
-    coefficient would need more than POWER_BITS_LIMIT bits."""
+    wider than POWER_WIDTH_LIMIT, for a power of a monomial whose
+    coefficient would need more than POWER_BITS_LIMIT bits, and for a sum
+    whose z-span at one s-exponent would pass SPAN_LIMIT."""
     return _Parser(text).parse()

@@ -1,10 +1,13 @@
 """Command-line surface.
 
-Thin wrappers only: every subcommand parses its inputs, delegates to the
-library, and prints either a stable text rendering or JSON (sorted keys).
-Exit codes: 0 success, 1 computational failure (search exhausted, a failed
-certificate, suite failures, or under --strict an uncertified cohomology
-report or a suite case skipped as unknown), 2 usage and parse errors.
+Thin wrappers only: every subcommand `cmd_*` parses its inputs, delegates to
+the library, and returns (JSON payload, text lines or None, exit code).
+`main` is the one place that prints: the payload as JSON (sorted keys) under
+--output json or when there are no text lines, else the text lines; or, when
+the library raises, one `error:` line on stderr.  Exit codes: 0 success, 1
+computational failure (search exhausted, a failed certificate, suite
+failures, or under --strict an uncertified cohomology report or a suite case
+skipped as unknown), 2 usage and parse errors.
 rank_S, h1, chi and the Euler form are always exact, so `mod info` and
 `euler` do not exit 1 under --strict.  The ambient q comes from --q, else the
 QEC_Q environment variable, else the caller's q (2 by default); a q given
@@ -31,9 +34,8 @@ from .errors import (
     NonSplitSpectrum,
     ParseError,
     PreconditionViolation,
+    QecError,
     SearchExhausted,
-    UnknownSuite,
-    ZeroInput,
 )
 from .ideals import SearchBounds
 from .laurent import laurent_to_str
@@ -67,21 +69,12 @@ def _module_arg(text: str):
     return module_from_json(desc)
 
 
-def _emit(args, payload, text_lines=None) -> None:
-    if args.output == "json" or text_lines is None:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+def cmd_eval(args):
+    text = aq.to_str(aq.parse(args.expr))
+    return {"result": text}, [text], 0
 
 
-def cmd_eval(args) -> int:
-    x = aq.parse(args.expr)
-    _emit(args, {"result": aq.to_str(x)}, [aq.to_str(x)])
-    return 0
-
-
-def cmd_div(args) -> int:
+def cmd_div(args):
     r = aq.parse(args.r)
     w = aq.parse(args.w)
     if args.mode == "sigma":
@@ -90,18 +83,9 @@ def cmd_div(args) -> int:
     else:
         g, h, rem = aq.z_divide(r, w, bottom=args.bottom)
         gs = laurent_to_str(g, var="s")
-    payload = {
-        "g": gs,
-        "h": aq.to_str(h),
-        "rem": aq.to_str(rem),
-        "g_unit": g.is_unit(),
-    }
-    _emit(
-        args,
-        payload,
-        [f"g = {gs}", f"h = {aq.to_str(h)}", f"rem = {aq.to_str(rem)}"],
-    )
-    return 0
+    hs, rems = aq.to_str(h), aq.to_str(rem)
+    payload = {"g": gs, "h": hs, "rem": rems, "g_unit": g.is_unit()}
+    return payload, [f"g = {gs}", f"h = {hs}", f"rem = {rems}"], 0
 
 
 def _info_payload(M) -> dict:
@@ -121,56 +105,42 @@ def _info_payload(M) -> dict:
     return payload
 
 
-def cmd_mod(args) -> int:
-    M = _module_arg(args.descriptor)
-    payload = _info_payload(M)
+def cmd_mod(args):
+    payload = _info_payload(_module_arg(args.descriptor))
     lines = [f"{k} = {json.dumps(payload[k], sort_keys=True)}" for k in sorted(payload)]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, 0
 
 
-def cmd_module_op(args) -> int:
+def cmd_module_op(args):
     """dual, tensor and hom: the result's descriptor, always as JSON."""
     texts = [args.descriptor] if args.command == "dual" else [args.a, args.b]
     op = {"dual": dual, "tensor": tensor, "hom": hom}[args.command]
-    _emit(args, module_to_json(op(*map(_module_arg, texts))))
-    return 0
+    return module_to_json(op(*map(_module_arg, texts))), None, 0
 
 
-def cmd_coh(args) -> int:
-    M = _module_arg(args.descriptor)
-    rep = cohomology(M)
+def cmd_coh(args):
+    rep = cohomology(_module_arg(args.descriptor))
     payload = rep.to_json()
-    _emit(
-        args,
-        payload,
-        [
-            "h0 = {h0}  h1 = {h1}  chi = {chi}  certified = {certified}  "
-            "window = {window_used}".format(**payload)
-        ],
+    line = (
+        "h0 = {h0}  h1 = {h1}  chi = {chi}  certified = {certified}  "
+        "window = {window_used}".format(**payload)
     )
-    if args.strict and not rep.certified:
-        return 1
-    return 0
+    return payload, [line], 1 if args.strict and not rep.certified else 0
 
 
-def cmd_euler(args) -> int:
-    M = _module_arg(args.a)
-    N = _module_arg(args.b)
-    chi = euler_form(M, N)
-    _emit(args, {"chi": chi}, [str(chi)])
-    return 0
+def cmd_euler(args):
+    chi = euler_form(_module_arg(args.a), _module_arg(args.b))
+    return {"chi": chi}, [str(chi)], 0
 
 
-def cmd_pic(args) -> int:
+def cmd_pic(args):
     if args.op in ("mul", "eq") and args.b is None:
         raise PreconditionViolation("pic {mul,eq} needs two arguments")
     if args.op == "eq":
         a = pic_class(_module_arg(args.a))
         b = pic_class(_module_arg(args.b))
         equal = pic_eq(a, b)
-        _emit(args, {"equal": equal}, ["true" if equal else "false"])
-        return 0
+        return {"equal": equal}, ["true" if equal else "false"], 0
     if args.op == "inv":
         cls = pic_inv(pic_class(_module_arg(args.a)))
     elif args.op == "mul":
@@ -178,13 +148,11 @@ def cmd_pic(args) -> int:
     else:  # class
         cls = pic_class(_module_arg(args.a))
     payload = {"c": scalar_to_str(cls.c), "m": cls.m}
-    _emit(args, payload, [f"c = {payload['c']}", f"m = {payload['m']}"])
-    return 0
+    return payload, [f"c = {payload['c']}", f"m = {payload['m']}"], 0
 
 
-def cmd_verify(args) -> int:
-    report = verify_suite(args.suite, cases=args.cases, seed=args.seed,
-                          bounds=args.bounds)
+def cmd_verify(args):
+    report = verify_suite(args.suite, cases=args.cases, seed=args.seed, bounds=args.bounds)
     lines = [
         "suite {suite}: {cases} cases, {passed} passed, "
         "{skipped_unknown} skipped (unknown), {nfail} failed".format(
@@ -192,12 +160,8 @@ def cmd_verify(args) -> int:
         )
     ]
     lines.extend(f"  FAIL {msg}" for msg in report["failures"])
-    _emit(args, report, lines)
-    if report["failures"]:
-        return 1
-    if args.strict and report["skipped_unknown"]:
-        return 1
-    return 0
+    failed = report["failures"] or args.strict and report["skipped_unknown"]
+    return report, lines, 1 if failed else 0
 
 
 @functools.cache
@@ -266,21 +230,24 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv, defaults)
     qtext = args.q if args.q is not None else os.environ.get("QEC_Q")
     try:
-        q = get_qparam() if qtext is None else QParam(scalar_from_str(qtext))
-    except (ValueError, ZeroDivisionError, PreconditionViolation) as e:
-        print(f"error: invalid q: {e}", file=sys.stderr)
-        return 2
-    try:
+        try:
+            q = get_qparam() if qtext is None else QParam(scalar_from_str(qtext))
+        except (ValueError, ZeroDivisionError, PreconditionViolation) as e:
+            raise PreconditionViolation(f"invalid q: {e}") from None
         args.bounds = SearchBounds(args.bound_sigma, args.bound_z)
         # q scopes to this command: the caller's q is back when main returns
         with using_q(q):
-            return args.func(args)
-    except (ParseError, ZeroInput, PreconditionViolation, UnknownSuite) as e:
+            payload, lines, code = args.func(args)
+    except QecError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (SearchExhausted, NonSplitSpectrum, CertificateFailure) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        # a search, spectrum or certificate failure is computational; every
+        # other error is one of usage or parsing
+        return 1 if isinstance(e, (SearchExhausted, NonSplitSpectrum, CertificateFailure)) else 2
+    if args.output == "json" or lines is None:
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

@@ -124,6 +124,20 @@ def _rminus(x, y):
     return y - x
 
 
+def _power(x, n, one):
+    """x**n for an int n >= 0 (`one` for n = 0), by square-and-multiply from
+    the top bit of n down: n.bit_length() - 1 squarings and popcount(n) - 1
+    other products, so nothing is squared past the last bit."""
+    if not n:
+        return one
+    result = x
+    for bit in bin(n)[3:]:
+        result = result * result
+        if bit == "1":
+            result = result * x
+    return result
+
+
 class LaurentPoly:
     __slots__ = ("lo", "coeffs")
 
@@ -236,14 +250,7 @@ class LaurentPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise PreconditionViolation("LaurentPoly powers must be nonneg ints")
-        result = LaurentPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, ONE)
 
     def shift(self, k):
         """Multiply by z^k."""

@@ -5,9 +5,11 @@ returns a report dict:
 
     {"suite", "seed", "cases", "passed", "skipped_unknown", "failures"}
 
-A case passes, fails (appended to failures as a short description), or is
-skipped when the bounded annihilator search returns Unknown or an h0 is
-uncertified — skips are counted, never silently folded into passes.
+Each case `_*_case(rng, ci, bounds)` returns its outcome: None when it
+passes, `SKIPPED` when the bounded annihilator search returns Unknown or an
+h0 is uncertified, or else a short description of the failure.
+`verify_suite` alone counts the outcomes and prefixes each failure with
+"case {ci}: ", so skips are counted, never silently folded into passes.
 Reports are deterministic functions of (suite, seed, cases).
 """
 
@@ -39,32 +41,12 @@ from .samples import (
 )
 
 
-class _Tally:
-    def __init__(self, name, seed, cases):
-        self.report = {
-            "suite": name,
-            "seed": seed,
-            "cases": cases,
-            "passed": 0,
-            "skipped_unknown": 0,
-            "failures": [],
-        }
-
-    def ok(self):
-        self.report["passed"] += 1
-
-    def skip(self):
-        self.report["skipped_unknown"] += 1
-
-    def fail(self, ci, msg):
-        self.report["failures"].append(f"case {ci}: {msg}")
+# the outcome of a case that cannot be decided: the bounded annihilator
+# search returned Unknown, or an h0 is uncertified
+SKIPPED = object()
 
 
-def _is_unknown(*values) -> bool:
-    return any(isinstance(v, Unknown) for v in values)
-
-
-def _division_case(rng, ci, tally, bounds):
+def _division_case(rng, ci, bounds):
     a = rand_aq(rng, 3, 2)
     b = rand_aq(rng, 2, 2)
     z_mode = ci % 2 == 1
@@ -82,11 +64,9 @@ def _division_case(rng, ci, tally, bounds):
         lhs = AqElement.from_laurent(g) * r
         small = rem.is_zero() or degrees(rem).deg_sigma < dw.deg_sigma
     if lhs != h * w + rem:
-        tally.fail(ci, f"identity broken for r={r}, w={w}")
-        return
+        return f"identity broken for r={r}, w={w}"
     if not small:
-        tally.fail(ci, f"remainder too large for r={r}, w={w}")
-        return
+        return f"remainder too large for r={r}, w={w}"
     if z_mode:
         zf_w = to_z_form(w)
         extreme = zf_w[min(zf_w) if bottom else max(zf_w)]
@@ -94,52 +74,43 @@ def _division_case(rng, ci, tally, bounds):
         sup = w.sigma_support()
         extreme = w.coefficient(sup[0] if bottom else sup[-1])
     if extreme.is_unit() and not g.is_unit():
-        tally.fail(ci, f"unit cofactor expected for w={w}")
-        return
-    tally.ok()
+        return f"unit cofactor expected for w={w}"
+    return None
 
 
-def _riemann_roch_case(rng, ci, tally, bounds):
+def _riemann_roch_case(rng, ci, bounds):
     M = rand_module(rng, "lltg")
     rep = cohomology(M)
     rk = rank_S(M)
     if not rep.certified:
-        tally.skip()
-        return
+        return SKIPPED
     if rep.h0 - rep.h1 != rep.chi or rep.chi != -rk:
-        tally.fail(ci, f"h0-h1={rep.h0 - rep.h1} chi={rep.chi} rank_S={rk} for {M!r}")
-        return
-    tally.ok()
+        return f"h0-h1={rep.h0 - rep.h1} chi={rep.chi} rank_S={rk} for {M!r}"
+    return None
 
 
-def _serre_case(rng, ci, tally, bounds):
+def _serre_case(rng, ci, bounds):
     M = rand_module(rng, "lltg")
     Md = dual(M)
     a, b = cohomology(M), cohomology(Md)
     if not a.certified or not b.certified:
-        tally.skip()
-        return
+        return SKIPPED
     if a.h0 != b.h0 or a.h1 != b.h1:
-        tally.fail(
-            ci,
-            f"(h0,h1)={a.h0, a.h1} vs dual (h0,h1)={b.h0, b.h1} for {M!r}",
-        )
-        return
-    tally.ok()
+        return f"(h0,h1)={a.h0, a.h1} vs dual (h0,h1)={b.h0, b.h1} for {M!r}"
+    return None
 
 
-def _euler_symmetry_case(rng, ci, tally, bounds):
+def _euler_symmetry_case(rng, ci, bounds):
     M = rand_module(rng, "lltg")
     N = rand_module(rng, "lltg")
     x = euler_form(M, N)
     y = euler_form(N, M)
     if x != y:
-        tally.fail(ci, f"chi(M,N)={x} chi(N,M)={y} for {M!r}, {N!r}")
-        return
-    tally.ok()
+        return f"chi(M,N)={x} chi(N,M)={y} for {M!r}, {N!r}"
+    return None
 
 
-def _chi_rank_case(rng, ci, tally, bounds):
+def _chi_rank_case(rng, ci, bounds):
     M = rand_module(rng, "ltgm")
     if isinstance(M, MatrixModule) and M.n > 2:
         M = rand_torsion(rng)
@@ -148,69 +119,60 @@ def _chi_rank_case(rng, ci, tally, bounds):
     # annihilator search, so the check compares two routes
     if isinstance(M, MatrixModule):
         found = cyclic_presentation(M, bounds)
-        rk = Unknown() if found is None else found.rank_S
+        if found is None:
+            return SKIPPED
+        rk = found.rank_S
     else:
         rk = rank_S(M)
-    if _is_unknown(rk) or not rep.certified:
-        tally.skip()
-        return
+    if not rep.certified:
+        return SKIPPED
     if rep.chi != -rk:
-        tally.fail(ci, f"chi={rep.chi} rank_S={rk} for {M!r}")
-        return
+        return f"chi={rep.chi} rank_S={rk} for {M!r}"
     if rep.h0 > rank_A(M):
-        tally.fail(ci, f"h0={rep.h0} exceeds rank_A={rank_A(M)} for {M!r}")
-        return
+        return f"h0={rep.h0} exceeds rank_A={rank_A(M)} for {M!r}"
     if (rep.chi == 0) != (rk == 0):
-        tally.fail(ci, f"chi={rep.chi} but rank_S={rk} for {M!r}")
-        return
-    tally.ok()
+        return f"chi={rep.chi} but rank_S={rk} for {M!r}"
+    return None
 
 
-def _tensor_rank_case(rng, ci, tally, bounds):
+def _tensor_rank_case(rng, ci, bounds):
     if rng.random() < 0.5:
         N = rand_module(rng, "l")
     else:
         N = Good(rand_sigma_good(rng, t_max=1))
     M = rand_torsion(rng, max_blocks=1, max_size=2)
     lhs, rhs = torsion_tensor_rank_check(N, M, bounds)
-    if _is_unknown(lhs):
-        tally.skip()
-        return
+    if isinstance(lhs, Unknown):
+        return SKIPPED
     if lhs != rhs:
-        tally.fail(ci, f"search rank {lhs} != closed form {rhs} for {N!r} x {M!r}")
-        return
-    tally.ok()
+        return f"search rank {lhs} != closed form {rhs} for {N!r} x {M!r}"
+    return None
 
 
-def _duality_case(rng, ci, tally, bounds):
+def _duality_case(rng, ci, bounds):
     p = rand_sigma_good(rng, t_max=3)
     r, D = good_dual(p)
     dp, dr = degrees(p), degrees(r)
     if dr.deg_z != dp.deg_z or dr.z_good != dp.z_good:
-        tally.fail(ci, f"degree data not preserved for p={p}")
-        return
+        return f"degree data not preserved for p={p}"
     if rank_A(D) != dp.deg_sigma or rank_S(D) != dp.deg_z:
-        tally.fail(ci, f"dual ranks off for p={p}")
-        return
+        return f"dual ranks off for p={p}"
     if not dual_certificate(p, extra=3):
-        tally.fail(ci, f"pairing certificate failed for p={p}")
-        return
+        return f"pairing certificate failed for p={p}"
     if not double_dual_check(p):
-        tally.fail(ci, f"double dual failed for p={p}")
-        return
-    tally.ok()
+        return f"double dual failed for p={p}"
+    return None
 
 
-def _rigidity_case(rng, ci, tally, bounds):
+def _rigidity_case(rng, ci, bounds):
     roll = rng.random()
     if roll < 0.4:
         M = rand_sigma_matrix(rng, n_max=3)
     else:
         M = rand_module(rng, "ltg")
     if not rigidity_check(M):
-        tally.fail(ci, f"rigidity failed for {M!r}")
-        return
-    tally.ok()
+        return f"rigidity failed for {M!r}"
+    return None
 
 
 _SUITES = {
@@ -236,8 +198,15 @@ def verify_suite(name: str, cases: int = 100, seed: int = 0, bounds=None) -> dic
     if cases < 0:
         raise PreconditionViolation(f"cases must be >= 0, got {cases}")
     rng = random.Random(seed)
-    tally = _Tally(name, seed, cases)
     case = _SUITES[name]
-    for ci in range(cases):
-        case(rng, ci, tally, bounds)
-    return tally.report
+    outcomes = [case(rng, ci, bounds) for ci in range(cases)]
+    return {
+        "suite": name,
+        "seed": seed,
+        "cases": cases,
+        "passed": outcomes.count(None),
+        "skipped_unknown": outcomes.count(SKIPPED),
+        "failures": [
+            f"case {ci}: {o}" for ci, o in enumerate(outcomes) if o not in (None, SKIPPED)
+        ],
+    }

@@ -328,6 +328,49 @@ def test_unit_arithmetic():
     assert parse("z*s")**-2 * parse("z*s")**2 == AqElement.one()
 
 
+def _repeated(x, n, one):
+    out = one
+    for _ in range(n):
+        out = out * x
+    return out
+
+
+@pytest.mark.parametrize("ring", ["laurent", "aq"])
+def test_powers_square_only_up_to_the_top_bit(monkeypatch, ring):
+    # x**n is n.bit_length() - 1 squarings and popcount(n) - 1 other
+    # products; x**16 is four squarings, with no unused x**32
+    if ring == "laurent":
+        cls, x, one = LaurentPoly, LaurentPoly(-1, (1, 2, Fraction(1, 3))), LaurentPoly.const(1)
+    else:
+        cls, x, one = AqElement, parse("1 + z + s"), AqElement.one()
+    want = {n: _repeated(x, n, one) for n in range(13)}
+    calls = []
+    product = cls.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(cls, "__mul__", counting)
+    for n in range(13):
+        calls.clear()
+        assert x**n == want[n], n
+        assert len(calls) == max(n.bit_length() - 1, 0) + max(bin(n).count("1") - 1, 0), n
+    calls.clear()
+    x**16
+    assert len(calls) == 4
+
+
+def test_negative_powers_of_a_unit_are_powers_of_its_inverse():
+    for q in (2, Fraction(-1, 2)):
+        with using_q(q):
+            u = AqElement.monomial(Fraction(-3, 2), 2, -1)
+            inv = u.inverse_unit()
+            for n in range(1, 8):
+                assert u**-n == _repeated(inv, n, AqElement.one()), (q, n)
+                assert u**-n * u**n == AqElement.one(), (q, n)
+
+
 def test_unit_normalize(rng):
     for _ in range(30):
         x = rand_aq(rng)

@@ -1,6 +1,7 @@
 """Static checks over the package source: certificates are typed raises that
-survive `python -O`, every module-level import is used, and every
-module-level name is read by the package or its tests, or exported."""
+survive `python -O`, every module-level import is used, every module-level
+name is read by the package or its tests, or exported, and only `cli.main`
+prints."""
 
 import ast
 from pathlib import Path
@@ -81,3 +82,24 @@ def test_module_level_names_are_read_or_exported():
         for name in _defined_names(_tree(path)) - read
     )
     assert unread == []
+
+
+def _print_calls(node):
+    return {
+        n.lineno
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "print"
+    }
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_cli_main_prints(path):
+    # subcommands and suites return their outcome; cli.main alone prints it
+    tree = _tree(path)
+    allowed = set()
+    if path.name == "cli.py":
+        (main,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
+        allowed = _print_calls(main)
+        assert allowed, "cli.main prints the answer and the error line"
+    stray = sorted(_print_calls(tree) - allowed)
+    assert stray == [], f"{path.name}: print outside cli.main at lines {stray}"
