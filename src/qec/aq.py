@@ -23,10 +23,13 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .errors import ParseError, PreconditionViolation
-from .laurent import ONE, ZERO, LaurentPoly, _power, _terms_to_str, _trusted, qshift
+from .laurent import (
+    ONE, ZERO, LaurentPoly, _power, _reduced, _terms_to_str, _trim, _trusted, qshift
+)
 from .scalars import get_q
 
 
@@ -47,7 +50,9 @@ class AqElement:
         c = {}
         if coeffs:
             for i, f in coeffs.items():
-                if isinstance(f, (int, Fraction)):
+                # not isinstance(f, Fraction) first: for a LaurentPoly that
+                # is an abstract-class miss, many times slower
+                if not isinstance(f, LaurentPoly):
                     f = LaurentPoly.const(f)
                 if not f.is_zero():
                     c[i] = f
@@ -195,7 +200,10 @@ class AqElement:
         return self._c == other._c
 
     def __hash__(self):
-        return hash(tuple(self.terms()))
+        if len(self._c) > 1 or any(self._c.keys()):
+            return hash(tuple(self.terms()))
+        # equal to its s^0 coefficient, and so to a scalar when that is one
+        return hash(self.coefficient(0))
 
     def __bool__(self):
         return not self.is_zero()
@@ -221,16 +229,25 @@ def fourier(x: AqElement) -> AqElement:
     c z^j s^i |-> c s^j z^-i = c q^(-ij) z^-i s^j, so the coefficient of s^j
     in the image has the coefficient of z^j of qshift(x_i, -i) at z^-i: the
     rows qshift(x_i, -i), i from the top down, transposed.  Each (i, j)
-    occurs once in x, and each column j taken holds a nonzero entry."""
+    occurs once in x, and each column j taken holds a nonzero entry.  The
+    rows are brought to one denominator first, so a column is numerators
+    over it, reduced once."""
     if x.is_zero():
         return x
     top, bot = max(x._c), min(x._c)
     rows = [qshift(x.coefficient(i), -i) for i in range(top, bot - 1, -1)]
+    den = lcm(*[f.den for f in rows])
+    columns = {}
+    for r, f in enumerate(rows):
+        scale = den // f.den
+        for j, n in enumerate(f.nums, f.lo):
+            if n:
+                column = columns.get(j)
+                if column is None:
+                    column = columns[j] = [0] * len(rows)
+                column[r] = n * scale
     out = AqElement.__new__(AqElement)
-    out._c = {
-        j: LaurentPoly(-top, [f.coeff(j) for f in rows])
-        for j in {j for f in rows for j, _ in f.terms()}
-    }
+    out._c = {j: _reduced(*_trim(-top, column), den) for j, column in columns.items()}
     return out
 
 
@@ -247,7 +264,9 @@ def sigma_conj(x: AqElement, k: int) -> AqElement:
 
 def _reflect(f: LaurentPoly) -> LaurentPoly:
     """f(z^-1)."""
-    return LaurentPoly(1 - f.lo - len(f.coeffs), f.coeffs[::-1])
+    if not f.nums:
+        return f
+    return _trusted(1 - f.lo - len(f.nums), f.nums[::-1], f.den)
 
 
 def to_z_form(x: AqElement) -> dict[int, LaurentPoly]:
@@ -286,10 +305,11 @@ def degrees(x: AqElement):
     deg_z = zhi - zlo
     sigma_good = x._c[support[0]].is_unit() and x._c[support[-1]].is_unit()
     # extreme z-coefficients are units of K[s,s^-1] iff exactly one s-slot
-    # contributes each extreme z-exponent
+    # contributes each extreme z-exponent; ends are nonzero, so a slot
+    # reaches zlo (zhi) iff it starts (ends) there
     z_good = (
-        sum(1 for f in x._c.values() if f.coeff(zlo) != 0) == 1
-        and sum(1 for f in x._c.values() if f.coeff(zhi) != 0) == 1
+        sum(1 for f in x._c.values() if f.lo == zlo) == 1
+        and sum(1 for f in x._c.values() if f.lo + len(f.nums) - 1 == zhi) == 1
     )
     return Degrees(deg_sigma, deg_z, sigma_good, z_good)
 
@@ -427,7 +447,7 @@ def _sum_span(x: AqElement, y: AqElement) -> int:
     for i, g in y._c.items():
         f = x._c.get(i)
         if f is not None:
-            top = max(f.lo + len(f.coeffs), g.lo + len(g.coeffs))
+            top = max(f.lo + len(f.nums), g.lo + len(g.nums))
             span = max(span, top - min(f.lo, g.lo))
     return span
 
@@ -449,7 +469,7 @@ def _element(x) -> AqElement:
         return x
     c, a, b = x
     out = AqElement.__new__(AqElement)
-    out._c = {b: _trusted(a, (c,))} if c else {}
+    out._c = {b: _trusted(a, (c.numerator,), c.denominator)} if c else {}
     return out
 
 

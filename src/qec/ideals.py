@@ -473,7 +473,7 @@ def line_subbundle_probe(T: MatrixModule, k_range, window=12):
                 continue
             for vec in window_eigenspace(T, window, k, c):
                 # scale the leading coefficient to 1 for a canonical report
-                lead = next(f.coeffs[0] for f in vec if not f.is_zero())
+                lead = next(f.coeff(f.lo) for f in vec if not f.is_zero())
                 results.append((c, k, tuple(f * (1 / lead) for f in vec)))
     results.sort(key=lambda t: (t[1], t[0]))
     return results

@@ -1,36 +1,50 @@
 """Laurent polynomials over Q and square matrices of them.
 
-A LaurentPoly stores the lowest exponent `lo` and a tuple of `Fraction`
-coefficients whose first and last entries are nonzero; the zero polynomial
-is the empty tuple with lo = 0.  Units of the ring are exactly the monomials
-c*z^m.  The q-shift f(z) |-> f(q^k z) reads q from the ambient session (see
-scalars).
+A LaurentPoly stores the lowest exponent `lo`, a tuple `nums` of integer
+numerators whose first and last entries are nonzero, and one positive
+denominator `den`: the coefficient of z^(lo + i) is nums[i] / den.  The
+form is canonical: gcd(den, *nums) = 1, and the zero polynomial is
+(0, (), 1).  So two polynomials are equal exactly when their fields are,
+and the units of the ring, the monomials c*z^m, are the one-numerator
+polynomials.  `coeffs`, `coeff`, `terms` and `unit_decompose` give the
+coefficients as `Fraction`s, one gcd each, for printing and callers
+outside the arithmetic; the arithmetic reads the integers.  The q-shift
+f(z) |-> f(q^k z) reads q from the ambient session (see scalars).
 
 The public constructor `LaurentPoly(lo, coeffs)` converts and trims any
 int/`Fraction` input.  The arithmetic builds its results with `_trusted`,
-which checks nothing, because the canonical form is preserved by theorem:
+which checks nothing, or with `_reduced`, which divides out
+gcd(den, *nums) once.  Nonzero ends are kept by theorem:
 
-- Q[z] is a domain, so the end coefficients of a product are the products
-  of the end coefficients of its factors, and those are nonzero;
-- `qshift` scales the coefficient of z^i by q^(k i), and q != 0;
+- Z[z] is a domain, so the end numerators of a product are the products
+  of the end numerators of its factors, and those are nonzero;
+- `qshift` scales the numerator of z^i by a power of u and of v for
+  q = u/v, and u, v != 0;
 - `shift`, negation and a product by a nonzero scalar keep every zero and
-  every nonzero coefficient where it is;
-- the exact quotient h = f/g of `divexact` has ends f_bot/g_bot and
-  f_top/g_top, nonzero since the ends of f are.
+  every nonzero numerator where it is;
+- the exact quotient of `divexact` has ends f_bot/g_bot and f_top/g_top,
+  nonzero since the ends of f are.
 
-Only a sum or a difference can cancel at an end; `_trim` trims it.
+Only a sum or a difference can cancel at an end; `_trim` trims it.  The
+gcd is needed after a product (the denominator of one factor may share a
+prime with the numerators of the other), after a scalar product, a
+q-shift or a division by a unit (the same, with u, v or the unit's
+numerator), and after a sum whose supports overlap (1/2 + 1/2 = 1).  It
+is not needed after negation, `shift`, `inverse_unit`, a sum of disjoint
+supports (each prime of lcm(den_f, den_g) divides the denominator of one
+operand to the full power, and a numerator of that operand is prime to
+it), or the exact quotient of primitive parts in `divexact` (primitive by
+Gauss's lemma, so only the scalar factor needs reducing).  A denominator
+of 1 needs no gcd at all.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import add as plus, sub as minus
+from math import gcd, lcm
 
 from .errors import PreconditionViolation, ZeroInput
 from .scalars import get_q, scalar_to_str
-
-_F0 = Fraction(0)
 
 
 def _as_scalar(c):
@@ -41,87 +55,86 @@ def _as_scalar(c):
     raise TypeError(f"not a scalar: {c!r}")
 
 
-def _trusted(lo, coeffs):
-    """The LaurentPoly with these fields, unchecked: `coeffs` is a tuple of
-    `Fraction`s with nonzero ends, or () with lo = 0."""
+def _trusted(lo, nums, den):
+    """The LaurentPoly with these fields, unchecked: `nums` is a tuple of
+    ints with nonzero ends, den > 0 and gcd(den, *nums) = 1, or the zero
+    (0, (), 1)."""
     f = object.__new__(LaurentPoly)
     f.lo = lo
-    f.coeffs = coeffs
+    f.nums = nums
+    f.den = den
     return f
 
 
-def _trim(lo, coeffs):
-    """The canonical (lo, coeffs) of a tuple of `Fraction`s whose ends may
-    be zero."""
-    start, end = 0, len(coeffs)
-    while start < end and not coeffs[start]:
+def _reduced(lo, nums, den):
+    """The LaurentPoly nums / den at `lo`, for numerators with nonzero ends
+    (or none) and den > 0: one gcd divides out their common factor."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [x // g for x in nums]
+    return _trusted(lo, tuple(nums), den)
+
+
+def _trim(lo, nums):
+    """The canonical (lo, nums) of a sequence of ints whose ends may be
+    zero."""
+    start, end = 0, len(nums)
+    while start < end and not nums[start]:
         start += 1
     if start == end:
         return 0, ()
-    while not coeffs[end - 1]:
+    while not nums[end - 1]:
         end -= 1
-    return lo + start, coeffs[start:end]
+    return lo + start, nums[start:end]
 
 
 def _convolve(a, b):
-    """The coefficients of the product of two coefficient tuples with
-    nonzero ends, by one integer convolution: a = A/da and b = B/db with
-    integer A, B and the common denominators da, db, so a*b = (A*B)/(da*db).
-    One `Fraction` is built per output coefficient."""
-    da = lcm(*[x.denominator for x in a])
-    db = lcm(*[y.denominator for y in b])
-    A = [x.numerator * (da // x.denominator) for x in a]
-    B = [y.numerator * (db // y.denominator) for y in b]
-    out = [0] * (len(A) + len(B) - 1)
-    for i, x in enumerate(A):
+    """The numerators of the product of two numerator sequences with
+    nonzero ends: one integer convolution."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(B, i):
+            for j, y in enumerate(b, i):
                 out[j] += x * y
-    d = da * db
-    return tuple([Fraction(n, d) for n in out])
+    return out
 
 
 def _sum(f, g, sub):
-    """f + g, or f - g when `sub`, with no negated copy of g.
+    """f + g, or f - g when `sub`, over lcm(den_f, den_g).
 
-    The lower operand's coefficients are copied, and the other's are added
-    (or subtracted) where the supports overlap and appended past its end.
-    For a difference only the cells that are g's alone are negated.
-    Disjoint supports are joined by zeros and cannot cancel; an overlap can
-    cancel at either end, so that result is trimmed."""
-    a, b = f.coeffs, g.coeffs
+    The lower operand's numerators are copied, and the other's are added
+    where the supports overlap and appended past its end.  Disjoint
+    supports are joined by zeros and cannot cancel, nor share a factor with
+    the lcm; an overlap can cancel at either end and can share one, so
+    that result is trimmed and reduced."""
+    a, b = f.nums, g.nums
     if not b:
         return f
     if not a:
         return -g if sub else g
-    if f.lo <= g.lo:
-        lo, off, neg_low, neg_high = f.lo, g.lo - f.lo, False, sub
-        op = minus if sub else plus
-    else:
-        # g is the lower operand: an overlap cell is f's minus g's
-        lo, off, neg_low, neg_high, a, b = g.lo, f.lo - g.lo, sub, False, b, a
-        op = _rminus if sub else plus
-    gap = off - len(a)
+    da, db = f.den, g.den
+    den = da
+    if da != db:
+        den = lcm(da, db)
+        if den != da:
+            a = [x * (den // da) for x in a]
+        if den != db:
+            b = [y * (den // db) for y in b]
+    if sub:
+        b = [-y for y in b]
+    lo, hi = f.lo, g.lo
+    if lo > hi:
+        lo, hi, a, b = hi, lo, b, a
+    gap = hi - lo - len(a)
     if gap >= 0:
-        return _trusted(lo, _signed(a, neg_low) + (_F0,) * gap + _signed(b, neg_high))
+        return _trusted(lo, (*a, *(0,) * gap, *b), den)
     out = list(a)
-    for i, c in enumerate(b[:-gap], off):
-        out[i] = op(out[i], c)
-    out.extend(_signed(b[-gap:], neg_high))
-    if neg_low:
-        # g's cells below f and, when g reaches further, above it
-        out[:off] = _signed(a[:off], True)
-        end = off + len(b)
-        out[end : len(a)] = _signed(a[end:], True)
-    return _trusted(*_trim(lo, tuple(out)))
-
-
-def _signed(coeffs, neg):
-    return tuple([-c for c in coeffs]) if neg else coeffs
-
-
-def _rminus(x, y):
-    return y - x
+    for i, y in enumerate(b[:-gap], hi - lo):
+        out[i] += y
+    out.extend(b[-gap:])
+    return _reduced(*_trim(lo, out), den)
 
 
 def _power(x, n, one):
@@ -139,65 +152,77 @@ def _power(x, n, one):
 
 
 class LaurentPoly:
-    __slots__ = ("lo", "coeffs")
+    __slots__ = ("lo", "nums", "den")
 
     def __init__(self, lo=0, coeffs=()):
-        self.lo, self.coeffs = _trim(lo, tuple([_as_scalar(c) for c in coeffs]))
+        cs = [_as_scalar(c) for c in coeffs]
+        den = lcm(*[c.denominator for c in cs])
+        f = _reduced(*_trim(lo, [c.numerator * (den // c.denominator) for c in cs]), den)
+        self.lo, self.nums, self.den = f.lo, f.nums, f.den
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def zero():
-        return LaurentPoly()
+        return ZERO
 
     @staticmethod
     def const(c):
-        return LaurentPoly(0, (c,))
+        return LaurentPoly.monomial(c, 0)
 
     @staticmethod
     def monomial(c, k):
-        return LaurentPoly(k, (c,))
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"not a scalar: {c!r}")
+        if not c:
+            return ZERO
+        return _trusted(k, (c.numerator,), c.denominator)
 
     # -- structure --------------------------------------------------------
 
+    @property
+    def coeffs(self):
+        """The coefficients from z^lo up, as `Fraction`s."""
+        return tuple([Fraction(n, self.den) for n in self.nums])
+
     def is_zero(self):
-        return not self.coeffs
+        return not self.nums
 
     @property
     def bot(self):
         """Lowest exponent with nonzero coefficient (zero poly has none)."""
-        if not self.coeffs:
+        if not self.nums:
             raise ZeroInput("zero polynomial has no degree")
         return self.lo
 
     @property
     def top(self):
-        if not self.coeffs:
+        if not self.nums:
             raise ZeroInput("zero polynomial has no degree")
-        return self.lo + len(self.coeffs) - 1
+        return self.lo + len(self.nums) - 1
 
     def degree(self):
         """Width top - bot of the support."""
         return self.top - self.bot
 
     def coeff(self, k):
-        if self.lo <= k < self.lo + len(self.coeffs):
-            return self.coeffs[k - self.lo]
+        if self.lo <= k < self.lo + len(self.nums):
+            return Fraction(self.nums[k - self.lo], self.den)
         return Fraction(0)
 
     def terms(self):
         """(exponent, coefficient) pairs, increasing exponent, nonzero only."""
-        return [(self.lo + i, c) for i, c in enumerate(self.coeffs) if c != 0]
+        return [(self.lo + i, Fraction(n, self.den)) for i, n in enumerate(self.nums) if n]
 
     def unit_decompose(self):
         """(c, m) with self = c*z^m if self is a unit, else None.  The ends
-        are nonzero, so the units are the one-coefficient polynomials."""
-        if len(self.coeffs) == 1:
-            return (self.coeffs[0], self.lo)
+        are nonzero, so the units are the one-numerator polynomials."""
+        if len(self.nums) == 1:
+            return (Fraction(self.nums[0], self.den), self.lo)
         return None
 
     def is_unit(self):
-        return len(self.coeffs) == 1
+        return len(self.nums) == 1
 
     # -- arithmetic -------------------------------------------------------
 
@@ -211,13 +236,13 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return _trusted(self.lo, tuple([-c for c in self.coeffs]))
+        return _trusted(self.lo, tuple([-x for x in self.nums]), self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = LaurentPoly.const(other)
         return _sum(self, other, True)
 
     def __rsub__(self, other):
@@ -225,24 +250,23 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
-            a, b = self.coeffs, other.coeffs
+            a, b = self.nums, other.nums
             if not a or not b:
                 return ZERO
-            lo = self.lo + other.lo
             if len(a) == 1:
                 c = a[0]
-                if len(b) == 1:
-                    return _trusted(lo, (c * b[0],))
-                return _trusted(lo, tuple([c * y for y in b]))
-            if len(b) == 1:
+                nums = [c * y for y in b]
+            elif len(b) == 1:
                 c = b[0]
-                return _trusted(lo, tuple([x * c for x in a]))
-            return _trusted(lo, _convolve(a, b))
+                nums = [x * c for x in a]
+            else:
+                nums = _convolve(a, b)
+            return _reduced(self.lo + other.lo, nums, self.den * other.den)
         if isinstance(other, (int, Fraction)):
             if not other:
                 return ZERO
-            # int * Fraction is a Fraction
-            return _trusted(self.lo, tuple([other * x for x in self.coeffs]))
+            c = other.numerator
+            return _reduced(self.lo, [c * x for x in self.nums], self.den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -254,17 +278,17 @@ class LaurentPoly:
 
     def shift(self, k):
         """Multiply by z^k."""
-        if not self.coeffs:
+        if not self.nums:
             return self
-        return _trusted(self.lo + k, self.coeffs)
+        return _trusted(self.lo + k, self.nums, self.den)
 
     def inverse_unit(self):
         """Inverse of a unit c*z^m; PreconditionViolation otherwise."""
-        u = self.unit_decompose()
-        if u is None:
+        if len(self.nums) != 1:
             raise PreconditionViolation(f"not a unit: {self}")
-        c, m = u
-        return _trusted(-m, (1 / c,))
+        # (n/d)^-1 = d/n, in lowest terms already; the sign goes up
+        n = self.nums[0]
+        return _trusted(-self.lo, (self.den if n > 0 else -self.den,), abs(n))
 
     def eval(self, x):
         """Evaluate at a nonzero scalar (zero allowed when lo >= 0)."""
@@ -283,14 +307,19 @@ class LaurentPoly:
     # -- comparisons ------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
+        # a LaurentPoly is tested first: isinstance of the abstract
+        # Fraction is the slow test
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.lo == other.lo and self.coeffs == other.coeffs
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = LaurentPoly.const(other)
+        return self.lo == other.lo and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.lo, self.coeffs))
+        if self.lo or len(self.nums) > 1:
+            return hash((self.lo, self.nums, self.den))
+        # a constant equals its scalar, so it hashes like it
+        return hash(Fraction(self.nums[0], self.den)) if self.nums else 0
 
     def __repr__(self):
         return f"LaurentPoly({self})"
@@ -299,10 +328,10 @@ class LaurentPoly:
         return laurent_to_str(self)
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.nums)
 
 
-ZERO = LaurentPoly.zero()
+ZERO = _trusted(0, (), 1)
 ONE = LaurentPoly.const(1)
 Z = LaurentPoly.monomial(1, 1)
 
@@ -310,50 +339,80 @@ Z = LaurentPoly.monomial(1, 1)
 def qshift(f: LaurentPoly, k: int) -> LaurentPoly:
     """f(q^k z) for the ambient q; a ring automorphism for each k.  A
     constant is fixed, and q^k is not formed for it: s^k c = c s^k for any
-    k, however large."""
-    coeffs, lo = f.coeffs, f.lo
-    if k == 0 or not coeffs or (lo == 0 and len(coeffs) == 1):
+    k, however large.
+
+    With q = u/v in lowest terms, the numerator of z^(lo + i) is scaled by
+    q^e_i, e_i = k (lo + i).  Over the common denominator u^-a v^b, where
+    a = min(0, min_i e_i) and b = max(0, max_i e_i), that is the integer
+    u^(e_i - a) v^(b - e_i): a constant c times s^i t^(n - 1 - i), where
+    (s, t) = (u^k, v^k) for k > 0 and (v^-k, u^-k) for k < 0, so the scale
+    walks up the numerators by one exact division by t and one product by
+    s."""
+    nums, lo = f.nums, f.lo
+    if k == 0 or not nums or (lo == 0 and len(nums) == 1):
         return f
     q = get_q()
-    # the coefficient of z^(lo + i) is scaled by q^(k (lo + i))
-    scale = q ** (k * lo)
-    if len(coeffs) == 1:
-        return _trusted(lo, (coeffs[0] * scale,))
-    step = q**k
-    out = [coeffs[0] * scale]
-    for c in coeffs[1:]:
-        scale *= step
-        out.append(c * scale)
-    return _trusted(lo, tuple(out))
+    u, v = q.numerator, q.denominator
+    e0, e1 = k * lo, k * (lo + len(nums) - 1)
+    lowest, highest = min(e0, e1), max(e0, e1)
+    den = f.den * u ** max(-lowest, 0) * v ** max(highest, 0)
+    scale = u ** max(lowest, 0) * v ** max(-highest, 0)
+    if den < 0:  # an odd power of a negative u
+        den, scale = -den, -scale
+    if len(nums) == 1:
+        return _reduced(lo, (nums[0] * scale,), den)
+    s, t = (u**k, v**k) if k > 0 else (v**-k, u**-k)
+    scale *= t ** (len(nums) - 1)
+    out = []
+    for x in nums[:-1]:
+        out.append(x * scale)
+        scale = scale // t * s
+    out.append(nums[-1] * scale)
+    return _reduced(lo, out, den)
 
 
 def divexact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Exact quotient f/g; PreconditionViolation if g does not divide f."""
-    if g.is_zero():
+    """Exact quotient f/g; PreconditionViolation if g does not divide f.
+
+    The primitive parts are divided by integer long division: by Gauss's
+    lemma a quotient of primitive integer polynomials is a primitive
+    integer polynomial, so a step that does not divide exactly means g
+    does not divide f, and the quotient needs only its scalar factor
+    reduced."""
+    a, b = f.nums, g.nums
+    if not b:
         raise ZeroInput("division by zero polynomial")
-    if f.is_zero():
+    if not a:
         return ZERO
     offset = f.lo - g.lo
-    div = g.coeffs
-    if len(div) == 1:
-        # a unit divides everything
-        c = div[0]
-        return _trusted(offset, tuple([x / c for x in f.coeffs]))
-    # reduce to ordinary polynomials with nonzero constant terms
-    rem = list(f.coeffs)
-    out = [Fraction(0)] * (len(rem) - len(div) + 1)
-    if len(out) <= 0:
+    if len(b) == 1:
+        # a unit divides everything: (a/da) / (c/db) = a db / (da c)
+        c = b[0]
+        scale = g.den if c > 0 else -g.den
+        return _reduced(offset, [x * scale for x in a], f.den * abs(c))
+    if len(b) > len(a):
         raise PreconditionViolation("inexact Laurent division (degree)")
-    lead = div[-1]
+    ca, cb = gcd(*a), gcd(*b)
+    rem = [x // ca for x in a]
+    div = [y // cb for y in b]
+    lead, n = div[-1], len(div) - 1
+    out = [0] * (len(rem) - n)
     for i in range(len(out) - 1, -1, -1):
-        c = rem[i + len(div) - 1] / lead
+        c, r = divmod(rem[i + n], lead)
+        if r:
+            raise PreconditionViolation("inexact Laurent division (remainder)")
         out[i] = c
-        if c != 0:
-            for j, d in enumerate(div):
-                rem[i + j] -= c * d
-    if any(r != 0 for r in rem):
+        if c:
+            for j, d in enumerate(div[:n], i):
+                rem[j] -= c * d
+    if any(rem[:n]):
         raise PreconditionViolation("inexact Laurent division (remainder)")
-    return _trusted(offset, tuple(out))
+    # f/g = (ca out / da) / (cb / db) = out (ca db) / (cb da)
+    num, den = ca * g.den, cb * f.den
+    h = gcd(num, den)
+    if h != 1:
+        num, den = num // h, den // h
+    return _trusted(offset, tuple([num * x for x in out]) if num != 1 else tuple(out), den)
 
 
 # -- printing -------------------------------------------------------------

@@ -141,22 +141,26 @@ def shift_rows(cols, shifts, scale):
     (component, exponent), and each row is the map's row times the integer
     `unit`, in ints, with 0 where nothing lands.
 
-    With scale = u/v in lowest terms, den the lcm of the coefficient
-    denominators of the columns, j0 = min(shifts[0], 0) and
-    j1 = max(shifts[-1], 0), the cell a scale^j is written as the integer
-    a den u^(j - j0) v^(j1 - j), and unit = den v^j1 u^(-j0).  Solvers
-    make each row primitive, so the scaling costs their elimination
-    nothing."""
+    With scale = u/v in lowest terms, den the lcm of the denominators
+    `f.den` of the column entries, j0 = min(shifts[0], 0) and
+    j1 = max(shifts[-1], 0), the cell a scale^j of an entry's coefficient
+    a = n / f.den is written as the integer n (den / f.den) u^(j - j0)
+    v^(j1 - j), and unit = den v^j1 u^(-j0): entries are read as their
+    integer numerators, with no `Fraction` formed.  Solvers make each row
+    primitive, so the scaling costs their elimination nothing."""
     width = len(shifts)
     u, v = scale.numerator, scale.denominator
     j0, j1 = min(shifts[0], 0), max(shifts[-1], 0)
     powers = [u ** (j - j0) * v ** (j1 - j) for j in shifts]
-    den = lcm(*(a.denominator for col in cols for f in col for a in f.coeffs))
+    den = lcm(*(f.den for col in cols for f in col))
     rows = {}
     for b, col in enumerate(cols):
         for i, f in enumerate(col):
-            for e, a in f.terms():
-                a = a.numerator * (den // a.denominator)
+            factor = den // f.den
+            for e, n in enumerate(f.nums, f.lo):
+                if not n:
+                    continue
+                a = n * factor
                 for t, (j, p) in enumerate(zip(shifts, powers), b * width):
                     row = rows.get((i, e + j))
                     if row is None:
@@ -282,10 +286,10 @@ def rational_roots(p: LaurentPoly):
     roots = []
     if p.bot > 0:
         roots.append((Fraction(0), p.bot))
-    # p.coeffs (nonzero ends) over its content gcd(numerators) / lcm(denominators)
-    content = Fraction(gcd(*(c.numerator for c in p.coeffs)),
-                       lcm(*(c.denominator for c in p.coeffs)))
-    ints = [int(c / content) for c in p.coeffs]
+    # the primitive part of p: its integer numerators (nonzero ends) over
+    # their gcd
+    content = gcd(*p.nums)
+    ints = [n // content for n in p.nums]
     nums, dens = _divisors(ints[0]), _divisors(ints[-1])
     while len(ints) > 1:
         at_one, at_minus_one = sum(ints), sum(ints[::2]) - sum(ints[1::2])

@@ -473,3 +473,22 @@ def test_z_divide_mirrors_sigma_divide():
     g, h, rem = z_divide(parse("z^2") * w, w)
     assert rem.is_zero()
     assert AqElement.from_sigma_poly(g) * (parse("z^2") * w) == h * w
+
+
+def test_constants_hash_like_their_scalars():
+    # a constant LaurentPoly or AqElement equals its scalar, so a set or a
+    # dict keyed by one finds the other, in both directions
+    for c in (0, 2, -3, Fraction(1, 2), Fraction(-7, 3)):
+        f = LaurentPoly.const(c)
+        x = AqElement.from_laurent(f)
+        for u, v in ((f, c), (x, c), (x, f)):
+            assert u == v and v == u
+            assert hash(u) == hash(v)
+            assert v in {u} and u in {v}
+            assert {u: "key"}[v] == "key" and {v: "key"}[u] == "key"
+    # an element on s^0 alone equals its coefficient, a constant or not
+    g = LaurentPoly(-1, (1, 2))
+    y = AqElement.from_laurent(g)
+    assert y == g and g in {y} and y in {g}
+    # an element off s^0 equals no scalar and no LaurentPoly
+    assert AqElement.sigma(1) != 1 and AqElement.sigma(1) not in {1, LaurentPoly.const(1)}

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -267,11 +268,68 @@ def test_divexact_matches_the_reference(f, g):
         assert_is(divexact(f, g), want)
 
 
+def assert_canonical(f, ref):
+    """f is in the canonical integer form (integer numerators with nonzero
+    ends over a positive denominator prime to them all, zero as (0, (), 1))
+    and equals the reference dict."""
+    assert type(f.den) is int and f.den > 0
+    assert all(type(n) is int for n in f.nums)
+    if f.nums:
+        assert f.nums[0] and f.nums[-1]
+        assert gcd(f.den, *f.nums) == 1
+    else:
+        assert (f.lo, f.nums, f.den) == (0, (), 1)
+    assert_is(f, ref)
+
+
+@given(
+    st.one_of(st.tuples(polys, polys), cancelling_pairs()),
+    scalars,
+    st.integers(-5, 5),
+    st.integers(0, 4),
+    st.sampled_from([2, 3, Fraction(-1, 2), Fraction(5, 7)]),
+)
+def test_every_operation_keeps_the_canonical_form(pair, c, k, n, q):
+    f, g = pair
+    a, b = _ref(f), _ref(g)
+    with using_q(q):
+        assert_canonical(f + g, _ref_add(a, b))
+        assert_canonical(f - g, _ref_add(a, b, -1))
+        assert_canonical(f * g, _ref_mul(a, b))
+        assert_canonical(f * c, {e: c * x for e, x in a.items()})
+        assert_canonical(-f, {e: -x for e, x in a.items()})
+        assert_canonical(f.shift(k), {e + k: x for e, x in a.items()})
+        assert_canonical(qshift(f, k), {e: x * Fraction(q) ** (k * e) for e, x in a.items()})
+        if b:
+            assert_canonical(divexact(f * g, g), a)
+            want = _ref_divexact(a, b)
+            if want is not None:
+                assert_canonical(divexact(f, g), want)
+        if f.is_unit():
+            ((e, x),) = a.items()
+            assert_canonical(f.inverse_unit(), {-e: 1 / x})
+        power = {0: Fraction(1)}
+        for _ in range(n):
+            power = _ref_mul(power, a)
+        assert_canonical(f**n, power)
+
+
+def test_qshift_keeps_the_denominator_positive_at_a_negative_q():
+    # at q = -1/2 an odd power of the numerator -1 of q can make the common
+    # denominator exactly -1, on the one-numerator path and on the general one
+    with using_q(Fraction(-1, 2)):
+        assert_canonical(qshift(LaurentPoly.monomial(1, -1), 1), {-1: Fraction(-2)})
+        assert_canonical(qshift(LaurentPoly(-3, (1, 0, 5)), 1), {-3: Fraction(-8), -1: Fraction(-10)})
+
+
 def test_public_constructor_normalizes_its_input():
     f = LaurentPoly(-3, (0, 2, 0, Fraction(1, 2), 0))
     assert (f.lo, f.coeffs) == (-2, (Fraction(2), Fraction(0), Fraction(1, 2)))
     assert all(type(c) is Fraction for c in f.coeffs)
     assert (LaurentPoly(4, (0, 0)).lo, LaurentPoly(4, (0, 0)).coeffs) == (0, ())
+    # one denominator, prime to the numerators as a whole, not to each
+    assert (f.lo, f.nums, f.den) == (-2, (4, 0, 1), 2)
+    assert (LaurentPoly(4, (0, 0)).nums, LaurentPoly(4, (0, 0)).den) == ((), 1)
     with pytest.raises(TypeError):
         LaurentPoly(0, (0.5,))
 
