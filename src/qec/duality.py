@@ -25,7 +25,8 @@ from .scalars import get_q
 class GoodNormalForm:
     """Coefficients [p_0, ..., p_{t-1}] of a monic normalized generator;
     the top coefficient s^t is implicit and p_0 is a unit.  `_sums` memoizes
-    the composition totals of `_composition_total` by (q, n)."""
+    the composition totals of `_composition_total` by (q, n), q as the pair
+    (numerator, denominator), which hashes faster than the Fraction."""
 
     __slots__ = ("coeffs", "_sums")
 
@@ -92,7 +93,7 @@ def good_dual(p: AqElement):
 class PairingTable:
     """Values a_s = <f, s^s e> for the dual generator f, extended both ways
     by the recurrence 0 = sum_i p_{t-i}(q^{s-t} z) a_{s-i} (s in Z); `_a`
-    memoizes them per ambient q."""
+    memoizes them per ambient q, keyed by q's (numerator, denominator)."""
 
     __slots__ = ("nf", "_a")
 
@@ -103,9 +104,10 @@ class PairingTable:
     def value(self, s: int) -> LaurentPoly:
         t = self.nf.t
         q = get_q()
-        if q not in self._a:
-            self._a[q] = {0: ONE, **dict.fromkeys(range(1, t), ZERO)}
-        a = self._a[q]
+        key = q.numerator, q.denominator
+        a = self._a.get(key)
+        if a is None:
+            a = self._a[key] = {0: ONE, **dict.fromkeys(range(1, t), ZERO)}
         if s >= t:
             for m in range(max(a) + 1, s + 1):
                 total = ZERO
@@ -179,13 +181,15 @@ def pi_product(nf: GoodNormalForm, x) -> LaurentPoly:
 
 def _composition_total(nf: GoodNormalForm, n: int) -> LaurentPoly:
     """sum_{X(t, n)} Pi_x, enumerated once per normal form and ambient q."""
-    key = (get_q(), n)
-    if key not in nf._sums:
+    q = get_q()
+    key = (q.numerator, q.denominator, n)
+    total = nf._sums.get(key)
+    if total is None:
         total = LaurentPoly.zero()
         for x in composition_sums(nf.t, n):
             total = total + pi_product(nf, x)
         nf._sums[key] = total
-    return nf._sums[key]
+    return total
 
 
 def closed_form_value(nf: GoodNormalForm, s: int) -> LaurentPoly:

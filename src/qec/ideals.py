@@ -25,7 +25,7 @@ from itertools import islice, product
 from .aq import AqElement, degrees, sigma_divide, z_divide
 from .errors import CertificateFailure, PreconditionViolation, SearchExhausted
 from .laurent import ONE, ZERO, LaurentPoly, echelon
-from .linalg import _primitive, charpoly, nullspace, rational_roots, shift_rows
+from .linalg import _dense, _primitive, charpoly, nullspace, rational_roots, shift_rows
 from .modules import (
     Good,
     MatrixModule,
@@ -138,9 +138,9 @@ def minimal_annihilator_width(T: MatrixModule, v, cap: int):
 
 def _row_system(orbit, d: int, zd: int):
     """The rows of r(v) = 0 for r = sum r_ij z^j s^i, i <= d, j <= zd, over
-    the unknowns r_ij, in integers (`linalg.shift_rows`); `orbit` starts
-    v, s(v), ..., s^d(v), and unknown i * (zd + 1) + j is the coefficient
-    of z^j s^i."""
+    the unknowns r_ij, as sparse integer rows (`linalg.shift_rows`);
+    `orbit` starts v, s(v), ..., s^d(v), and unknown i * (zd + 1) + j is
+    the coefficient of z^j s^i."""
     return list(shift_rows(orbit[: d + 1], range(zd + 1), 1)[1].values())
 
 
@@ -210,19 +210,23 @@ def _sigma_good_in(orbit, d: int, zd: int):
     CertificateFailure if K contradicts the test on E, or if the result is
     not sigma-good or does not kill v.
     """
-    rows = _row_system(orbit, d, zd)
     n = zd + 1
-    middle = list(range(n, d * n))
-    order = middle + list(range(n)) + list(range(d * n, (d + 1) * n))
-    pivots, ech, _, _ = echelon([_primitive([row[k] for k in order]) for row in rows])
-    E = [row[len(middle) :] for row, pc in zip(ech, pivots) if pc >= len(middle)]
+    m = (d - 1) * n
+    # the system with the middle columns first: the orbit taken in the
+    # order s(v), ..., s^(d-1)(v), v, s^d(v), so the ends are m + e0 and
+    # m + n + ed
+    rows = _row_system(orbit[1:d] + [orbit[0], orbit[d]], d, zd)
+    pivots, ech, _, _ = echelon([_primitive(_dense(row, (d + 1) * n)) for row in rows])
+    E = [row[m:] for row, pc in zip(ech, pivots) if pc >= m]
     dirs = [_primitive([row[k] for row in E]) for k in range(2 * n)]
     held = (p for p in product(range(n), repeat=2) if dirs[p[0]] == dirs[n + p[1]])
     e0, ed = next(held, (None, None))
     if e0 is None:
         return None
-    keep = [e0] + middle + [d * n + ed]
-    kernel = nullspace([[row[k] for k in keep] for row in rows], len(keep))
+    # the end e0, the middle and the end ed, in the row's own unknowns' order
+    keep = [m + e0] + list(range(m)) + [m + n + ed]
+    kept = [{t: row[k] for t, k in enumerate(keep) if k in row} for row in rows]
+    kernel = nullspace(kept, len(keep))
     a = next((x for x in kernel if x[0]), None)
     b = next((x for x in kernel if x[-1]), None)
     if a is None or b is None:
@@ -230,7 +234,7 @@ def _sigma_good_in(orbit, d: int, zd: int):
     lam = next(t for t in range(3) if a[0] + t * b[0] and a[-1] + t * b[-1])
     u = [x + lam * y for x, y in zip(a, b)]
     vec = [0] * ((d + 1) * n)
-    for k, x in zip(keep, u):
+    for k, x in zip([e0, *range(n, d * n), d * n + ed], u):
         vec[k] = x / u[-1]
     p = _pack(vec, d, zd)
     if not degrees(p).sigma_good:
@@ -461,12 +465,14 @@ def line_subbundle_probe(T: MatrixModule, k_range, window=12):
     if not k_range:
         return []
     unit, rows = _window_rows(T, window)
-    zero = [0] * (T.n * (2 * window + 1))
     results = []
     for k in k_range:
         # the map's own rows: the window rows are unit times them
         keys = _window_keys(T.n, window, k)
-        A = [[Fraction(x, unit) if x else 0 for x in rows.get(r, zero)] for r in keys]
+        A = [[0] * len(keys) for _ in keys]
+        for a, key in zip(A, keys):
+            for t, x in rows.get(key, {}).items():
+                a[t] = Fraction(x, unit)
         roots, _ = rational_roots(charpoly(A))
         for c, _mult in roots:
             if c == 0:

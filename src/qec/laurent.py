@@ -55,6 +55,22 @@ def _as_scalar(c):
     raise TypeError(f"not a scalar: {c!r}")
 
 
+# operand type -> whether it is int or Fraction (a subclass included), so
+# that an operand of neither, an AqElement say, is turned away without the
+# slow isinstance against the abstract Fraction; the operators read it
+# inline, which keeps a scalar operand as cheap as the isinstance was
+_SCALAR_TYPES = {int: True, bool: True, Fraction: True}
+
+
+def _is_scalar(x):
+    """Is x an int or a Fraction?  Worked out once per type and kept in
+    `_SCALAR_TYPES`."""
+    scalar = _SCALAR_TYPES.get(type(x))
+    if scalar is None:
+        scalar = _SCALAR_TYPES[type(x)] = issubclass(type(x), (int, Fraction))
+    return scalar
+
+
 def _trusted(lo, nums, den):
     """The LaurentPoly with these fields, unchecked: `nums` is a tuple of
     ints with nonzero ends, den > 0 and gcd(den, *nums) = 1, or the zero
@@ -228,7 +244,7 @@ class LaurentPoly:
 
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
-            if not isinstance(other, (int, Fraction)):
+            if not (_SCALAR_TYPES.get(type(other)) or _is_scalar(other)):
                 return NotImplemented
             other = LaurentPoly.const(other)
         return _sum(self, other, False)
@@ -240,7 +256,7 @@ class LaurentPoly:
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
-            if not isinstance(other, (int, Fraction)):
+            if not (_SCALAR_TYPES.get(type(other)) or _is_scalar(other)):
                 return NotImplemented
             other = LaurentPoly.const(other)
         return _sum(self, other, True)
@@ -262,7 +278,7 @@ class LaurentPoly:
             else:
                 nums = _convolve(a, b)
             return _reduced(self.lo + other.lo, nums, self.den * other.den)
-        if isinstance(other, (int, Fraction)):
+        if _SCALAR_TYPES.get(type(other)) or _is_scalar(other):
             if not other:
                 return ZERO
             c = other.numerator
@@ -307,10 +323,8 @@ class LaurentPoly:
     # -- comparisons ------------------------------------------------------
 
     def __eq__(self, other):
-        # a LaurentPoly is tested first: isinstance of the abstract
-        # Fraction is the slow test
         if not isinstance(other, LaurentPoly):
-            if not isinstance(other, (int, Fraction)):
+            if not (_SCALAR_TYPES.get(type(other)) or _is_scalar(other)):
                 return NotImplemented
             other = LaurentPoly.const(other)
         return self.lo == other.lo and self.den == other.den and self.nums == other.nums

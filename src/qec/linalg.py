@@ -1,26 +1,41 @@
 """Exact linear algebra over Q; nothing is numerical.
 
-The one elimination loop is the fraction-free `laurent.echelon`, run over
-integer rows: `rref`, `rank` and `nullspace` take rational or integer rows
-and make each one primitive (`_primitive`) before they eliminate.  The
-scaling is lazy: a row whose multiplier is zero is not touched, and a
-deferred row equals its Bareiss minors after one exact division by the
-pivot ratio dets[k] / dets[l] (l the last step that updated it), so a step
-costs what its nonzero multipliers cost and the results are those of dense
-Bareiss.  `rank` counts the pivots of `echelon` and back-substitutes
-nothing; `rref` back-substitutes d * RREF at every column and `nullspace`
-only at the free columns, stopping after `echelon` when there is none.
+Two elimination loops serve the rational systems.  The exact one is the
+fraction-free `laurent.echelon`, run over integer rows: `rref`, `rank` and
+the fallback of `nullspace` take rational or integer rows and make each
+one primitive (`_primitive`) before they eliminate.  The scaling is lazy:
+a row whose multiplier is zero is not touched, and a deferred row equals
+its Bareiss minors after one exact division by the pivot ratio
+dets[k] / dets[l] (l the last step that updated it), so a step costs what
+its nonzero multipliers cost and the results are those of dense Bareiss.
+`rank` counts the pivots of `echelon` and back-substitutes nothing; `rref`
+back-substitutes d * RREF at every column.
+
+`nullspace` first eliminates modulo the Mersenne prime p = 2^127 - 1, on
+sparse rows (`_echelon_mod_p`), and proves what it finds over Q: no free
+column mod p is a proof that the kernel is empty, and otherwise each
+kernel vector mod p is lifted to a rational vector (Wang's rational
+reconstruction) and checked against every row over Z.  On banded systems
+the Bareiss minors grow to hundreds of bits and every step pays exact
+divisions of them, while the entries mod p stay at 127 bits.  Whatever the
+modular pass cannot prove, an unlucky prime or a kernel past the
+reconstruction bound, is solved again on the Bareiss path, which
+back-substitutes only the free columns and stops after `echelon` when
+there is none.  So the answer is always the Bareiss answer, and the
+prime costs only time (Dixon, Numer. Math. 40, 1982, for the modular
+method).
+
 Every solver that looks for Laurent-polynomial vectors linearizes through
 `shift_rows`, the map x |-> sum_b sum_j x_(b, j) scale^j z^j col_b on a
 few Laurent columns, and solves with `nullspace`: the window map of s has
 the columns of T, shifts -W..W and scale q (`modules.window_eigenspace`,
 the probe), and an annihilator row has the orbit v, ..., s^d(v), shifts
-0..zd and scale 1 (`ideals`).  `shift_rows` writes integer rows, the map's
-rows times one integer `unit` that it returns with them, so no `Fraction`
-is built per cell.  These systems are banded in z-degree and mostly zero.
-The window solver eliminates in the banded order: unknowns exponent-major,
-rows sorted by exponent, so each row meets about n (deg_z T + 1)
-neighbouring columns and the Bareiss fill stays in that band.  The
+0..zd and scale 1 (`ideals`).  `shift_rows` writes sparse integer rows,
+the map's rows times one integer `unit` that it returns with them, so no
+`Fraction` and no zero cell is built.  These systems are banded in
+z-degree and mostly zero.  The window solver numbers its unknowns
+exponent-major, so each row meets about n (deg_z T + 1) neighbouring
+columns and the fill of either elimination stays in that band.  The
 canonical `nullspace` basis depends on the column order, so the window
 solver rewrites it in the component-major order `shift_rows` uses: that
 basis is the unique reduced row echelon form of the kernel with its
@@ -39,9 +54,11 @@ search bound.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import compress, count
+from math import gcd, isqrt, lcm
+from operator import mul
 
 from .errors import CertificateFailure, NonSplitSpectrum, SearchExhausted
 from .laurent import LaurentPoly, _divexact_int, echelon
@@ -107,14 +124,45 @@ def rank(rows):
     return len(echelon([_primitive(row) for row in rows])[0])
 
 
+# the modulus of `nullspace`'s modular pass, the Mersenne prime 2^127 - 1
+_P = (1 << 127) - 1
+# Wang's bound: a residue mod _P is n/d for at most one fraction with |n|
+# and d at most _BOUND, since 2 _BOUND^2 < _P
+_BOUND = isqrt(_P >> 1)
+
+
 def nullspace(rows, ncols):
     """Basis of the right kernel, one canonical vector per free column: 1 at
     its own free column, 0 at the other free columns.  The basis depends only
     on the kernel, not on the rows that cut it out, and each vector's free
-    column is its last nonzero entry.  Only the free columns of d * RREF are
-    back-substituted, and a system without a free column stops after
-    `echelon`."""
-    pivots, u, _, d = echelon([_primitive(row) for row in rows])
+    column is its last nonzero entry.  A row is a list of `ncols` ints or
+    Fractions, or a dict {column: entry} such as `shift_rows` writes.
+
+    The kernel is found modulo the prime p = `_P` (`_modular_nullspace`)
+    and proved over Q; whatever the modular pass cannot prove is solved
+    again by the exact Bareiss path (`_bareiss_nullspace`), so an unlucky
+    prime costs time, never a wrong answer.  The proof: the rank mod p is
+    the size of a minor that is nonzero mod p, hence nonzero over Z, so
+    rank_Q >= rank_p.  With no free column mod p the kernel is empty.
+    Otherwise the canonical kernel vector mod p of free column f is 1 at
+    f, 0 at the other free columns and supported on the pivot columns
+    below f.  Its rational reconstruction is checked against every row
+    exactly, over Z; a vector that passes shows that column f is a
+    combination of the columns before it, so f is free over Q too.  When
+    every free column passes, the kernel over Q has at least as many
+    dimensions as mod p, and by the rank bound at most as many: the free
+    columns agree, and each checked vector is the unique kernel vector
+    that is 1 at its free column and 0 at the others, the canonical one.
+    So the output is that of the Bareiss path."""
+    basis = _modular_nullspace(rows, ncols)
+    return _bareiss_nullspace(rows, ncols) if basis is None else basis
+
+
+def _bareiss_nullspace(rows, ncols):
+    """`nullspace` by `echelon` over the primitive rows.  Only the free
+    columns of d * RREF are back-substituted, and a system without a free
+    column stops after `echelon`."""
+    pivots, u, _, d = echelon([_primitive(_dense(row, ncols)) for row in rows])
     pivot_set = set(pivots)
     free = [j for j in range(ncols) if j not in pivot_set]
     if not free:
@@ -131,6 +179,168 @@ def nullspace(rows, ncols):
     return basis
 
 
+def _dense(row, ncols):
+    """A `nullspace` row as a list: a dict row is 0 where it has no entry."""
+    if not isinstance(row, dict):
+        return row
+    out = [0] * ncols
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
+def _sparse(row):
+    """(columns, values) of the entries of a `nullspace` row, the values
+    integers on the row's line; a list row gives its nonzero entries."""
+    if isinstance(row, dict):
+        cols, vals = list(row), list(row.values())
+    else:
+        cols, vals = list(compress(count(), row)), list(compress(row, row))
+    if {*map(type, vals)} - {int}:  # clear the denominators
+        d = lcm(*(x.denominator for x in vals))
+        vals = [x.numerator * (d // x.denominator) for x in vals]
+    return cols, vals
+
+
+def _echelon_mod_p(srows):
+    """{pivot column: [(column, entry), ...]}, the echelon rows mod p of
+    the sparse integer rows `srows`, each scaled to 1 at its pivot column
+    (left out) and holding only columns right of it.
+
+    The rows are inserted one at a time, each reduced by the pivot rows it
+    meets, in increasing column order (a sorted queue, since a reduction
+    fills in columns to the right), and its first nonzero column becomes a
+    pivot.  The rows so far span what the inserted rows span, so the pivot
+    columns are those of the reduced row echelon form, whatever the
+    insertion order; rows are inserted by their last nonzero column, which
+    keeps the fill of banded systems small.  A row that reduces to one
+    entry puts e_c in the span: column c vanishes on the kernel, and later
+    rows drop their entries there instead of reducing by it.  The window
+    systems are mostly such rows."""
+    piv, zero = {}, set()
+    for cols, vals in sorted(srows, key=lambda r: max(r[0], default=-1)):
+        r = {j: x for j, x in zip(cols, vals) if j not in zero and x % _P}
+        todo = sorted(j for j in r if j in piv)
+        while todo:
+            c = todo.pop(0)
+            a = r.pop(c, 0)  # 0: c was queued twice
+            if not a:
+                continue
+            for j, y in piv[c]:
+                x = r.get(j)
+                if x is None:
+                    r[j] = -a * y % _P
+                    if j in piv:
+                        insort(todo, j)
+                elif x := (x - a * y) % _P:
+                    r[j] = x
+                else:
+                    del r[j]
+        if len(r) == 1:
+            c, = r
+            piv[c] = []
+            zero.add(c)
+        elif r:
+            c = min(r)
+            inv = pow(r.pop(c), -1, _P)
+            piv[c] = [(j, x * inv % _P) for j, x in r.items()]
+    return piv
+
+
+def _rational(a):
+    """(n, d) with n = a d mod p, |n| <= _BOUND and 0 < d <= _BOUND, or
+    None when there is none: the extended Euclidean algorithm on (p, a),
+    stopped at the first remainder within the bound (Wang, Guy and
+    Davenport, SIGSAM Bull. 16, 1982)."""
+    r0, r1, t0, t1 = _P, a, 0, 1
+    while r1 > _BOUND:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    return (r1, t1) if t1 <= _BOUND else None
+
+
+def _lift(v, f, ncols, D):
+    """(num, D') with num / D' a rational vector congruent mod p to the
+    vector that is 1 at f and v[c] at each column c of the dict v, or
+    None.  D' is a multiple of the denominator D: each entry times the
+    current D is kept when it is within the bound, and otherwise
+    reconstructed (`_rational`), its denominator joining D'."""
+    num = [0] * ncols
+    num[f] = D
+    for c, x in v.items():
+        y = x * D % _P
+        if y > _P >> 1:
+            y -= _P
+        if -_BOUND <= y <= _BOUND:
+            num[c] = y
+            continue
+        nd = _rational(y % _P)
+        if nd is None:
+            return None
+        n, d = nd
+        D *= d
+        if D > _BOUND:
+            return None
+        num = [x * d for x in num]
+        num[c] = n
+    return num, D
+
+
+def _modular_nullspace(rows, ncols):
+    """The canonical kernel basis of `nullspace`, proved as its docstring
+    says, or None where the proof fails.
+
+    The rows are cleared of denominators (`_sparse`) and eliminated mod p
+    (`_echelon_mod_p`).  Back-substitution from the last pivot up gives
+    every free column's kernel vector mod p at once.  Each is lifted to Q
+    (`_lift`), the free columns taken from the last, with the common
+    denominator carried from one vector to the next, since a denominator
+    found for one vector often covers the next; a vector that does not
+    lift with the carried denominator is lifted afresh.  Each lifted vector
+    num / D is then checked over Z, A num = 0, on the rows that meet its
+    support: every other row is 0 on it."""
+    srows = [_sparse(row) for row in rows]
+    piv = _echelon_mod_p(srows)
+    if len(piv) == ncols:
+        return []
+    # ker[c][f]: entry c of free column f's kernel vector mod p, nonzero
+    # entries only, from the last pivot up
+    ker = {}
+    for c in sorted(piv, reverse=True):
+        acc = {}
+        for j, y in piv[c]:
+            kj = ker.get(j)
+            if kj is None:  # j is free
+                acc[j] = acc.get(j, 0) - y
+            else:
+                for f, z in kj.items():
+                    acc[f] = acc.get(f, 0) - y * z
+        ker[c] = {f: y for f, x in acc.items() if (y := x % _P)}
+    lifted, D = [], 1
+    for f in range(ncols - 1, -1, -1):
+        if f in piv:
+            continue
+        v = {c: kc[f] for c, kc in ker.items() if f in kc}
+        out = _lift(v, f, ncols, D) or _lift(v, f, ncols, 1)
+        if out is None:
+            return None
+        lifted.append(out)
+        D = out[1]
+    meets = [[] for _ in range(ncols)]  # meets[j]: the rows with an entry at j
+    for row in srows:
+        for j in row[0]:
+            meets[j].append(row)
+    for num, _ in lifted:
+        met = {id(row): row for j in compress(count(), num) for row in meets[j]}
+        for cols, vals in met.values():
+            if sum(map(mul, vals, map(num.__getitem__, cols))):
+                return None
+    zero = Fraction(0)
+    return [[Fraction(x, D) if x else zero for x in num] for num, D in reversed(lifted)]
+
+
 def shift_rows(cols, shifts, scale):
     """Linearize x |-> sum_b sum_j x_(b, j) scale^j z^j col_b, where each
     col_b is a vector of Laurent polynomials and j runs over the range
@@ -139,7 +349,7 @@ def shift_rows(cols, shifts, scale):
     column (b, j).  Returns (unit, rows): rows is {(component, exponent):
     row}, one row per coefficient some unknown touches, sorted by
     (component, exponent), and each row is the map's row times the integer
-    `unit`, in ints, with 0 where nothing lands.
+    `unit`, written sparse: a dict {column: int} of its nonzero cells.
 
     With scale = u/v in lowest terms, den the lcm of the denominators
     `f.den` of the column entries, j0 = min(shifts[0], 0) and
@@ -164,7 +374,7 @@ def shift_rows(cols, shifts, scale):
                 for t, (j, p) in enumerate(zip(shifts, powers), b * width):
                     row = rows.get((i, e + j))
                     if row is None:
-                        row = rows[(i, e + j)] = [0] * (len(cols) * width)
+                        row = rows[(i, e + j)] = {}
                     row[t] = a * p
     return den * v**j1 * u**-j0, dict(sorted(rows.items()))
 

@@ -122,8 +122,8 @@ def sigma_apply(T: MatrixModule, vec, k: int = 1):
 
 def _window_rows(T: MatrixModule, window: int):
     """(unit, rows) for the rows of v |-> T(z) v(qz) on the window unknowns,
-    keyed by (component, exponent), each times the integer unit
-    (`linalg.shift_rows`).  The unknowns are exponent-major: unknown
+    keyed by (component, exponent), each a sparse row times the integer
+    unit (`linalg.shift_rows`).  The unknowns are exponent-major: unknown
     (j + window) n + r is the coefficient of z^j in component r, |j| <=
     window, and maps to s(z^j e_r) = q^j z^j T[:, r].  A row at exponent e
     then touches only the unknowns with e - j in the z-support of T, about
@@ -133,8 +133,8 @@ def _window_rows(T: MatrixModule, window: int):
     if n == 1:  # one component: the two orders are the same
         return unit, rows
     # shift_rows lays out the columns component-major, r width + j + window
-    order = [r * width + j for j in range(width) for r in range(n)]
-    return unit, {key: [row[t] for t in order] for key, row in rows.items()}
+    at = [j * n + r for r in range(n) for j in range(width)]
+    return unit, {key: {at[t]: x for t, x in row.items()} for key, row in rows.items()}
 
 
 def _window_keys(n: int, window: int, k: int):
@@ -180,12 +180,13 @@ def window_eigenspace(T: MatrixModule, window: int, k: int, c):
 
     The system is solved banded: the unknowns are exponent-major
     (`_window_rows`) and the rows sorted by (exponent, component), so each
-    row meets only its neighbours' columns and the Bareiss fill of
-    `nullspace` stays inside a band of about n (deg_z T + 1) columns, not
-    one as wide as the window.  Reordering the unknowns permutes the
-    kernel's coordinates and nothing else, and `_component_major` turns the
-    kernel back into the component-major canonical basis, so the answer
-    does not depend on the order the solve used.
+    row meets only its neighbours' columns and the fill of `nullspace`
+    (mod p, or on its Bareiss fallback, which follows the row order) stays
+    inside a band of about n (deg_z T + 1) columns, not one as wide as the
+    window.  Reordering the unknowns permutes the kernel's coordinates and
+    nothing else, and `_component_major` turns the kernel back into the
+    component-major canonical basis, so the answer does not depend on the
+    order the solve used.
     """
     if window < 0:
         raise PreconditionViolation("window must be >= 0")
@@ -196,8 +197,10 @@ def window_eigenspace(T: MatrixModule, window: int, k: int, c):
     cell = c * unit
     cell = cell.numerator if cell.denominator == 1 else cell
     for t, key in enumerate(keys):
-        rows.setdefault(key, [0] * len(keys))[t] -= cell
-    # -c unit may open rows T leaves empty; echelon's fill follows row order
+        row = rows.setdefault(key, {})
+        row[t] = row.get(t, 0) - cell
+    # -c unit may open rows T leaves empty; the Bareiss fallback's fill
+    # follows row order
     system = [rows[key] for key in sorted(rows, key=lambda key: (key[1], key[0]))]
     kernel = nullspace(system, len(keys))
     basis = [_window_vector(x, T.n, window) for x in _component_major(kernel, T.n)]

@@ -18,7 +18,7 @@ from sympy.polys.matrices import DomainMatrix
 import qec.ideals
 from qec.aq import AqElement, degrees, parse, sigma_divide, unit_normalize
 from qec.cohomology import euler_form, fixed_space
-from qec.errors import PreconditionViolation, SearchExhausted
+from qec.errors import CertificateFailure, PreconditionViolation, SearchExhausted
 from qec.ideals import (
     IdealPresentation,
     SearchBounds,
@@ -154,6 +154,47 @@ def test_annihilator_space_postconditions(rng):
     assert space
     for x in space:
         assert all(c.is_zero() for c in aq_act(x, T, list(v)))
+
+
+def _corrupt_nullspace(monkeypatch, corrupt):
+    """Plant a fault in the kernel solver behind `qec.ideals`: each basis it
+    returns passes through `corrupt` first."""
+    solve = qec.ideals.nullspace
+
+    def corrupted(rows, ncols):
+        return corrupt(solve(rows, ncols))
+
+    monkeypatch.setattr(qec.ideals, "nullspace", corrupted)
+
+
+def test_a_wrong_kernel_vector_fails_the_killing_certificate(monkeypatch):
+    # one entry of the first vector moved by one: r changes by z^j s^i, and
+    # z^j s^i(v) is nonzero, so r no longer kills v
+    def moved(basis):
+        basis[0][0] += 1
+        return basis
+
+    T = to_matrix(Good(parse("s^2 - 3*s + 2")))
+    assert annihilator_space(T, (ONE, ZERO), 2, 0)
+    _corrupt_nullspace(monkeypatch, moved)
+    with pytest.raises(CertificateFailure, match="does not annihilate the vector"):
+        annihilator_space(T, (ONE, ZERO), 2, 0)
+
+
+@pytest.mark.parametrize("end", [0, -1])
+def test_a_kernel_that_misses_an_end_contradicts_the_end_test(monkeypatch, end):
+    # the end test finds z^0 s^0 and z^0 s^2 both reachable in row (2, 0);
+    # a kernel that vanishes at either end contradicts it
+    def dropped(basis):
+        for x in basis:
+            x[end] = 0
+        return basis
+
+    orbit = _orbit_of(["1"], ["-1"], ["1"])
+    assert qec.ideals._sigma_good_in(orbit, 2, 0) == parse("-1/2 + 1/2*s + s^2")
+    _corrupt_nullspace(monkeypatch, dropped)
+    with pytest.raises(CertificateFailure, match=r"row \(2, 0\) contradicts its end test"):
+        qec.ideals._sigma_good_in(orbit, 2, 0)
 
 
 def test_cyclic_search_counterexample_module():
@@ -344,7 +385,7 @@ def _first_sigma_good_by_rref(orbit, d, zd):
     n = zd + 1
     middle = list(range(n, d * n))
     order = middle + list(range(n)) + list(range(d * n, (d + 1) * n))
-    reduced, pivots = rref([[row[k] for k in order] for row in rows])
+    reduced, pivots = rref([[row.get(k, 0) for k in order] for row in rows])
     E = [row[len(middle) :] for row, pc in zip(reduced, pivots) if pc >= len(middle)]
     dirs = [_direction([row[k] for row in E]) for k in range(2 * n)]
     held = (p for p in product(range(n), repeat=2) if dirs[p[0]] == dirs[n + p[1]])
@@ -352,7 +393,7 @@ def _first_sigma_good_by_rref(orbit, d, zd):
     if e0 is None:
         return None
     keep = [e0] + middle + [d * n + ed]
-    kernel = nullspace([[row[k] for k in keep] for row in rows], len(keep))
+    kernel = nullspace([[row.get(k, 0) for k in keep] for row in rows], len(keep))
     a = next(x for x in kernel if x[0])
     b = next(x for x in kernel if x[-1])
     lam = next(t for t in range(3) if a[0] + t * b[0] and a[-1] + t * b[-1])

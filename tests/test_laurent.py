@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from qec.aq import AqElement
 from qec.errors import PreconditionViolation, ZeroInput
 from qec.laurent import (
     ONE,
@@ -244,6 +245,39 @@ def test_scalar_products_and_sums_match_the_reference(f, c):
     assert_is(c * f, want)
     assert_is(f + c, _ref_add(a, {0: c}))
     assert_is(c - f, _ref_add({0: c}, a, -1))
+
+
+class _Int(int):
+    pass
+
+
+class _Fraction(Fraction):
+    pass
+
+
+@given(polys, polys)
+def test_mixed_operands_an_aq_element_and_scalars(f, g):
+    # an AqElement is no operand of LaurentPoly's own operators: Python
+    # hands it to AqElement's reflected ones, which lift f
+    x = AqElement.from_laurent(g) + AqElement.sigma(1)
+    fx = AqElement.from_laurent(f)
+    for op in ("__add__", "__sub__", "__mul__", "__eq__"):
+        assert getattr(LaurentPoly, op)(f, x) is NotImplemented
+    assert (f + x, x + f) == (fx + x, x + fx)
+    assert (f - x, x - f) == (fx - x, x - fx)
+    assert (f * x, x * f) == (fx * x, x * fx)
+    assert f != x
+    # an int, bool or Fraction, a subclass included, is a constant
+    for c in (3, -1, True, False, Fraction(-2, 5), _Int(4), _Fraction(1, 3)):
+        k = LaurentPoly.const(c)
+        assert (f + c, c + f, f - c, c - f) == (f + k, k + f, f - k, k - f)
+        assert (f * c, c * f) == (f * k, k * f)
+        assert (f == c) == (f == k)
+    for other in (1.5, "1", None):
+        for op in (lambda: f + other, lambda: f - other, lambda: f * other):
+            with pytest.raises(TypeError):
+                op()
+        assert f != other
 
 
 @given(polys, st.integers(-5, 5), st.sampled_from([2, -3, Fraction(-1, 2), Fraction(5, 7)]))

@@ -13,7 +13,7 @@ against `jordan_form` on planted Jordan matrices.
 import random
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -259,8 +259,8 @@ def test_shift_rows_sorted_by_component_and_exponent():
     assert unit == 3
     want = {(0, 1): [1, 0], (1, 0): [Fraction(2, 3), -3], (1, 2): [0, 1]}
     for key, row in want.items():
-        assert rows[key] == [unit * x for x in row]
-        assert all(type(x) is int for x in rows[key])
+        assert rows[key] == {j: unit * x for j, x in enumerate(row) if x}
+        assert all(type(x) is int for x in rows[key].values())
     # unit = den v^j1 u^-j0 for scale u/v, j0 = min(shifts[0], 0) and
     # j1 = max(shifts[-1], 0)
     assert shift_rows(cols, range(1), Fraction(2, 5))[0] == 3
@@ -300,8 +300,8 @@ def test_shift_rows_match_the_image_list_linearization(rng):
             assert type(unit) is int
             assert list(rows) == list(want)
             for key, row in want.items():
-                assert rows[key] == [unit * x for x in row]
-                assert all(type(x) is int for x in rows[key])
+                assert rows[key] == {j: unit * x for j, x in enumerate(row) if x}
+                assert all(type(x) is int for x in rows[key].values())
 
 
 @settings(max_examples=300, deadline=None)
@@ -610,3 +610,130 @@ def test_h0_window_of_a_non_z_good_generator_is_fast():
         basis = window_eigenspace(T, 48, 0, 1)
         assert time.perf_counter() - start < 1.0
     assert [[str(f) for f in v] for v in basis] == [["1", "-2*z", "1"]]
+
+
+# -- the modular pass of nullspace ---------------------------------------------
+
+
+def test_nullspace_is_right_for_an_unlucky_prime():
+    p = linalg._P
+    # full rank over Q, rank 1 mod p: the modular kernel e_0 fails the exact
+    # check, so the Bareiss path decides
+    rows = [[p, 0], [0, 1]]
+    assert linalg._modular_nullspace(rows, 2) is None
+    assert nullspace(rows, 2) == []
+    # a kernel that is one dimension smaller over Q than mod p, with the
+    # failing vector first and then last among the lifted ones
+    assert nullspace([[p, 0]], 2) == [[0, 1]]
+    assert nullspace([[0, 3 * p]], 2) == [[1, 0]]
+    # a sparse row reaches the Bareiss path with its missing cells zero
+    assert nullspace([{0: p, 1: 0}], 2) == [[0, 1]]
+    assert nullspace([{0: p}], 3) == [[0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, -(2**64 + 1)]],
+        [[2**70 + 3, -1]],
+        [[2**40 + 1, 3**30, 0], [0, 5**20, -(7**30)]],
+    ],
+)
+def test_nullspace_past_the_reconstruction_bound_is_the_bareiss_answer(rows):
+    ncols = len(rows[0])
+    assert linalg._modular_nullspace(rows, ncols) is None
+    want = linalg._bareiss_nullspace(rows, ncols)
+    assert nullspace(rows, ncols) == want
+    assert want == [[_frac(x) for x in v] for v in _sym_matrix(rows).nullspace()]
+
+
+def test_nullspace_of_fraction_rows_needs_no_fallback(monkeypatch):
+    rows = [
+        [Fraction(1, 2), Fraction(-1, 3), 0, Fraction(5, 7)],
+        [0, Fraction(2, 9), Fraction(-4, 5), 1],
+        [Fraction(1, 2), Fraction(-1, 9), Fraction(-4, 5), Fraction(12, 7)],
+    ]
+    want = [[_frac(x) for x in v] for v in _sym_matrix(rows).nullspace()]
+    as_dicts = [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+    def fail(rows, ncols):
+        raise AssertionError("nullspace fell back to the Bareiss path")
+
+    # the Bareiss path raises, so every answer below is the modular pass's
+    monkeypatch.setattr(linalg, "_bareiss_nullspace", fail)
+    assert nullspace(rows, 4) == want == nullspace(as_dicts, 4)
+    # integral kernels and kernels with denominators, one and several vectors
+    assert nullspace([[Fraction(2, 3), Fraction(-4, 3)]], 2) == [[2, 1]]
+    assert nullspace([[3, 0, 1]], 3) == [[0, 1, 0], [Fraction(-1, 3), 0, 1]]
+    assert nullspace([[7, -2, 0], [0, 5, -3]], 3) == [
+        [Fraction(6, 35), Fraction(3, 5), 1]
+    ]
+    assert nullspace([[True, False, True]], 3) == [[0, 1, 0], [-1, 0, 1]]
+    # a denominator and a numerator at the reconstruction bound still lift
+    bound = linalg._BOUND
+    assert nullspace([[bound, -1]], 2) == [[Fraction(1, bound), 1]]
+    assert nullspace([[1, bound]], 2) == [[-bound, 1]]
+    # the denominator 3 carried from the first vector lifted would push the
+    # second, -1/bound, past the bound: that vector is lifted afresh
+    assert nullspace([[3 * bound, 3, bound]], 3) == [
+        [Fraction(-1, bound), 1, 0], [Fraction(-1, 3), 0, 1]
+    ]
+
+
+def test_rational_reconstruction_inverts_every_fraction_within_the_bound():
+    p, bound = linalg._P, linalg._BOUND
+    assert 2 * bound**2 < p < 2 * (bound + 1) ** 2
+    for n, d in [(0, 1), (-5, 1), (5, 1), (2, 3), (-7, 12), (bound, 1), (-bound, 1),
+                 (1, bound), (-bound, bound - 2), (bound - 1, bound), (3**39, 2**62 + 1)]:
+        assert linalg._rational(n * pow(d, -1, p) % p) == (n, d)
+    # 1/(bound + 2) has no representative n/d with |n|, d <= bound
+    assert linalg._rational(pow(bound + 2, -1, p)) is None
+    assert linalg._rational((2**64 + 1) % p) is None
+
+
+def _planted_banded(rng, n, band):
+    """A banded sparse n x n system, ints and Fractions, lists and dicts,
+    whose kernel holds planted vectors: up to four columns are replaced by
+    combinations of the columns within `band` before them."""
+    cols = [
+        [
+            rand_scalar(rng) if abs(i - j) <= band and rng.random() < 0.6 else Fraction(0)
+            for i in range(n)
+        ]
+        for j in range(n)
+    ]
+    for j in rng.sample(range(1, n), min(n - 1, rng.randint(0, 4))):
+        cols[j] = [Fraction(0)] * n
+        for k in range(max(0, j - band), j):
+            c = Fraction(rng.randint(-40, 40), rng.choice((1, 1, 2, 3, 7, 64)))
+            cols[j] = [x + c * y for x, y in zip(cols[j], cols[k])]
+    rows = [list(r) for r in zip(*cols)]
+    for i, row in enumerate(rows):
+        if rng.random() < 0.5:  # integer rows, as `shift_rows` writes them
+            d = lcm(*(x.denominator for x in row))
+            row = [int(x * d) for x in row]
+        rows[i] = {j: x for j, x in enumerate(row) if x} if rng.random() < 0.5 else row
+    return rows
+
+
+def test_nullspace_matches_sympy_on_planted_banded_systems(rng, monkeypatch):
+    fell_back = []
+    bareiss = linalg._bareiss_nullspace
+
+    def counted(rows, ncols):
+        fell_back.append(ncols)
+        return bareiss(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_bareiss_nullspace", counted)
+    for _ in range(120):
+        n, band = rng.randint(2, 24), rng.randint(0, 4)
+        rows = _planted_banded(rng, n, band)
+        dense = [row if isinstance(row, list) else [row.get(j, 0) for j in range(n)]
+                 for row in rows]
+        dm = DomainMatrix([[QQ(x.numerator, x.denominator) for x in map(Fraction, row)]
+                           for row in dense], (n, n), QQ)
+        want = [[Fraction(int(x.numerator), int(x.denominator)) for x in v]
+                for v in dm.nullspace().to_list()]
+        assert nullspace(rows, n) == want
+    # small planted entries all lift mod p: no system needs the Bareiss path
+    assert fell_back == []

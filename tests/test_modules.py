@@ -299,7 +299,8 @@ def _component_major_basis(T, window, k, c):
     unit, rows = shift_rows(list(zip(*T.mat.rows)), range(-window, window + 1), get_q())
     keys = [(r, j + k) for r in range(T.n) for j in range(-window, window + 1)]
     for t, key in enumerate(keys):
-        rows.setdefault(key, [0] * len(keys))[t] -= c * unit
+        row = rows.setdefault(key, {})
+        row[t] = row.get(t, 0) - c * unit
     kernel = nullspace([rows[key] for key in sorted(rows)], len(keys))
     return [
         [LaurentPoly(-window, x[r * width : (r + 1) * width]) for r in range(T.n)]
