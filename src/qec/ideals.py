@@ -5,27 +5,38 @@ solutions are algebra elements annihilating a module vector, plus degree
 certificates obtained from fraction-free rank computations over K[z,z^-1].
 Searches are deterministic (fixed scan orders), so results are reproducible;
 when bounds run out the failure is explicit (SearchExhausted, or None
-from `cyclic_presentation`), never a silent guess.  Each annihilator row
-is decided on its own linear system in the unknowns r_ij, the coefficient
-of z^j s^i: the row of minimal s-width is one kernel, whose first vector
-decides it by a theorem (`_annihilator_ideal`), and each wider row is one
-elimination that tests every pair of end coefficients exactly
-(`_sigma_good_in`), so within the bounds no sigma-good annihilator is
-missed.  A cyclic vector is constructed, not searched (`cyclic_search`);
-the module's own S-rank is not searched either: `modules.rank_S` reads it
-off the slopes, and `cyclic_presentation` is kept as the independent
-check of that theorem.
+from `cyclic_presentation`), never a silent guess.  An annihilator row
+(d, zd) is the space of linear relations among the columns C(i, j), the
+coefficients of z^j s^i(v), i <= d, j <= zd, which one `shift_rows` call
+writes for a whole request (`_columns`).  Each s-width is decided by one
+exact integer echelon that grows with zd (`linalg._insert_int`): for the
+minimal width, the first dependent zd is the z-width of the annihilator
+w that decides the row by a theorem (`_annihilator_ideal`), and one
+kernel there gives w; for each wider d, the end columns reduced modulo
+the middle ones test every pair of end coefficients of every zd exactly
+(`_first_sigma_good`), and only the first cell that holds is solved.  So
+within the bounds no sigma-good annihilator is missed.  A cyclic vector
+is constructed, not searched (`cyclic_search`); the module's own S-rank
+is not searched either: `modules.rank_S` reads it off the slopes, and
+`cyclic_presentation` is kept as the independent check of that theorem.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice, product
+from itertools import islice
 
 from .aq import AqElement, degrees, sigma_divide, z_divide
 from .errors import CertificateFailure, PreconditionViolation, SearchExhausted
 from .laurent import ONE, ZERO, LaurentPoly, echelon
-from .linalg import _dense, _primitive, charpoly, nullspace, rational_roots, shift_rows
+from .linalg import (
+    _insert_int,
+    _reduce_int,
+    charpoly,
+    nullspace,
+    rational_roots,
+    shift_rows,
+)
 from .modules import (
     Good,
     MatrixModule,
@@ -144,6 +155,22 @@ def _row_system(orbit, d: int, zd: int):
     return list(shift_rows(orbit[: d + 1], range(zd + 1), 1)[1].values())
 
 
+def _columns(orbit, deg_z: int):
+    """The columns of the row system up to the z-width bound, one sparse
+    integer vector {row: int} per unknown: C(i, j), the coefficients of
+    z^j s^i(v), is entry i * (deg_z + 1) + j, for every s^i(v) in `orbit`.
+    One `shift_rows` call, transposed; its rows are the map's times one
+    integer, which no linear relation among the columns sees.  C(i, j) does
+    not depend on the row it is read in, so these columns serve every row
+    (d, zd) with d < len(orbit) and zd <= deg_z."""
+    _, rows = shift_rows(orbit, range(deg_z + 1), 1)
+    cols = [{} for _ in range(len(orbit) * (deg_z + 1))]
+    for r, row in enumerate(rows.values()):
+        for t, x in row.items():
+            cols[t][r] = x
+    return cols
+
+
 def _pack(vec, d, zd):
     n = zd + 1
     return AqElement({i: LaurentPoly(0, vec[i * n : i * n + n]) for i in range(d + 1)})
@@ -166,75 +193,84 @@ def annihilator_space(T: MatrixModule, v, d: int, zd: int):
     return [_killing(_pack(vec, d, zd), orbit) for vec in kernel]
 
 
-def _sigma_good_in(orbit, d: int, zd: int):
-    """The first sigma-good element of row (d, zd) whose coefficients at
-    s^0 and s^d are nonzero, or None if there is none.  The row holds the
-    annihilators r = sum r_ij z^j s^i of v, i <= d, j <= zd; `orbit`
-    starts v, s(v), ..., s^d(v).
+def _minimal_z_width(cols, width: int, deg_z: int):
+    """The least zd <= deg_z for which row (width, zd) is nonempty, or
+    None: the first zd at which the columns C(i, j), i <= width, j <= zd,
+    are dependent, found by inserting them into one echelon
+    (`linalg._insert_int`) a z-degree at a time."""
+    n = deg_z + 1
+    piv = {}
+    for zd in range(n):
+        for i in range(width + 1):
+            if _insert_int(piv, dict(cols[i * n + zd])) is None:
+                return zd
+    return None
 
-    Such an r is sigma-good iff r_0 = c z^e0 and r_d = c' z^ed.  Call the
-    unknowns of s^0 and s^d the ends and the others the middle, and bring
-    the row system to echelon form (`laurent.echelon`) with the middle
-    columns first.  An echelon row that pivots on an end column vanishes
-    on the middle; call these rows, restricted to the end columns, E.  They
-    are the last pivot rows, so back-substitution among themselves turns
-    them into the reduced rows at the same pivots, an invertible change of
-    rows that keeps every relation between columns.  Every other reduced
-    row is solved by its middle pivot, so E cuts out exactly the end values
-    of the row's elements.  Hence the row holds an element whose only
-    nonzero ends are z^e0 s^0 and z^ed s^d iff columns e0 and ed of E are
-    both zero, or both nonzero and proportional: iff they have the same
-    primitive form (`linalg._primitive`), the one integer vector of content
-    1 and positive first entry on each line.
-    For the first such (e0, ed) in lexicographic order, K is the kernel of
-    the system restricted to the middle and those two ends, in the row's
-    own column order.  K holds such an element, so neither end vanishes on
-    all of K.  For a and b the first vectors of K nonzero at the first and
-    at the second end, each end of a + lam b vanishes for at most one lam,
-    so one of lam = 0, 1, 2 works; it is scaled so that its s^d coefficient
-    is z^ed.
 
-    The result does not depend on the coordinates K is taken in.  Over the
-    canonical kernel basis of the row (`annihilator_space`), basis vector t
-    is 1 at its free column f_t and 0 at the other free columns, and the
-    f_t increase, so an element's coordinate u_t is its entry at f_t, and
-    last nonzero positions map in the same order.  So the canonical basis
-    of K in those coordinates is, element for element and in order, the
-    canonical basis of the restricted system, and a, b and lam are the
-    same.
+def _first_sigma_good(orbit, cols, d: int, deg_z: int):
+    """The first sigma-good element of the rows (d, zd), zd = 0..deg_z,
+    whose coefficients at s^0 and s^d are nonzero, or None if there is
+    none.  `orbit` starts v, s(v), ..., s^d(v) and `cols` are its columns
+    up to deg_z (`_columns`); the proof is in `_annihilator_ideal`.
 
-    Every other element of the row has r_0 = 0 or r_d = 0, so it is s^j
-    times an element of row (d - 1, zd); left multiplication by s^j keeps
-    z-supports and sigma-goodness.  So when the narrower rows hold no
-    sigma-good element, None proves that row (d, zd) holds none either.
-    CertificateFailure if K contradicts the test on E, or if the result is
-    not sigma-good or does not kill v.
+    One echelon basis of the middle span M (the columns C(i, j), 0 < i < d)
+    grows by one z-degree at a time.  Each end column C(0, e) and C(d, e)
+    is reduced against it once, when it enters, and after that only against
+    the pivots each z-degree adds; its primitive residue is its coset mod M
+    up to a nonzero factor.  Row (d, zd) is decided by the first (e0, ed)
+    in lexicographic order whose residues are equal, and only that cell is
+    solved: K is the kernel of its system restricted to the end e0, the
+    middle and the end ed, in the row's own column order.  K holds an
+    element nonzero at both ends.  For a and b the first vectors of K
+    nonzero at the first and at the second end, each end of a + lam b
+    vanishes for at most one lam, so one of lam = 0, 1, 2 works; it is
+    scaled so that its s^d coefficient is z^ed.  CertificateFailure if K
+    contradicts the residues, or if the result is not sigma-good or does
+    not kill v.
     """
-    n = zd + 1
-    m = (d - 1) * n
-    # the system with the middle columns first: the orbit taken in the
-    # order s(v), ..., s^(d-1)(v), v, s^d(v), so the ends are m + e0 and
-    # m + n + ed
-    rows = _row_system(orbit[1:d] + [orbit[0], orbit[d]], d, zd)
-    pivots, ech, _, _ = echelon([_primitive(_dense(row, (d + 1) * n)) for row in rows])
-    E = [row[m:] for row, pc in zip(ech, pivots) if pc >= m]
-    dirs = [_primitive([row[k] for row in E]) for k in range(2 * n)]
-    held = (p for p in product(range(n), repeat=2) if dirs[p[0]] == dirs[n + p[1]])
-    e0, ed = next(held, (None, None))
-    if e0 is None:
-        return None
-    # the end e0, the middle and the end ed, in the row's own unknowns' order
-    keep = [m + e0] + list(range(m)) + [m + n + ed]
-    kept = [{t: row[k] for t, k in enumerate(keep) if k in row} for row in rows]
-    kernel = nullspace(kept, len(keep))
+    n = deg_z + 1
+    piv = {}
+    ends = ([], [])  # the residues of C(0, e) and of C(d, e), e <= zd
+    keys = ([], [])  # the same residues as sorted tuples, () for zero
+    for zd in range(n):
+        new = [_insert_int(piv, dict(cols[i * n + zd])) for i in range(1, d)]
+        new = [c for c in new if c is not None]
+        for res, side in zip(ends, keys):
+            for e, r in enumerate(res):
+                todo = [c for c in new if c in r]
+                if todo:
+                    side[e] = tuple(sorted(_reduce_int(piv, r, todo).items()))
+        for res, side, i in zip(ends, keys, (0, d)):
+            r = _reduce_int(piv, dict(cols[i * n + zd]))
+            res.append(r)
+            side.append(tuple(sorted(r.items())))
+        first = {}
+        for ed, key in enumerate(keys[1]):
+            first.setdefault(key, ed)
+        e0 = next((e for e, key in enumerate(keys[0]) if key in first), None)
+        if e0 is not None:
+            return _sigma_good_cell(orbit, cols, n, d, zd, e0, first[keys[0][e0]])
+    return None
+
+
+def _sigma_good_cell(orbit, cols, n, d, zd, e0, ed):
+    """The sigma-good element of row (d, zd) with ends z^e0 s^0 and
+    z^ed s^d that `_first_sigma_good` builds; C(i, j) is cols[i * n + j]."""
+    keep = [e0, *(i * n + j for i in range(1, d) for j in range(zd + 1)), d * n + ed]
+    rows = {}
+    for t, k in enumerate(keep):
+        for r, x in cols[k].items():
+            rows.setdefault(r, {})[t] = x
+    kernel = nullspace(list(rows.values()), len(keep))
     a = next((x for x in kernel if x[0]), None)
     b = next((x for x in kernel if x[-1]), None)
     if a is None or b is None:
         raise CertificateFailure(f"row ({d}, {zd}) contradicts its end test")
     lam = next(t for t in range(3) if a[0] + t * b[0] and a[-1] + t * b[-1])
     u = [x + lam * y for x, y in zip(a, b)]
-    vec = [0] * ((d + 1) * n)
-    for k, x in zip([e0, *range(n, d * n), d * n + ed], u):
+    m = zd + 1  # the row's own unknowns: z^j s^i is i * m + j
+    vec = [0] * ((d + 1) * m)
+    for k, x in zip([e0, *range(m, d * m), d * m + ed], u):
         vec[k] = x / u[-1]
     p = _pack(vec, d, zd)
     if not degrees(p).sigma_good:
@@ -250,6 +286,10 @@ def _annihilator_ideal(T: MatrixModule, v, width: int, bounds):
     wider rows up to deg_sigma.  SearchExhausted if width > deg_sigma, if
     the minimal row is empty, or if no wider row shows a p.
 
+    Every row is read off one set of columns (`_columns`): C(i, j), the
+    coefficients of z^j s^i(v), and row (d, zd) is the space of linear
+    relations among the C(i, j) with i <= d and j <= zd.
+
     Why the minimal row is decided by w.  Over K(z) its annihilators are
     the multiples of one relation.  Let w be one of smallest z-width zw,
     with z-support starting at z^0; it is primitive: if h(z) divided all
@@ -257,42 +297,69 @@ def _annihilator_ideal(T: MatrixModule, v, width: int, bounds):
     annihilator with s-support in [0, width] is g(z) w, g a Laurent
     polynomial; g w is sigma-good iff g w_0 and g w_width are monomials,
     iff g is a unit and w is sigma-good.  Hence no element of the row is
-    sigma-good when w is not.  The row (width, deg_z) is
-    {g w : g in K[z], deg g <= deg_z - zw}, empty exactly when
-    zw > deg_z.  In the unknowns' order (s-major) the last nonzero position
-    of g w is w's own moved up by deg g, so the smallest among the row's
-    elements is w's, and w is zero at the other free columns (the last
-    nonzero positions of z^k w, k > 0).  So the first canonical kernel
-    vector of the row is w scaled to end in 1.  A sigma-good element of a
-    wider row is wider than w (one of width `width` would be s^j g w), so
-    (p) alone is never the answer there.
+    sigma-good when w is not.  The row (width, zd) is
+    {g w : g in K[z], deg g <= zd - zw}, nonempty exactly when zd >= zw:
+    zw is the first zd at which the row's columns are dependent
+    (`_minimal_z_width`, one echelon grown a z-degree at a time), the row
+    is empty when there is none up to deg_z, and row (width, zw) is the
+    line of w, so `annihilator_space(T, v, width, zw)` is [w] scaled to
+    end in 1 (CertificateFailure otherwise).  That is also the first
+    canonical kernel vector of row (width, deg_z): in the unknowns' order
+    (s-major) the last nonzero position of g w is w's own moved up by
+    deg g, so the smallest among the row's elements is w's, and w is zero
+    at the other free columns (the last nonzero positions of z^k w,
+    k > 0).  A sigma-good element of a wider row is wider than w (one of
+    width `width` would be s^j g w), so (p) alone is never the answer
+    there.
 
-    The wider rows are scanned d-major, z-width inner, on one orbit, and
-    each is decided exactly by `_sigma_good_in`: a sigma-good element of
-    row (d, zd) either reaches both s^0 and s^d, which that test decides,
-    or is s^j times an element of a row already scanned.  So the last
-    SearchExhausted is a proof: no sigma-good annihilator has s-width
-    <= deg_sigma and z-width <= deg_z.
+    The wider rows are scanned d-major, z-width inner, and each s-width d
+    is decided by one echelon (`_first_sigma_good`).  Call C(0, e) and
+    C(d, e) the end columns and M the span of the middle columns C(i, j),
+    0 < i < d, j <= zd.  An element of row (d, zd) whose s^0 and s^d
+    coefficients are c z^e0 and c' z^ed, c and c' nonzero, is a relation
+    c C(0, e0) + c' C(d, ed) + m = 0 with m in M.  It exists iff both end
+    columns lie in M (two relations, summed), or neither does and they are
+    proportional modulo M: iff their cosets mod M are both zero or both
+    nonzero and proportional.  Reduced at every pivot of an echelon basis
+    of M (`linalg._reduce_int`), a column becomes a vector of its coset
+    that is zero at every pivot, and there is one such vector up to a
+    factor, since a nonzero element of M is nonzero at its first pivot;
+    made primitive, it is one vector.  So the cell holds such an element
+    iff the two primitive residues are equal, and every skipped cell is
+    proved empty by exact integer arithmetic.  M only grows with zd, so
+    one echelon serves every zd of that d: an end column is reduced when
+    it enters, and after that only at the pivots each z-degree adds, since
+    its residue is already zero at the others.
+    Such an element is sigma-good.  Every other element of the row has
+    r_0 = 0 or r_d = 0, so it is s^j times an element of row (d - 1, zd);
+    left multiplication by s^j keeps z-supports and sigma-goodness.  So a
+    sigma-good element of row (d, zd) either reaches both s^0 and s^d,
+    which the test decides, or is s^j times an element of a row already
+    scanned, and the last SearchExhausted is a proof: no sigma-good
+    annihilator has s-width <= deg_sigma and z-width <= deg_z.
     """
     if width > bounds.deg_sigma:
         raise SearchExhausted(
             "no sigma-good annihilator within bounds", bounds.as_dict()
         )
-    row = annihilator_space(T, v, width, bounds.deg_z)
-    if not row:
+    orbit = list(islice(_orbit(T, v, 1), bounds.deg_sigma + 1))
+    cols = _columns(orbit, bounds.deg_z)
+    zw = _minimal_z_width(cols, width, bounds.deg_z)
+    if zw is None:
         raise SearchExhausted(
             "minimal-width annihilator exceeds the z-width bound",
             bounds.as_dict(),
         )
+    row = annihilator_space(T, v, width, zw)
+    if len(row) != 1:
+        raise CertificateFailure(f"row ({width}, {zw}) is not the line of one annihilator")
     w = row[0]
     if degrees(w).sigma_good:
         return IdealPresentation.principal(w)
-    orbit = list(islice(_orbit(T, v, 1), bounds.deg_sigma + 1))
     for d in range(width + 1, bounds.deg_sigma + 1):
-        for zd in range(bounds.deg_z + 1):
-            p = _sigma_good_in(orbit, d, zd)
-            if p is not None:
-                return IdealPresentation.two_generator(p, w)
+        p = _first_sigma_good(orbit, cols, d, bounds.deg_z)
+        if p is not None:
+            return IdealPresentation.two_generator(p, w)
     raise SearchExhausted(
         "no sigma-good annihilator within bounds", bounds.as_dict()
     )

@@ -25,6 +25,13 @@ there is none.  So the answer is always the Bareiss answer, and the
 prime costs only time (Dixon, Numer. Math. 40, 1982, for the modular
 method).
 
+A span that grows one vector at a time has its own exact echelon over Z
+(`_insert_int`, `_reduce_int`), on sparse integer vectors in the sorted-
+queue discipline of `_echelon_mod_p`: a vector reduced at every pivot is
+zero exactly when it lies in the span, and otherwise, made primitive, it
+is the one such vector of its coset.  The annihilator scan of `ideals`
+decides each s-width with it.
+
 Every solver that looks for Laurent-polynomial vectors linearizes through
 `shift_rows`, the map x |-> sum_b sum_j x_(b, j) scale^j z^j col_b on a
 few Laurent columns, and solves with `nullspace`: the window map of s has
@@ -245,6 +252,69 @@ def _echelon_mod_p(srows):
             inv = pow(r.pop(c), -1, _P)
             piv[c] = [(j, x * inv % _P) for j, x in r.items()]
     return piv
+
+
+def _reduce_int(piv, r, todo=None):
+    """The sparse integer vector r, a dict {position: int}, reduced in place
+    by the echelon vectors `piv` at the positions `todo` (by default every
+    pivot r meets) and at every pivot a reduction fills in, then made
+    primitive: content 1 and a positive entry at its first position.
+    `piv` is {pivot: (entry, [(position, entry), ...])}, as `_insert_int`
+    builds it.
+
+    The positions are taken in increasing order, a sorted queue as in
+    `_echelon_mod_p`: the vector of pivot c is zero left of c, so a step
+    fills in only positions to the right.  Each step is fraction-free and
+    exact, r <- (p r - a b) / g for the vector b with entry p at c, r's
+    entry a there and g = gcd(a, p); it clears position c and keeps r in
+    the same coset of the span of `piv`, up to a nonzero factor."""
+    todo = sorted(c for c in r if c in piv) if todo is None else sorted(todo)
+    while todo:
+        c = todo.pop(0)
+        a = r.pop(c, 0)  # 0: c was queued twice
+        if not a:
+            continue
+        p, b = piv[c]
+        g = gcd(a, p)
+        a, p = a // g, p // g
+        if p != 1:
+            for j in r:
+                r[j] *= p
+        for j, y in b:
+            x = r.get(j)
+            if x is None:
+                r[j] = -a * y
+                if j in piv:
+                    insort(todo, j)
+            elif x := x - a * y:
+                r[j] = x
+            else:
+                del r[j]
+    if r:
+        g = gcd(*r.values())
+        if r[min(r)] < 0:
+            g = -g
+        if g != 1:
+            for j in r:
+                r[j] //= g
+    return r
+
+
+def _insert_int(piv, r):
+    """Reduce the sparse integer vector r (`_reduce_int`) at every pivot of
+    `piv` it meets, and make what is left a new pivot at its first
+    position; return that position, or None when r lies in the span of
+    `piv`.  The pivots so far are then an echelon basis of the span of the
+    vectors inserted: each is zero left of its pivot and at every pivot
+    inserted before it, so a nonzero combination of them is nonzero at the
+    first pivot it uses, and a vector reduced at every pivot is zero only
+    when it lies in the span."""
+    _reduce_int(piv, r)
+    if not r:
+        return None
+    c = min(r)
+    piv[c] = (r.pop(c), list(r.items()))
+    return c
 
 
 def _rational(a):

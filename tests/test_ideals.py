@@ -76,6 +76,23 @@ def test_membership_needs_good_generator():
         membership_principal(parse("1"), parse("(1+z)*s - (2*z+1)"))
 
 
+def test_a_non_unit_division_cofactor_fails_the_membership_certificate(monkeypatch):
+    # a division whose cofactor g picks up the factor 1 + z: with g no unit,
+    # g r = h p + rem would put only g r in the ideal, not r, so the
+    # certificate refuses it
+    divide = qec.ideals.sigma_divide
+
+    def scaled(r, p):
+        g, h, rem = divide(r, p)
+        return g * LaurentPoly(0, [1, 1]), h, rem
+
+    r, p = parse("s^2 - 1"), parse("s - 1")
+    assert membership_principal(r, p)
+    monkeypatch.setattr(qec.ideals, "sigma_divide", scaled)
+    with pytest.raises(CertificateFailure, match=r"division cofactor .* is not a unit"):
+        membership_principal(r, p)
+
+
 def test_two_generator_division_phenomenon():
     # p is sigma-divisible by w, but only with the non-unit cofactor 2z+1
     p = parse("s^2 - 3*s + 2")
@@ -191,10 +208,34 @@ def test_a_kernel_that_misses_an_end_contradicts_the_end_test(monkeypatch, end):
         return basis
 
     orbit = _orbit_of(["1"], ["-1"], ["1"])
-    assert qec.ideals._sigma_good_in(orbit, 2, 0) == parse("-1/2 + 1/2*s + s^2")
+    assert _first_sigma_good(orbit, 2, 0) == parse("-1/2 + 1/2*s + s^2")
     _corrupt_nullspace(monkeypatch, dropped)
     with pytest.raises(CertificateFailure, match=r"row \(2, 0\) contradicts its end test"):
-        qec.ideals._sigma_good_in(orbit, 2, 0)
+        _first_sigma_good(orbit, 2, 0)
+
+
+def test_a_packing_fault_fails_the_sigma_good_certificate(monkeypatch):
+    # the solved unknowns packed one z-degree too wide: the s^0 coefficient
+    # takes in the first s^1 entry and is no longer a monomial
+    pack = qec.ideals._pack
+
+    def too_wide(vec, d, zd):
+        return pack(list(vec) + [0] * (d + 1), d, zd + 1)
+
+    orbit = _orbit_of(["1"], ["-1"], ["1"])
+    assert _first_sigma_good(orbit, 2, 0) == parse("-1/2 + 1/2*s + s^2")
+    monkeypatch.setattr(qec.ideals, "_pack", too_wide)
+    with pytest.raises(CertificateFailure, match="is not sigma-good"):
+        _first_sigma_good(orbit, 2, 0)
+
+
+@pytest.mark.parametrize("corrupt", [lambda basis: [], lambda basis: basis + basis])
+def test_a_minimal_row_that_is_not_one_line_fails_its_certificate(monkeypatch, corrupt):
+    # the echelon finds the first dependency of the width-1 row at zw = 1, so
+    # row (1, 1) is the line of w; a kernel of any other dimension contradicts it
+    _corrupt_nullspace(monkeypatch, corrupt)
+    with pytest.raises(CertificateFailure, match=r"row \(1, 1\) is not the line of one annihilator"):
+        annihilator_in_good(parse("s - 1"), parse("1 + z"))
 
 
 def test_cyclic_search_counterexample_module():
@@ -256,13 +297,14 @@ def test_cyclic_search_stops_at_an_empty_minimal_width_row(monkeypatch):
 
     monkeypatch.setattr(qec.ideals, "annihilator_space", spy)
     assert cyclic_presentation(to_matrix(LineBundle(1, 2)), SearchBounds(2, 0)) is None
-    assert calls == [(1, 0)]
+    # the echelon of the row's columns proves it empty: no kernel is solved
+    assert calls == []
 
 
 def test_two_generator_answer_ends_the_minimal_row_at_its_first_element(monkeypatch):
-    # the minimal (width-1) row is one kernel at the z-width bound, whose
-    # first vector is the non-sigma-good w; the wider rows solve their own
-    # systems and never ask for a basis
+    # the minimal (width-1) row is one kernel at its z-width zw = 1, found by
+    # the echelon, and it is the line of the non-sigma-good w; the wider rows
+    # solve their own systems and never ask for a basis
     calls = []
 
     def spy(T, v, d, zd):
@@ -271,7 +313,7 @@ def test_two_generator_answer_ends_the_minimal_row_at_its_first_element(monkeypa
 
     monkeypatch.setattr(qec.ideals, "annihilator_space", spy)
     ann = annihilator_in_good(parse("s - 1"), parse("1 + z"))
-    assert calls == [(1, 8)]
+    assert calls == [(1, 1)]
     assert ann == IdealPresentation.two_generator(
         parse("2 - 3*s + s^2"), parse("-1 - 2*z + s + z*s")
     )
@@ -350,6 +392,12 @@ def _orbit_of(*vectors):
     return [[parse(c).coefficient(0) for c in vec] for vec in vectors]
 
 
+def _first_sigma_good(orbit, d, deg_z):
+    """`qec.ideals._first_sigma_good` on the columns of `orbit` up to deg_z."""
+    cols = qec.ideals._columns(orbit, deg_z)
+    return qec.ideals._first_sigma_good(orbit, cols, d, deg_z)
+
+
 def test_sigma_good_in_combines_the_two_end_vectors_with_the_first_good_lambda():
     # row (2, 0) of v, s(v), s^2(v) = `orbit`, the kernel of one equation
     cases = [
@@ -364,10 +412,10 @@ def test_sigma_good_in_combines_the_two_end_vectors_with_the_first_good_lambda()
         ((["1"], ["0"], ["1"]), "-1 + s^2"),
     ]
     for orbit, want in cases:
-        assert qec.ideals._sigma_good_in(_orbit_of(*orbit), 2, 0) == parse(want)
-    # row (1, 1) of v, s(v) = 1, -(1 + z) is spanned by 1 + z + s, whose s^0
-    # coefficient is no monomial: none
-    assert qec.ideals._sigma_good_in(_orbit_of(["1"], ["-1 - z"]), 1, 1) is None
+        assert _first_sigma_good(_orbit_of(*orbit), 2, 0) == parse(want)
+    # rows (1, 0) and (1, 1) of v, s(v) = 1, -(1 + z): the first is empty, the
+    # second is spanned by 1 + z + s, whose s^0 coefficient is no monomial
+    assert _first_sigma_good(_orbit_of(["1"], ["-1 - z"]), 1, 1) is None
 
 
 def _direction(col):
@@ -377,10 +425,12 @@ def _direction(col):
 
 
 def _first_sigma_good_by_rref(orbit, d, zd):
-    """The end test of `_sigma_good_in` by a full `rref` to Fractions, kept
-    as its oracle: E is the reduced rows that pivot on an end column, and
-    two end columns hold a sigma-good element iff their directions agree;
-    the kernel step for the winning (e0, ed) is the library's."""
+    """The first sigma-good element of the one row (d, zd), by a full
+    `rref` of its own system to Fractions, kept as the oracle of the
+    library's echelon scan: with the middle columns first, E is the reduced
+    rows that pivot on an end column, and two end columns hold a sigma-good
+    element iff their directions agree; the kernel step for the winning
+    (e0, ed) is the library's."""
     rows = qec.ideals._row_system(orbit, d, zd)
     n = zd + 1
     middle = list(range(n, d * n))
@@ -416,12 +466,86 @@ def test_sigma_good_in_matches_the_rref_end_test(q):
                 continue
             orbit = list(islice(_orbit(T, v, 1), 4))
             for d in range(1, 4):
-                for zd in range(4):
-                    want = _first_sigma_good_by_rref(orbit, d, zd)
-                    assert qec.ideals._sigma_good_in(orbit, d, zd) == want
-                    found += want is not None
-                    none += want is None
+                # the oracle at the first zd where it is not None
+                cells = (_first_sigma_good_by_rref(orbit, d, zd) for zd in range(4))
+                want = next((p for p in cells if p is not None), None)
+                assert _first_sigma_good(orbit, d, 3) == want
+                found += want is not None
+                none += want is None
     assert found and none
+
+
+def _annihilator_by_cells(T, v, bounds):
+    """`annihilator_in_good`'s answer, or its SearchExhausted message, by
+    one system per row: w is the first vector of the minimal row at deg_z,
+    and each wider row (d, zd) is decided on its own by the rref oracle."""
+    width = minimal_annihilator_width(T, v, bounds.deg_sigma)
+    if width is None:
+        return "no annihilator within the s-width bound"
+    row = annihilator_space(T, v, width, bounds.deg_z)
+    if not row:
+        return "minimal-width annihilator exceeds the z-width bound"
+    w = row[0]
+    if degrees(w).sigma_good:
+        return IdealPresentation.principal(w)
+    orbit = list(islice(_orbit(T, v, 1), bounds.deg_sigma + 1))
+    for d in range(width + 1, bounds.deg_sigma + 1):
+        for zd in range(bounds.deg_z + 1):
+            p = _first_sigma_good_by_rref(orbit, d, zd)
+            if p is not None:
+                return IdealPresentation.two_generator(p, w)
+    return "no sigma-good annihilator within bounds"
+
+
+@pytest.mark.parametrize("q", [Fraction(2), Fraction(3), Fraction(-1, 2), Fraction(5, 7)])
+def test_the_echelon_scan_answers_as_one_system_per_row(q):
+    # minimal widths 1-3: the echelon scan gives the answer, or the message,
+    # of the scan that solves every row on its own
+    rng = random.Random(f"echelon-scan-{q}")
+    bounds = SearchBounds(5, 5)
+    widths, answers = set(), set()
+    with using_q(q):
+        for _ in range(30):
+            pM = rand_sigma_good(rng, t_max=3, max_shift=0)
+            f = rand_aq(rng, max_width=1, max_shift=0)
+            T = to_matrix(Good(pM))
+            v = aq_act(f, T, [ONE] + [ZERO] * (T.n - 1))
+            if all(c.is_zero() for c in v):
+                continue
+            try:
+                got = annihilator_in_good(pM, f, bounds)
+            except SearchExhausted as exc:
+                got = exc.args[0]
+            assert got == _annihilator_by_cells(T, v, bounds)
+            widths.add(minimal_annihilator_width(T, v, bounds.deg_sigma))
+            answers.add(got if isinstance(got, str) else got.kind)
+    assert {1, 2, 3} <= widths
+    assert {"principal", "two_generator"} <= answers
+
+
+@pytest.mark.parametrize("q", [Fraction(2), Fraction(3), Fraction(-1, 2), Fraction(5, 7)])
+def test_the_minimal_z_width_is_the_z_width_of_the_first_element(q):
+    # the first zd at which the minimal row's columns are dependent is the
+    # z-width of w, and the row there is the line of w
+    rng = random.Random(f"minimal-z-width-{q}")
+    found = empty = 0
+    with using_q(q):
+        for _ in range(24):
+            T = to_matrix(Good(rand_sigma_good(rng, t_max=3)))
+            v = aq_act(rand_aq(rng, max_width=2), T, [ONE] + [ZERO] * (T.n - 1))
+            if all(c.is_zero() for c in v):
+                continue
+            width = minimal_annihilator_width(T, v, T.n)
+            orbit = list(islice(_orbit(T, v, 1), width + 1))
+            for deg_z in (1, 3, 6):
+                zw = qec.ideals._minimal_z_width(qec.ideals._columns(orbit, deg_z), width, deg_z)
+                w = _first_by_z_width(T, v, width, deg_z)
+                assert zw == (None if w is None else degrees(w).deg_z)
+                if w is not None:
+                    assert annihilator_space(T, v, width, zw) == [w]
+                found += w is not None
+                empty += w is None
+    assert found >= 8 and empty >= 8
 
 
 @pytest.mark.parametrize("q", [Fraction(2), Fraction(3), Fraction(-1, 2), Fraction(5, 7)])

@@ -566,6 +566,61 @@ def test_lazy_echelon_matches_dense_bareiss_over_ints(rows):
     assert echelon(rows) == _dense_bareiss(rows)
 
 
+def _rank_by_sympy(rows, ncols):
+    if not rows:
+        return 0
+    return DomainMatrix([[QQ(x) for x in row] for row in rows], (len(rows), ncols), QQ).rank()
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_int_matrices(), st.integers(0, 2**32))
+def test_integer_echelon_decides_the_span_and_reduces_each_coset_to_one_vector(rows, seed):
+    # the first half of the rows is inserted in two batches, the second half
+    # is reduced against it: a vector lies in the span iff it reduces to
+    # nothing, and otherwise its residue is zero at every pivot, primitive,
+    # and the same for every vector of its coset, however it was reached
+    rng = random.Random(seed)
+    ncols = len(rows[0]) if rows else 1
+    half = len(rows) // 2
+    basis, probes = rows[:half], rows[half:]
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    piv, early = {}, []
+    for k, row in enumerate(basis):
+        old = set(piv)
+        c = linalg._insert_int(piv, dict(sparse[k]))
+        assert (c is None) == (_rank_by_sympy(basis[: k + 1], ncols) == _rank_by_sympy(basis[:k], ncols))
+        if c is not None:
+            # primitive, with a positive pivot, zero left of it and at every
+            # pivot inserted before it
+            p, rest = piv[c]
+            assert p > 0 and gcd(p, *(x for _, x in rest)) == 1
+            assert c not in old and all(j > c and j not in old for j, _ in rest)
+        if k == half // 2:
+            early = [linalg._reduce_int(piv, dict(x)) for x in sparse[half:]]
+            before = set(piv)
+    rank = _rank_by_sympy(basis, ncols)
+    assert len(piv) == rank
+    for row, x, r0 in zip(probes, sparse[half:], early or [None] * len(probes)):
+        r = linalg._reduce_int(piv, dict(x))
+        assert not set(r) & set(piv)
+        if r:
+            assert r[min(r)] > 0 and gcd(*r.values()) == 1
+        dense = [r.get(j, 0) for j in range(ncols)]
+        assert (not r) == (_rank_by_sympy(basis + [row], ncols) == rank)
+        assert _rank_by_sympy(basis + [dense], ncols) == _rank_by_sympy(basis + [row], ncols)
+        assert _rank_by_sympy(basis + [row, dense], ncols) == _rank_by_sympy(basis + [row], ncols)
+        moved = dict(x)
+        for b in basis:
+            f = rng.randint(-3, 3)
+            for j, y in enumerate(b):
+                if y:
+                    moved[j] = moved.get(j, 0) + f * y
+        assert linalg._reduce_int(piv, {j: y for j, y in moved.items() if y}) == r
+        if r0 is not None:
+            # reduced early, then only at the pivots inserted since
+            assert linalg._reduce_int(piv, r0, [c for c in piv if c not in before and c in r0]) == r
+
+
 def test_lazy_echelon_matches_dense_bareiss_over_laurent_polynomials(rng):
     for _ in range(200):
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)

@@ -2,7 +2,7 @@
 temporary copy of the source tree, run a pytest selection against the copy,
 and print the mutants that the selection does not kill.
 
-    python tools/mutate.py src/qec/ideals.py _sigma_good_in tests/test_ideals.py
+    python tools/mutate.py src/qec/ideals.py _first_sigma_good tests/test_ideals.py
     python tools/mutate.py src/qec/aq.py _Parser.term -- tests/test_cli.py -k product
 
 Pytest options go after `--`.  The function is named by its qualified name
