@@ -462,6 +462,18 @@ def _monomial_power_bits(c, a, b, e: int) -> int:
     return bits
 
 
+def _product_power_bits(x: AqElement, y: AqElement) -> int:
+    """Bits of the largest power of q that x * y forms, counted from the
+    height of q without forming it: s^i of x moved past z^j of y collects
+    q^(i j), so the largest |s-exponent| of x times the largest
+    |z-exponent| of y bounds it (0 if either is zero)."""
+    if not any(x._c):  # the common c * z^a: no s to move past
+        return 0
+    i = max(map(abs, x._c))
+    j = max((max(-f.lo, f.lo + len(f.nums) - 1) for f in y._c.values()), default=0)
+    return i * j * _height_bits(get_q())
+
+
 def _element(x) -> AqElement:
     """x as an AqElement; the parser carries a monomial c z^a s^b as the
     triple (c, a, b)."""
@@ -539,17 +551,25 @@ class _Parser:
         x = self.factor()
         while self.take("*"):
             x, y = _element(x), _element(self.factor())
+            # errors point past y: at the end of its exponent, or, if y ends
+            # in ")", at the next token, where the look for "^" ended
+            after = self.tok[self.i - 1] != ")"
             if not any(f.is_zero() or f.is_unit() for f in (x, y)):
                 # x^e is a product of e copies, so a product has the same cap
                 width = _width(x) + _width(y)
                 if width > POWER_WIDTH_LIMIT:
-                    # past y: at the end of its exponent, or, if y ends
-                    # in ")", at the next token, where the look for "^" ended
                     self.error(
                         f"product of non-monomials reaches width {width},"
                         f" past the limit {POWER_WIDTH_LIMIT}",
-                        after=self.tok[self.i - 1] != ")",
+                        after=after,
                     )
+            bits = _product_power_bits(x, y)
+            if bits > POWER_BITS_LIMIT:
+                self.error(
+                    f"product forms a power of q of about {bits} bits,"
+                    f" past the limit {POWER_BITS_LIMIT}",
+                    after=after,
+                )
             x = x * y
         return x
 
@@ -636,6 +656,7 @@ def parse(text: str) -> AqElement:
     q resolves to the ambient session value.  ParseError for a power of a
     non-monomial, or a product of two non-monomials, whose support would be
     wider than POWER_WIDTH_LIMIT, for a power of a monomial whose
-    coefficient would need more than POWER_BITS_LIMIT bits, and for a sum
+    coefficient would need more than POWER_BITS_LIMIT bits, for a product
+    that would form a power of q of more bits than that, and for a sum
     whose z-span at one s-exponent would pass SPAN_LIMIT."""
     return _Parser(text).parse()

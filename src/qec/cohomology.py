@@ -9,9 +9,13 @@ inside [-w, w] satisfies T(z) f(qz) = f(z), a finite linear system over the
 scalar field once the window w is chosen.  Windows grow through 8, 12, 16,
 ... until the dimension stagnates twice or reaches n, the size of T, which
 it cannot exceed; only reaching n makes the answer certified, stagnation is
-reported as uncertified.  One solve at window 16 decides the first three
-windows: the fixed vectors supported in a smaller window are the ones of
-that kernel that vanish outside it (`stabilized_h0`).
+reported as uncertified.  Before any solve, the edge polynomials of a
+scalar q-difference equation that every fixed vector induces prove a
+window B that holds the support of every fixed vector, or prove that there
+is none (`_support_window`, after Abramov's bound for rational solutions).
+One solve at min(B, 16) then decides every window up to 16 and every window
+at or past B: the fixed vectors supported in a smaller window are the ones
+of that kernel that vanish outside it (`stabilized_h0`).
 
 Line bundles, torsion modules and matrices T(z) = z^m C with C constant share
 one closed form for h0 (`_closed_h0`), which also covers z-good generators;
@@ -20,16 +24,21 @@ every route reads rank_S off the slopes.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .aq import degrees
 from .errors import NonSplitSpectrum, PreconditionViolation, SearchExhausted
+from .laurent import _det_rows
 from .linalg import rank
 from .modules import (
     Good,
     LineBundle,
     MatrixModule,
     Torsion,
+    _cramer_relation,
     _monomial_scaled,
     _whole,
+    dual,
     hom,
     jordan_structure,
     rank_S,
@@ -37,7 +46,7 @@ from .modules import (
     to_matrix,
     window_eigenspace,
 )
-from .scalars import q_power_class
+from .scalars import get_q, q_power_class
 
 WINDOW_START = 8
 WINDOW_STEP = 4
@@ -88,6 +97,112 @@ def _dim_within(basis, solved: int, window: int) -> int:
     return len(basis) - rank(outside)
 
 
+def _multiplicity(base: int, c: int):
+    """The largest k with base^k dividing the nonzero int c, or None for
+    base 1, whose every power divides c."""
+    if base == 1:
+        return None
+    k = 0
+    while c % base == 0:
+        c //= base
+        k += 1
+    return k
+
+
+def _edge_exponents(edge):
+    """The integers N with chi(q^N) = 0, for chi(x) = sum c_i x^i given by
+    its (i, c_i) pairs, each c_i a nonzero rational, by increasing i.
+
+    With x^lo divided out (x = q^N is not 0) and the denominators cleared,
+    chi has integer coefficients a_0, ..., a_d with a_0 and a_d nonzero.
+    For q = u/w in lowest terms (w > 0) and N >= 0, q^N = u^N / w^N is in
+    lowest terms, so by the rational root theorem u^N divides a_0 and w^N
+    divides a_d; for N < 0 the roles of u and w swap.  As q is not +-1, one
+    of |u| and w exceeds 1 in each pair, so the multiplicities bound N on
+    both sides, and each candidate is tested exactly in integers:
+    sum a_i U^i W^(d - i) = 0 for q^N = U/W."""
+    lo = edge[0][0]
+    den = lcm(*(c.denominator for _, c in edge))
+    a = {i - lo: c.numerator * (den // c.denominator) for i, c in edge}
+    d = max(a)
+    if not d:
+        return []
+    q = get_q()
+    u, w = q.numerator, q.denominator
+
+    def bound(top, bottom):
+        """The largest |N| for which top^|N| can divide a_0 and bottom^|N|
+        can divide a_d."""
+        ks = (_multiplicity(abs(top), a[0]), _multiplicity(abs(bottom), a[d]))
+        return min(k for k in ks if k is not None)
+
+    found = []
+    for N in range(-bound(w, u), bound(u, w) + 1):
+        U, W = (u**N, w**N) if N >= 0 else (w**-N, u**-N)
+        value = 0
+        for i in range(d, -1, -1):
+            value = value * U + a.get(i, 0) * W ** (d - i)
+        if not value:
+            found.append(N)
+    return found
+
+
+def _support_window(T: MatrixModule):
+    """A window B >= 0 such that every fixed vector of T has z-support in
+    [-B, B], or None when T has no nonzero fixed vector.
+
+    The scalar equation.  Let D = dual(T) = T^-T, u a cyclic vector of D
+    (`ideals.cyclic_search`), u_i = D(z) u_(i-1)(qz) its orbit and
+    sum b_i(z) u_i = 0 its Cramer relation (`modules._cramer_relation`,
+    certified, with b_0 and b_n nonzero).  For a fixed vector f,
+    <D u(qz), T f(qz)> = <u, f>(qz) because D^T T = 1, and T f(qz) = f, so
+    <u_i, f> = y(q^i z) for y = <u, f>, and y solves the scalar
+    q-difference equation sum b_i(z) y(q^i z) = 0.
+
+    The ends.  If y != 0 has top degree N and leading coefficient c, the
+    coefficient of z^(t + N) in that sum is c chi_inf(q^N), where t is the
+    largest top degree of the b_i and chi_inf(x) = sum lc(b_i) x^i over
+    the i with top(b_i) = t; so chi_inf(q^N) = 0.  The bottom degree M of y
+    satisfies chi_0(q^M) = 0 for chi_0 built the same way from the
+    trailing coefficients at the smallest bottom degree.  `_edge_exponents`
+    finds every such N and M.  If one end has none, or the largest N is
+    below the smallest M, then y = 0 for every fixed f.  The matrix U with
+    rows u_0, ..., u_(n-1) is invertible over K(z), since det U = +-b_n is
+    nonzero, and U f = (y(q^i z))_i, so then f = 0 and T has no nonzero
+    fixed vector.
+
+    The window.  Otherwise f = adj(U) Y / det U with Y_i = y(q^i z), and
+    each Y_i has the support of y.  So a nonzero f has top(f) <= hi =
+    max top(adj U) + max N - top(b_n) and bot(f) >= lo = min bot(adj U) +
+    min M - bot(b_n).  If lo > hi no support fits, and there is again no
+    nonzero fixed vector; else B = max(hi, -lo), which is >= 0 since
+    lo <= hi.  Every step is exact.  The bound is the one behind rational
+    solutions of linear q-difference equations (Abramov, Rational solutions
+    of linear difference and q-difference equations with polynomial
+    coefficients, 1995; van der Put & Singer, Galois Theory of Difference
+    Equations, LNM 1666)."""
+    _, orbit, b = _cramer_relation(dual(T))
+    n = T.n
+    terms = [(i, f) for i, f in enumerate(b) if not f.is_zero()]
+    top = max(f.top for _, f in terms)
+    bot = min(f.bot for _, f in terms)
+    tops = _edge_exponents([(i, f.coeff(top)) for i, f in terms if f.top == top])
+    bots = _edge_exponents([(i, f.coeff(bot)) for i, f in terms if f.bot == bot])
+    if not tops or not bots or max(tops) < min(bots):
+        return None
+    U = orbit[:n]
+    adj = [
+        _det_rows([u[:c] + u[c + 1:] for k, u in enumerate(U) if k != r], n - 1)
+        for r in range(n)
+        for c in range(n)
+    ]
+    adj = [g for g in adj if not g.is_zero()]
+    hi = max(g.top for g in adj) + max(tops) - b[n].top
+    lo = min(g.bot for g in adj) + min(bots) - b[n].bot
+    # a nonzero fixed vector f has lo <= bot(f) <= top(f) <= hi
+    return max(hi, -lo) if lo <= hi else None
+
+
 def stabilized_h0(T: MatrixModule):
     """(h0, certified, window_used) by growing the support window through
     8, 12, 16, 20, ...  Stops certified at the first window whose dimension
@@ -97,20 +212,32 @@ def stabilized_h0(T: MatrixModule):
     uncertified when the dimension has stayed the same over three windows
     in a row.
 
-    The first window that can end the protocol uncertified is 16, so that
-    one is solved once and the dimensions at 8, 12 and 16 are read off its
-    kernel (`_dim_within`).  This is exact: `window_eigenspace` writes its
-    equations over the full exponent range, so the fixed vectors supported
-    in [-w, w] are exactly the vectors of the window-16 kernel that vanish
-    outside [-w, w].  For a kernel basis of k vectors that subspace has
-    dimension k less the rank of their coefficients outside [-w, w].  Past
-    16 the windows are solved one at a time, as each may be the last."""
-    last = WINDOW_START + 2 * WINDOW_STEP
-    basis = fixed_space(T, last)
+    The solves come from a proved support window B (`_support_window`):
+    every fixed vector has z-support in [-B, B], or there is none.  With
+    none, every window's dimension is 0 and nothing is solved.  Otherwise
+    one solve at min(B, 16) gives the dimensions of the windows up to 16
+    (`_dim_within`), and of every window at or past B (all of the fixed
+    space).  This is exact: `window_eigenspace` writes its equations over
+    the full exponent range, so the fixed vectors supported in [-w, w] are
+    exactly the vectors of a wider window's kernel that vanish outside
+    [-w, w]; for a kernel basis of k vectors that subspace has dimension k
+    less the rank of their coefficients outside [-w, w].  Past 16 each
+    window w is solved at min(w, B), as each may be the last, and a window
+    at or past B is never solved again.  So no solve is wider, and none
+    more frequent, than solving window 16 and then each later window."""
+    bound = _support_window(T)
+    # with no fixed vector the empty basis gives every window's dimension, 0
+    solved, basis = 0, []
+    if bound is not None:
+        solved = min(bound, WINDOW_START + 2 * WINDOW_STEP)
+        basis = fixed_space(T, solved)
     window = WINDOW_START
     dims = []
     while True:
-        d = _dim_within(basis, last, window) if window <= last else len(fixed_space(T, window))
+        if bound is not None and min(window, bound) > solved:
+            solved = min(window, bound)
+            basis = fixed_space(T, solved)
+        d = _dim_within(basis, solved, window) if window < solved else len(basis)
         dims.append(d)
         if d >= T.n:
             return d, True, window

@@ -397,14 +397,17 @@ def _newton_polygons(pairs):
     return at_inf, sorted((-lam, length) for lam, length in at_zero)
 
 
-def _cramer_slopes(T: MatrixModule):
-    """Slopes of the relation that Cramer's rule gives on the orbit of the
-    cyclic vector `ideals.cyclic_search` constructs."""
+def _cramer_relation(T: MatrixModule):
+    """(v, orbit, coeffs): the cyclic vector v that `ideals.cyclic_search`
+    constructs, its orbit v, s(v), ..., s^n(v), and the relation
+    sum a_i(z) s^i(v) = 0 that Cramer's rule gives on it, with
+    a_i = (-1)^i det(orbit without s^i(v)), certified exactly."""
     from .ideals import cyclic_search
 
     v = cyclic_search(T)
     n = T.n
-    rows = list(zip(*islice(_orbit(T, v, 1), n + 1)))
+    orbit = list(islice(_orbit(T, v, 1), n + 1))
+    rows = list(zip(*orbit))
     coeffs = []
     for i in range(n + 1):
         minor = _det_rows([row[:i] + row[i + 1:] for row in rows], n)
@@ -417,7 +420,12 @@ def _cramer_slopes(T: MatrixModule):
     for row in rows:
         if not sum((a * f for a, f in zip(coeffs, row)), ZERO).is_zero():
             raise CertificateFailure(f"Cramer relation {coeffs} does not kill {v}")
-    return _newton_polygons(enumerate(coeffs))
+    return v, orbit, coeffs
+
+
+def _cramer_slopes(T: MatrixModule):
+    """Slopes of the Cramer relation of T (`_cramer_relation`)."""
+    return _newton_polygons(enumerate(_cramer_relation(T)[2]))
 
 
 def slopes(M):

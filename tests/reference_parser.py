@@ -25,6 +25,14 @@ def _monomial_power_bits(x, e):
     return e * _height_bits(c) + abs(a * b) * (e * (e - 1) // 2) * _height_bits(get_q())
 
 
+def _product_power_bits(x, y):
+    """Bits of q^(i j) for the largest |s-exponent| i of x and the largest
+    |z-exponent| j of y: the largest power of q that x * y forms."""
+    i = max((abs(b) for _, b, _ in x.monomials()), default=0)
+    j = max((abs(a) for a, _, _ in y.monomials()), default=0)
+    return i * j * _height_bits(get_q())
+
+
 class _Parser:
     """Recursive descent for:  expr := term {(+|-) term};
     term := factor {"*" factor}; factor := ["-"] atom ["^" sint];
@@ -87,6 +95,12 @@ class _Parser:
                         f"product of non-monomials reaches width {width},"
                         f" past the limit {POWER_WIDTH_LIMIT}"
                     )
+            bits = _product_power_bits(x, y)
+            if bits > POWER_BITS_LIMIT:
+                self.error(
+                    f"product forms a power of q of about {bits} bits,"
+                    f" past the limit {POWER_BITS_LIMIT}"
+                )
             x = x * y
         return x
 

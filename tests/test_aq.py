@@ -149,6 +149,7 @@ def test_parse_matches_the_reference_parser_on_any_text(q, text):
     "(1+z^20)*(1+z^20) ", "(1+z^20) * (1+z^20)\t+ 1", "(1+z^20)*(1+z^10)^2 ",
     "(1+z^20)*(1+z^10) ^ 2 *z", "1 / 0 ", "(1+z) ^ -1 ", "(1+z+s)^17 ", "2 ^ 100000 ",
     "(z*s)^100000\t", "(z*s) ^ -1 ^ 2", "( z", "z ^\u00a0", "z z",
+    "s^100*z^100 ", "s^100 * (z^100)\t+ 1", "s^-100*(1 + z^-100) ",
 ])
 def test_parse_error_positions_match_the_reference_parser(text):
     _same_as_reference(text)

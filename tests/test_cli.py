@@ -211,6 +211,48 @@ def test_sums_up_to_the_span_limit_expand(capsys):
     assert run(capsys, "eval", "z^1000000000*s + 1")[:2] == (0, "1 + z^1000000000*s\n")
 
 
+def test_a_product_forming_a_huge_power_of_q_is_refused_at_once():
+    # s^60000 * z^60000 = q^(60000 * 60000) z^60000 s^60000: the power of q
+    # is bounded before the product forms it, so the refusal takes no time;
+    # the child exits 3 in place of the CLI's code if it took a second or more
+    code = textwrap.dedent(
+        """
+        import sys, time
+        from qec.cli import main
+        start = time.perf_counter()
+        rc = main(["eval", "s^60000*z^60000"])
+        sys.exit(rc if time.perf_counter() - start < 1.0 else 3)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("error: product forms a power of q")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_products_inside_the_bit_limit_expand(capsys):
+    # q^(90 * 90) has 8,100 bits at q = 2, inside the limit; q^(100 * 100)
+    # has 10,000, past it, as (z*s)^129 is
+    assert run(capsys, "--q", "2", "eval", "s^90*z^90")[:2] == (
+        0, f"{2 ** 8100}*z^90*s^90\n",
+    )
+    assert run(capsys, "--q", "2", "eval", "z^90*s^90")[:2] == (0, "z^90*s^90\n")
+    # a zero factor forms no power of q
+    for expr in ("0*z^9000", "s^9000*0"):
+        assert run(capsys, "--q", "2", "eval", expr)[:2] == (0, "0\n")
+    for expr in ("s^100*z^100", "s^-100*(1 + z^-100)"):
+        code, out, err = run(capsys, "--q", "2", "eval", expr)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: product forms a power of q of about 10000 bits")
+        assert err.count("\n") == 1
+
+
 def test_result_past_the_digit_limit_is_a_usage_error(capsys):
     # two in-limit powers whose product has more digits than Python prints
     code, out, err = run(capsys, "eval", "2^8000*2^8000")

@@ -7,17 +7,20 @@ from fractions import Fraction
 
 import pytest
 
+from qec import ideals
 from qec.aq import parse
 from qec.cohomology import (
     WINDOW_START,
     WINDOW_STEP,
+    _edge_exponents,
+    _support_window,
     cohomology,
     dim_hom,
     euler_form,
     fixed_space,
     stabilized_h0,
 )
-from qec.errors import PreconditionViolation
+from qec.errors import CertificateFailure, PreconditionViolation
 from qec.ideals import SearchBounds, line_subbundle_probe
 from qec.laurent import LaurentMatrix, LaurentPoly
 from qec.modules import (
@@ -29,6 +32,7 @@ from qec.modules import (
     extension_fixture,
     rank_A,
     rank_S,
+    slopes,
     to_matrix,
 )
 from qec.samples import rand_laurent, rand_module, rand_sigma_matrix
@@ -156,11 +160,12 @@ GOOD_NOT_Z_GOOD = (
 )
 
 
-def _rand_gauge_parts(rng, q):
-    """(G, D) for `gauge`: G unit upper triangular with entries reaching up
-    to z^+-12, so that fixed vectors reach past windows 8 and 12; D diagonal
-    with entries c z^m, c mostly a power of q."""
-    n = rng.randint(1, 3)
+def _rand_gauge_parts(rng, q, n=None):
+    """(G, D) for `gauge`: G unit upper triangular, n x n (1 to 3 when not
+    given), with entries reaching up to z^+-12, so that fixed vectors reach
+    past windows 8 and 12; D diagonal with entries c z^m, c mostly a power
+    of q."""
+    n = n or rng.randint(1, 3)
     g = [[LaurentPoly.const(int(i == j)) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -179,8 +184,80 @@ def test_stabilized_h0_matches_the_window_by_window_protocol(q, gauge):
         mods = [to_matrix(Good(parse(p))) for p in GOOD_NOT_Z_GOOD]
         mods += [rand_sigma_matrix(rng) for _ in range(6)]
         mods += [gauge(*_rand_gauge_parts(rng, Fraction(q))) for _ in range(10)]
+        mods += [gauge(*_rand_gauge_parts(rng, Fraction(q), 3)) for _ in range(4)]
         for T in mods:
             assert stabilized_h0(T) == _window_by_window(T), T
+
+
+@pytest.mark.parametrize("q", [2, 3, Fraction(-1, 2), Fraction(5, 7)])
+def test_support_window_holds_every_fixed_vector(q, gauge):
+    # the fixed vectors at window B are those of a solve wider than B and
+    # than every window the protocol reads, and "no fixed vector" (None)
+    # only when that wide solve is empty.  The gauge modules' constructed h0
+    # is not the truth at q != 2, so the wide solve is the reference.
+    rng = random.Random(f"support-window-{q}")
+    with using_q(q):
+        mods = [to_matrix(Good(parse(p))) for p in GOOD_NOT_Z_GOOD]
+        mods += [rand_sigma_matrix(rng) for _ in range(6)]
+        mods += [gauge(*_rand_gauge_parts(rng, Fraction(q), n)) for n in (2, 2, 3) * 4]
+        for T in mods:
+            bound = _support_window(T)
+            wide = fixed_space(T, max(bound or 0, 16) + 8)
+            if bound is None:
+                assert wide == [], T
+            else:
+                assert len(fixed_space(T, bound)) == len(wide), (T, bound)
+
+
+@pytest.mark.parametrize("q", [2, 3, Fraction(-1, 2)])
+def test_support_window_proves_no_fixed_vector(q):
+    # z - s - s^-1 and [[z, 1], [0, 1]]: the window protocol reports h0 = 0
+    # uncertified at 16, and the bound proves it with no solve
+    with using_q(q):
+        for M in (Good(parse("z - s - s^-1")), extension_fixture()):
+            assert _support_window(to_matrix(M)) is None, M
+
+
+@pytest.mark.parametrize(
+    "q,edge,roots",
+    [
+        # chi(x) = x - 4 and 8x - 1: the roots q^2 and q^-3 sit on the
+        # multiplicity bounds of the constant and the leading coefficient
+        (2, [(0, -4), (1, 1)], [2]),
+        (2, [(0, -1), (1, 8)], [-3]),
+        (Fraction(-1, 2), [(0, 1), (1, 8)], [3]),
+        (Fraction(-1, 2), [(0, 1), (1, -Fraction(1, 4))], [-2]),
+        (Fraction(5, 7), [(0, -25), (1, 49)], [2]),
+        (Fraction(5, 7), [(2, -49), (3, 25)], [-2]),
+        # (x - 4)(x - 1/8)(x - 3), shifted by x: 3 is no power of q
+        (2, [(1, Fraction(3, 2)), (2, -Fraction(103, 8)), (3, Fraction(57, 8)),
+             (4, -1)], [-3, 2]),
+        # x^2 - 4 with no x term, and a root at q^0 = 1
+        (2, [(0, -4), (2, 1)], [1]),
+        (3, [(0, -1), (1, 1)], [0]),
+        # one term, and an edge with no power of q among its roots
+        (2, [(3, 5)], []),
+        (3, [(0, 2), (1, 1)], []),
+        # 2^60 - (2^61 - 2) x is 2 at x = q^-1 = 1/2, and 0 in floating
+        # point: the candidates are tested in integers
+        (2, [(0, 2**60), (1, -(2**61 - 2))], []),
+    ],
+)
+def test_edge_exponents(q, edge, roots):
+    with using_q(q):
+        assert _edge_exponents([(i, Fraction(c)) for i, c in edge]) == roots
+
+
+def test_cramer_end_minors_fire_on_a_non_cyclic_vector(monkeypatch):
+    # e_0 spans an s-stable line of diag(z, 1) and of its dual diag(z^-1, 1),
+    # so its orbit has rank one and both end minors vanish
+    T = _mat([["z", "0"], ["0", "1"]])
+    e0 = (LaurentPoly.const(1), LaurentPoly.zero())
+    monkeypatch.setattr(ideals, "cyclic_search", lambda T: e0)
+    with pytest.raises(CertificateFailure, match="end minors of the orbit"):
+        slopes(T)
+    with pytest.raises(CertificateFailure, match="end minors of the orbit"):
+        stabilized_h0(T)
 
 
 I2 = [["1", "0"], ["0", "1"]]
@@ -188,34 +265,44 @@ I3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
 
 
 @pytest.mark.parametrize(
-    "g,expected",
+    "g,expected,bound,solves",
     [
-        ([["1"]], (1, True, 8)),
+        ([["1"]], (1, True, 8), 0, [0]),
         # fixed vectors e_1 and (-z^j, 1): the dimension reaches 2 at the
         # first window that holds z^j, including on its boundary
-        ([["1", "z^10"], ["0", "1"]], (2, True, 12)),
-        ([["1", "z^-8"], ["0", "1"]], (2, True, 8)),
-        ([["1", "z^12"], ["0", "1"]], (2, True, 12)),
-        ([["1", "z^16"], ["0", "1"]], (2, True, 16)),
-        ([["1", "z^-16"], ["0", "1"]], (2, True, 16)),
+        ([["1", "z^10"], ["0", "1"]], (2, True, 12), 10, [10]),
+        ([["1", "z^-8"], ["0", "1"]], (2, True, 8), 8, [8]),
+        ([["1", "z^12"], ["0", "1"]], (2, True, 12), 12, [12]),
+        ([["1", "z^16"], ["0", "1"]], (2, True, 16), 16, [16]),
+        ([["1", "z^-16"], ["0", "1"]], (2, True, 16), 16, [16]),
         # supports 0, 10 and 30: dimensions 1, 2, 2, 2 stop the protocol past 16
-        ([["1", "z^10", "0"], ["0", "1", "z^20"], ["0", "0", "1"]], (2, False, 20)),
+        ([["1", "z^10", "0"], ["0", "1", "z^20"], ["0", "0", "1"]], (2, False, 20), 30,
+         [16, 20]),
         # supports 0, 10 and 18: dimensions 1, 2, 2, 3 certify at 20
-        ([["1", "z^10", "0"], ["0", "1", "z^8"], ["0", "0", "1"]], (3, True, 20)),
+        ([["1", "z^10", "0"], ["0", "1", "z^8"], ["0", "0", "1"]], (3, True, 20), 18,
+         [16, 18]),
         # supports 0, 14 and 22: dimensions 1, 1, 2, 2, 3 certify at 24
-        ([["1", "z^14", "0"], ["0", "1", "z^8"], ["0", "0", "1"]], (3, True, 24)),
+        ([["1", "z^14", "0"], ["0", "1", "z^8"], ["0", "0", "1"]], (3, True, 24), 22,
+         [16, 20, 22]),
     ],
+    ids=[f"g{i}-expected{i}" for i in range(9)],
 )
-def test_stabilized_h0_on_trivial_modules_in_a_wide_basis(g, expected, gauge, monkeypatch):
+def test_stabilized_h0_on_trivial_modules_in_a_wide_basis(
+    g, expected, bound, solves, gauge, monkeypatch
+):
     # T = G(z)^-1 G(qz) is the trivial module of rank n written in the basis
-    # G, with det G = 1: its fixed vectors are the columns of G^-1
+    # G, with det G = 1: its fixed vectors are the columns of G^-1, and the
+    # support bound is exactly their widest support
     T = gauge(g, {1: [["1"]], 2: I2, 3: I3}[len(g)])
-    # windows 8 and 12 are read off the window-16 kernel, never solved; the
-    # package re-exports a function named `cohomology`, hence import_module
+    assert _support_window(T) == bound
+    # one solve at min(B, 16), then each later window at min(w, B): windows
+    # up to 16, and those at or past B, are read off a kernel, never solved
+    # again; the package re-exports a function named `cohomology`, hence
+    # import_module
     coh, solved = importlib.import_module("qec.cohomology"), []
     monkeypatch.setattr(coh, "fixed_space", lambda T, w: solved.append(w) or fixed_space(T, w))
     assert coh.stabilized_h0(T) == expected == _window_by_window(T)
-    assert solved == list(range(16, max(expected[2], 16) + 1, WINDOW_STEP))
+    assert solved == solves
 
 
 def test_h1_identity_on_randoms(rng):
