@@ -15,11 +15,14 @@ window B that holds the support of every fixed vector, or prove that there
 is none (`_support_window`, after Abramov's bound for rational solutions).
 One solve at min(B, 16) then decides every window up to 16 and every window
 at or past B: the fixed vectors supported in a smaller window are the ones
-of that kernel that vanish outside it (`stabilized_h0`).
+of that kernel that vanish outside it (`stabilized_h0`).  B is read off the
+certified Cramer relation of the dual module, the one relation that also
+gives the line-subbundle probe its candidates (`ideals.line_subbundle_probe`);
+`cohomology` reads rank_S off that relation too on this route.
 
 Line bundles, torsion modules and matrices T(z) = z^m C with C constant share
 one closed form for h0 (`_closed_h0`), which also covers z-good generators;
-every route reads rank_S off the slopes.
+every route reads rank_S off the slopes, of M or of its dual.
 """
 
 from __future__ import annotations
@@ -28,15 +31,17 @@ from math import lcm
 
 from .aq import degrees
 from .errors import NonSplitSpectrum, PreconditionViolation, SearchExhausted
-from .laurent import _det_rows
 from .linalg import rank
 from .modules import (
     Good,
     LineBundle,
     MatrixModule,
     Torsion,
+    _adjugate_spans,
     _cramer_relation,
+    _edges,
     _monomial_scaled,
+    _transfer,
     _whole,
     dual,
     hom,
@@ -149,7 +154,10 @@ def _edge_exponents(edge):
 
 def _support_window(T: MatrixModule):
     """A window B >= 0 such that every fixed vector of T has z-support in
-    [-B, B], or None when T has no nonzero fixed vector.
+    [-B, B], or None when T has no nonzero fixed vector.  This is the
+    line-subbundle probe's proof (`ideals.line_subbundle_probe`) at
+    (c, k) = (1, 0), where c is known: the exponents come from the rational
+    root theorem in q (`_edge_exponents`), and nothing is factored.
 
     The scalar equation.  Let D = dual(T) = T^-T, u a cyclic vector of D
     (`ideals.cyclic_search`), u_i = D(z) u_(i-1)(qz) its orbit and
@@ -164,9 +172,10 @@ def _support_window(T: MatrixModule):
     largest top degree of the b_i and chi_inf(x) = sum lc(b_i) x^i over
     the i with top(b_i) = t; so chi_inf(q^N) = 0.  The bottom degree M of y
     satisfies chi_0(q^M) = 0 for chi_0 built the same way from the
-    trailing coefficients at the smallest bottom degree.  `_edge_exponents`
-    finds every such N and M.  If one end has none, or the largest N is
-    below the smallest M, then y = 0 for every fixed f.  The matrix U with
+    trailing coefficients at the smallest bottom degree (`modules._edges`
+    at k = 0).  `_edge_exponents` finds every such N and M.  If one end
+    has none, or the largest N is below the smallest M, then y = 0 for
+    every fixed f.  The matrix U with
     rows u_0, ..., u_(n-1) is invertible over K(z), since det U = +-b_n is
     nonzero, and U f = (y(q^i z))_i, so then f = 0 and T has no nonzero
     fixed vector.
@@ -174,31 +183,21 @@ def _support_window(T: MatrixModule):
     The window.  Otherwise f = adj(U) Y / det U with Y_i = y(q^i z), and
     each Y_i has the support of y.  So a nonzero f has top(f) <= hi =
     max top(adj U) + max N - top(b_n) and bot(f) >= lo = min bot(adj U) +
-    min M - bot(b_n).  If lo > hi no support fits, and there is again no
-    nonzero fixed vector; else B = max(hi, -lo), which is >= 0 since
+    min M - bot(b_n) (`modules._transfer` at k = 0).  If lo > hi no
+    support fits, and there is again no nonzero fixed vector; else
+    B = max(hi, -lo), which is >= 0 since
     lo <= hi.  Every step is exact.  The bound is the one behind rational
     solutions of linear q-difference equations (Abramov, Rational solutions
     of linear difference and q-difference equations with polynomial
     coefficients, 1995; van der Put & Singer, Galois Theory of Difference
     Equations, LNM 1666)."""
     _, orbit, b = _cramer_relation(dual(T))
-    n = T.n
-    terms = [(i, f) for i, f in enumerate(b) if not f.is_zero()]
-    top = max(f.top for _, f in terms)
-    bot = min(f.bot for _, f in terms)
-    tops = _edge_exponents([(i, f.coeff(top)) for i, f in terms if f.top == top])
-    bots = _edge_exponents([(i, f.coeff(bot)) for i, f in terms if f.bot == bot])
+    edge_inf, edge_zero = _edges(b, 0)
+    tops, bots = _edge_exponents(edge_inf), _edge_exponents(edge_zero)
     if not tops or not bots or max(tops) < min(bots):
         return None
-    U = orbit[:n]
-    adj = [
-        _det_rows([u[:c] + u[c + 1:] for k, u in enumerate(U) if k != r], n - 1)
-        for r in range(n)
-        for c in range(n)
-    ]
-    adj = [g for g in adj if not g.is_zero()]
-    hi = max(g.top for g in adj) + max(tops) - b[n].top
-    lo = min(g.bot for g in adj) + min(bots) - b[n].bot
+    lo, hi = _transfer(_adjugate_spans(orbit), b, 0)
+    lo, hi = lo + min(bots), hi + max(tops)
     # a nonzero fixed vector f has lo <= bot(f) <= top(f) <= hi
     return max(hi, -lo) if lo <= hi else None
 
@@ -280,13 +279,25 @@ def _closed_h0(M):
 def cohomology(M) -> CohomologyReport:
     """h0 from an exact closed form for line bundles, torsion modules,
     monomial-scaled matrices and z-good generators, else from the window
-    protocol; rank_S read off the slopes, and h1 = h0 + rank_S."""
+    protocol; rank_S read off the slopes, and h1 = h0 + rank_S.
+
+    The window protocol has certified the Cramer relation of dual(T)
+    (`_support_window`), so that route reads rank_S off the same relation:
+    the slopes of the dual are those of M negated at both ends, and the
+    rank is unchanged.  With deg det T = m, the lengths times the slopes
+    sum to m at each end, so the positive part at infinity is m plus the
+    negative part there, and the negative part at 0 is the positive part
+    there less m: rank_S(M*) = neg_inf + pos_0 = pos_inf + neg_0 = rank_S(M).
+    """
     if not isinstance(M, (LineBundle, Torsion, Good, MatrixModule)):
         raise PreconditionViolation(f"not a module presentation: {M!r}")
     h0, certified, window = _closed_h0(M), True, 0
     if h0 is None:
-        h0, certified, window = stabilized_h0(to_matrix(M))
-    rkS = rank_S(M)
+        T = to_matrix(M)
+        h0, certified, window = stabilized_h0(T)
+        rkS = rank_S(dual(T))
+    else:
+        rkS = rank_S(M)
     return CohomologyReport(h0, h0 + rkS, -rkS, certified, window)
 
 

@@ -19,35 +19,35 @@ within the bounds no sigma-good annihilator is missed.  A cyclic vector
 is constructed, not searched (`cyclic_search`); the module's own S-rank
 is not searched either: `modules.rank_S` reads it off the slopes, and
 `cyclic_presentation` is kept as the independent check of that theorem.
+The line-subbundle probe takes no characteristic polynomial: its scalars
+are the finitely many that the edge polynomials of the dual module's
+certified Cramer relation admit, each solved by the shared window solver
+at a window proved to hold all of its solutions (`line_subbundle_probe`).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import islice
 
 from .aq import AqElement, degrees, sigma_divide, z_divide
 from .errors import CertificateFailure, PreconditionViolation, SearchExhausted
 from .laurent import ONE, ZERO, LaurentPoly, echelon
-from .linalg import (
-    _insert_int,
-    _reduce_int,
-    charpoly,
-    nullspace,
-    rational_roots,
-    shift_rows,
-)
+from .linalg import _insert_int, _reduce_int, nullspace, rational_roots, shift_rows
 from .modules import (
     Good,
     MatrixModule,
+    _adjugate_spans,
+    _cramer_relation,
+    _edges,
     _orbit,
-    _window_keys,
-    _window_rows,
+    _transfer,
     aq_act,
+    dual,
     slopes,
     to_matrix,
     window_eigenspace,
 )
+from .scalars import get_q, q_power_class
 
 
 class SearchBounds:
@@ -507,46 +507,107 @@ def cyclic_presentation(T: MatrixModule, bounds=None):
 # -- line subbundles -----------------------------------------------------------
 
 
+def _edge_roots(edge):
+    """The nonzero rational roots of sum c_i x^i, given by its (i, c_i)
+    pairs by increasing i (`linalg.rational_roots` of it over x^i0)."""
+    lo = edge[0][0]
+    coeffs = [0] * (edge[-1][0] - lo + 1)
+    for i, c in edge:
+        coeffs[i - lo] = c
+    return [x for x, _ in rational_roots(LaurentPoly(0, coeffs))[0]]
+
+
+def _candidates(spans, coeffs, k: int, window: int):
+    """(c, w) for each scalar c for which T(z) v(qz) = c z^k v(z) may have
+    a nonzero solution meeting [-window, window], by increasing c, with w <=
+    window a window that holds every such solution; the proof is in
+    `line_subbundle_probe`.  `coeffs` is the Cramer relation of dual(T) and
+    `spans` its adjugate column spans (`modules._adjugate_spans`)."""
+    q = get_q()
+    at_inf, at_zero = (_edge_roots(edge) for edge in _edges(coeffs, k))
+    lo, hi = _transfer(spans, coeffs, k)
+    found = set()
+    for x in at_inf:
+        for x0 in at_zero:
+            # x = q^N / c and x0 = q^M / c for the degrees M <= N of y
+            d = q_power_class(x / x0)
+            if d is None or d < 0 or lo - d > hi:
+                continue
+            # c = q^N / x puts v in [lo + N - d, hi + N], which meets the
+            # window exactly for these N
+            found.update(q**N / x for N in range(-window - hi, window - lo + d + 1))
+    out = []
+    for c in sorted(found):
+        tops = [n for x in at_inf if (n := q_power_class(c * x)) is not None]
+        bots = [m for x in at_zero if (m := q_power_class(c * x)) is not None]
+        out.append((c, min(window, max(hi + max(tops), -lo - min(bots)))))
+    return out
+
+
 def line_subbundle_probe(T: MatrixModule, k_range, window=12):
     """All (c, k, v) with T(z) v(qz) = c z^k v(z), v supported in the window.
 
-    Write A for the in-window rows of v |-> z^-k T(z) v(qz): the rows for k
-    are the k = 0 rows with exponents shifted by k, so the map is linearized
-    once per probe.  A solution is supported in the window, so its in-window
-    equations read A v = c v: the candidate scalars are the nonzero rational
-    eigenvalues of A.  Each candidate is solved on the full equation by the
-    shared window solver (`modules.window_eigenspace`), which certifies
-    every vector it returns.  Returns a list sorted by (k, c); empty means
-    no line subbundle exists inside the searched window.
+    Returns a list sorted by (k, c); empty means no line subbundle exists
+    inside the searched window.  A solution spans a rank-1 submodule
+    L(c, k), whose slope k is an integer and a slope of the module at both
+    ends (`modules.slopes`), so every other k is skipped before anything
+    else is computed.  A k repeated in `k_range` is probed once.  Every
+    vector is found and certified by the shared window solver
+    (`modules.window_eigenspace`), for the finitely many scalars c that the
+    Cramer relation of the dual admits (`_candidates`), each at a window
+    that provably holds all of its solutions.
 
-    A solution spans a rank-1 submodule L(c, k), whose slope k is a slope
-    of the module at both ends (`modules.slopes`), so every other k is
-    skipped before anything is linearized.  A k repeated in `k_range` is
-    probed once.
+    The scalar equation.  Let D = dual(T) = T^-T, u a cyclic vector of D
+    and u_i = D(z) u_(i-1)(qz) its orbit, with the certified Cramer
+    relation sum b_i(z) u_i = 0 (`modules._cramer_relation`).  For a
+    solution v, T(z) v(qz) = c z^k v(z) and D^T T = 1 give
+    <u_i, v>(z) = c^-1 z^-k <u_(i-1), v>(qz), so y = <u, v> has
+    <u_i, v> = c^-i q^(-k i(i-1)/2) z^(-ik) y(q^i z) and
+    sum b_i(z) c^-i q^(-k i(i-1)/2) z^(-ik) y(q^i z) = 0.  The matrix U
+    with rows u_0, ..., u_(n-1) has det U = +-b_n != 0, so y = 0 forces
+    U v = 0 and v = 0: a nonzero v has a nonzero y.
+
+    The candidates.  If y has top degree N and bottom degree M <= N, then
+    x = q^N / c is a root of the slope-k edge polynomial at infinity and
+    x0 = q^M / c one of the edge polynomial at 0 (`modules._edges`), both
+    rational and nonzero.  So x / x0 = q^d with d = N - M >= 0
+    (`scalars.q_power_class`), and c = q^N / x.  With (lo, hi) from
+    `modules._transfer`, v = adj(U) (<u_i, v>)_i / det U lies in
+    [lo + M, hi + N] = [lo + N - d, hi + N]: it has no support when
+    lo - d > hi, and it meets [-window, window] only for
+    -window - hi <= N <= window - lo + d.  Those N give finitely many c.
+    For each c, every N with q^N / c a root at infinity and every M with
+    q^M / c a root at 0 is a possible degree of y, so all solutions of that
+    c lie in [lo + min M, hi + max N], and min(window, max(hi + max N,
+    -(lo + min M))) holds every one of them that lies in the window.  A c
+    that is not a candidate has no nonzero solution meeting the window.
+
+    The answer.  `window_eigenspace` at that smaller window returns the
+    canonical basis of the same solution space as at `window`: the
+    coordinates it drops are zero on every solution, and the canonical
+    basis depends only on the solution space.  So the result is the
+    window-`window` eigenspace of every scalar, as if each were solved at
+    the full window.  Every step is exact (Abramov, Rational solutions of
+    linear difference and q-difference equations with polynomial
+    coefficients, 1995; van der Put & Singer, Galois Theory of Difference
+    Equations, LNM 1666).
     """
     if window < 0:
         raise PreconditionViolation("window must be >= 0")
     at_inf, at_zero = slopes(T)
     ends = {lam for lam, _ in at_inf} & {lam for lam, _ in at_zero}
-    k_range = [k for k in dict.fromkeys(k_range) if k in ends]
+    k_range = [k for k in dict.fromkeys(k_range) if k in ends and k == int(k)]
     if not k_range:
         return []
-    unit, rows = _window_rows(T, window)
+    _, orbit, coeffs = _cramer_relation(dual(T))
+    spans = _adjugate_spans(orbit)
     results = []
     for k in k_range:
-        # the map's own rows: the window rows are unit times them
-        keys = _window_keys(T.n, window, k)
-        A = [[0] * len(keys) for _ in keys]
-        for a, key in zip(A, keys):
-            for t, x in rows.get(key, {}).items():
-                a[t] = Fraction(x, unit)
-        roots, _ = rational_roots(charpoly(A))
-        for c, _mult in roots:
-            if c == 0:
-                continue
-            for vec in window_eigenspace(T, window, k, c):
+        for c, w in _candidates(spans, coeffs, int(k), window):
+            for vec in window_eigenspace(T, w, k, c):
                 # scale the leading coefficient to 1 for a canonical report
                 lead = next(f.coeff(f.lo) for f in vec if not f.is_zero())
                 results.append((c, k, tuple(f * (1 / lead) for f in vec)))
-    results.sort(key=lambda t: (t[1], t[0]))
+    # the candidates of each k come by increasing c
+    results.sort(key=lambda t: t[1])
     return results

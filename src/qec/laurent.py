@@ -653,20 +653,30 @@ def det(mat: LaurentMatrix) -> LaurentPoly:
     return _det_rows(mat.rows, mat.n)
 
 
-def det_and_inverse(mat: LaurentMatrix):
-    """(det, inverse) where inverse is None unless det is a unit.
+def _minors(rows, n):
+    """The (n - 1)-minors of n x n rows, laid out as the adjugate: entry
+    (i, j) is det(rows without row j and column i), the adjugate's entry up
+    to the sign (-1)^(i + j).  The empty minor of a 1 x 1 matrix is one."""
+    return [
+        [_det_rows([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j], n - 1)
+         for j in range(n)]
+        for i in range(n)
+    ]
 
-    The inverse, when present, is exact: entries are cofactors divided by the
-    unit determinant, and T * T^-1 = I holds on the nose.  The empty minor
-    of a 1 x 1 matrix has determinant one.
-    """
+
+def _unit_inverse(mat: LaurentMatrix, d: LaurentPoly) -> LaurentMatrix:
+    """mat^-1 = adj(mat) / d for the unit determinant d of mat: exact, so
+    mat * mat^-1 = I holds on the nose."""
+    dinv = d.inverse_unit()
+    signed = (dinv, -dinv)
+    minors = _minors(mat.rows, mat.n)
+    return LaurentMatrix(
+        [[m * signed[(i + j) % 2] for j, m in enumerate(row)] for i, row in enumerate(minors)]
+    )
+
+
+def det_and_inverse(mat: LaurentMatrix):
+    """(det, inverse) where inverse is None unless det is a unit; the
+    inverse, when present, is `_unit_inverse`."""
     d = det(mat)
-    if not d.is_unit():
-        return d, None
-    n, dinv = mat.n, d.inverse_unit()
-    inverse = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [r[:i] + r[i + 1:] for k, r in enumerate(mat.rows) if k != j]
-            inverse[i][j] = _det_rows(minor, n - 1) * (-dinv if (i + j) % 2 else dinv)
-    return d, LaurentMatrix(inverse)
+    return d, (_unit_inverse(mat, d) if d.is_unit() else None)

@@ -28,8 +28,9 @@ from .laurent import (
     LaurentMatrix,
     LaurentPoly,
     _det_rows,
+    _minors,
+    _unit_inverse,
     det,
-    det_and_inverse,
     qshift,
 )
 from .linalg import jordan_structure_constant, nullspace, rref, shift_rows
@@ -55,9 +56,11 @@ class Unknown:
 
 class MatrixModule:
     """Free module A^n with s(v) = T(z) v(qz), T = mat an invertible matrix
-    over K[z,z^-1] (unit determinant): a q-difference module."""
+    over K[z,z^-1] (unit determinant): a q-difference module.  Its inverse
+    and its dual are computed once, when first asked for, and its Cramer
+    relation once per q."""
 
-    __slots__ = ("mat", "det", "_inv")
+    __slots__ = ("mat", "det", "_inv", "_dual", "_relation")
 
     def __init__(self, mat, _det=None):
         if not isinstance(mat, LaurentMatrix):
@@ -70,18 +73,16 @@ class MatrixModule:
                 f"matrix determinant {_det} is not a unit of K[z,z^-1]"
             )
         self.det = _det
-        self._inv = None
+        self._inv = self._dual = self._relation = None
 
     @property
     def n(self):
         return self.mat.n
 
     def inverse(self) -> LaurentMatrix:
+        """T^-1 = adj(T) / det T, from the unit determinant the module holds."""
         if self._inv is None:
-            _, inv = det_and_inverse(self.mat)
-            if inv is None:
-                raise CertificateFailure(f"unit-determinant {self.mat!r} has no inverse")
-            self._inv = inv
+            self._inv = _unit_inverse(self.mat, self.det)
         return self._inv
 
     def __eq__(self, other):
@@ -401,7 +402,12 @@ def _cramer_relation(T: MatrixModule):
     """(v, orbit, coeffs): the cyclic vector v that `ideals.cyclic_search`
     constructs, its orbit v, s(v), ..., s^n(v), and the relation
     sum a_i(z) s^i(v) = 0 that Cramer's rule gives on it, with
-    a_i = (-1)^i det(orbit without s^i(v)), certified exactly."""
+    a_i = (-1)^i det(orbit without s^i(v)), certified exactly.  Computed
+    once per module and q: s(v) = T(z) v(qz) depends on q, so the relation
+    is kept with the q it was computed at."""
+    q = get_q()
+    if T._relation is not None and T._relation[0] == q:
+        return T._relation[1]
     from .ideals import cyclic_search
 
     v = cyclic_search(T)
@@ -420,12 +426,69 @@ def _cramer_relation(T: MatrixModule):
     for row in rows:
         if not sum((a * f for a, f in zip(coeffs, row)), ZERO).is_zero():
             raise CertificateFailure(f"Cramer relation {coeffs} does not kill {v}")
-    return v, orbit, coeffs
+    T._relation = q, (v, orbit, coeffs)
+    return T._relation[1]
 
 
 def _cramer_slopes(T: MatrixModule):
     """Slopes of the Cramer relation of T (`_cramer_relation`)."""
     return _newton_polygons(enumerate(_cramer_relation(T)[2]))
+
+
+def _edges(coeffs, k: int):
+    """The slope-k edge polynomials (at infinity, at 0) of a relation
+    sum b_i(z) y_i = 0 read on y_i = c^-i q^(-k i(i-1)/2) z^(-ik) y(q^i z),
+    each as its (i, coefficient) pairs by increasing i.
+
+    If y has top degree N, the top coefficient of the sum sits at z^(t + N)
+    for t the largest top(b_i) - i k, and is lc(y) chi_inf(q^N / c) for
+    chi_inf(x) = sum lc(b_i) q^(-k i(i-1)/2) x^i over the i that reach t;
+    so chi_inf(q^N / c) = 0.  chi_0, from the trailing coefficients at the
+    smallest bot(b_i) - i k, vanishes at q^M / c for the bottom degree M of
+    y.  At (c, k) = (1, 0) the pairs are those of the plain edge polynomials
+    of the relation.  An edge of one point has no nonzero root: k is then
+    no slope of the relation at that end."""
+    q = get_q()
+    terms = [
+        (i, f, q ** (-k * i * (i - 1) // 2)) for i, f in enumerate(coeffs) if not f.is_zero()
+    ]
+    top = max(f.top - i * k for i, f, _ in terms)
+    bot = min(f.bot - i * k for i, f, _ in terms)
+    at_inf = [(i, f.coeff(f.top) * w) for i, f, w in terms if f.top - i * k == top]
+    at_zero = [(i, f.coeff(f.bot) * w) for i, f, w in terms if f.bot - i * k == bot]
+    return at_inf, at_zero
+
+
+def _adjugate_spans(orbit):
+    """For the matrix U with rows u_0, ..., u_(n-1), the first n vectors of
+    a Cramer orbit, the (top, bot) of each column of adj(U): column i is
+    the one that carries <u_i, v> to v = adj(U) U v / det U.  det U is
+    +-b_n != 0, so adj(U) is invertible and no column is zero."""
+    n = len(orbit) - 1
+    adj = _minors(orbit[:n], n)  # signs do not move supports
+    spans = []
+    for i in range(n):
+        col = [row[i] for row in adj if not row[i].is_zero()]
+        spans.append((max(g.top for g in col), min(g.bot for g in col)))
+    return spans
+
+
+def _transfer(spans, coeffs, k: int):
+    """(lo, hi) such that a solution v of T(z) v(qz) = c z^k v(z) is
+    supported in [lo + M, hi + N], where N and M are the top and bottom
+    degrees of y = <u, v> and u_0, u_1, ... the dual orbit of the Cramer
+    relation sum b_i(z) u_i = 0 (`coeffs`) whose adjugate column spans are
+    `spans` (`_adjugate_spans`).
+
+    U v = (y_i)_i with y_i = <u_i, v> = c^-i q^(-k i(i-1)/2) z^(-ik)
+    y(q^i z), of top degree N - i k and bottom degree M - i k, so
+    v = adj(U) (y_i)_i / det U has top degree at most
+    max_i (top of column i - i k) + N - top(b_n), and bottom degree at least
+    the same expression in bottom degrees."""
+    n = len(spans)
+    hi = max(t - i * k for i, (t, _) in enumerate(spans)) - coeffs[n].top
+    lo = min(b - i * k for i, (_, b) in enumerate(spans)) - coeffs[n].bot
+    return lo, hi
 
 
 def slopes(M):
@@ -547,9 +610,10 @@ def tensor(M, N):
 
 
 def dual(M):
-    """Internal dual: inverse-transpose matrix; closed forms for structured
-    presentations (line scalars invert, torsion eigenvalues invert, good
-    generators pass through the duality formula)."""
+    """Internal dual: inverse-transpose matrix, computed once per matrix
+    module; closed forms for structured presentations (line scalars invert,
+    torsion eigenvalues invert, good generators pass through the duality
+    formula)."""
     if isinstance(M, LineBundle):
         return LineBundle(1 / M.c, -M.m)
     if isinstance(M, Torsion):
@@ -560,8 +624,9 @@ def dual(M):
         _, dual_mod = good_dual(M.p)
         return dual_mod
     T = to_matrix(M)
-    inv = T.inverse()
-    return MatrixModule(inv.transpose(), _det=T.det.inverse_unit())
+    if T._dual is None:
+        T._dual = MatrixModule(T.inverse().transpose(), _det=T.det.inverse_unit())
+    return T._dual
 
 
 def hom(M, N):

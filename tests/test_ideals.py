@@ -16,12 +16,14 @@ from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 
 import qec.ideals
+from charpoly_probe import charpoly_probe
 from qec.aq import AqElement, degrees, parse, sigma_divide, unit_normalize
 from qec.cohomology import euler_form, fixed_space
 from qec.errors import CertificateFailure, PreconditionViolation, SearchExhausted
 from qec.ideals import (
     IdealPresentation,
     SearchBounds,
+    _candidates,
     annihilator_in_good,
     annihilator_space,
     cyclic_presentation,
@@ -37,6 +39,8 @@ from qec.modules import (
     LineBundle,
     MatrixModule,
     Torsion,
+    _adjugate_spans,
+    _cramer_relation,
     _orbit,
     aq_act,
     dual,
@@ -44,6 +48,7 @@ from qec.modules import (
     module_from_json,
     rank_S,
     to_matrix,
+    window_eigenspace,
 )
 from qec.laurent import LaurentMatrix
 from qec.samples import (
@@ -804,14 +809,18 @@ def test_line_subbundle_probe_simple_module_empty():
 
 
 def test_probe_skips_k_outside_the_slopes_before_linearizing(monkeypatch):
-    # lambda_inf = {-1, 1} and lambda_0 = {0}: no k can carry a line subbundle
+    # lambda_inf = {-1, 1} and lambda_0 = {0}: no k can carry a line
+    # subbundle.  The probe's first work past the slope filter is the Cramer
+    # relation of the dual, before any system is written
     T = to_matrix(Good(parse("z - s - s^-1")))
 
-    def no_rows(T, window):
-        raise AssertionError("probe linearized")
+    def no_relation(T):
+        raise AssertionError("probe took the dual relation")
 
-    monkeypatch.setattr(qec.ideals, "_window_rows", no_rows)
+    monkeypatch.setattr(qec.ideals, "_cramer_relation", no_relation)
     assert line_subbundle_probe(T, range(-4, 5), window=10) == []
+    with pytest.raises(AssertionError, match="dual relation"):
+        line_subbundle_probe(to_matrix(LineBundle(3, 2)), [2], window=10)
 
 
 def test_pruned_probe_equals_the_probe_over_every_k(monkeypatch):
@@ -848,6 +857,32 @@ def test_probe_reports_a_repeated_k_once():
         assert len(once) == 9
         assert line_subbundle_probe(T, [2, 2], window=4) == once
         assert line_subbundle_probe(T, [2, -1, 2], window=4) == once
+
+
+def test_probe_skips_a_slope_that_is_not_an_integer():
+    # s^2 - z has the single slope 1/2 at both ends: z^(1/2) is no Laurent
+    # monomial, so no L(c, 1/2) exists; an integral Fraction is an integer
+    T = to_matrix(Good(parse("s^2 - z")))
+    assert line_subbundle_probe(T, [Fraction(1, 2)], window=3) == []
+    with using_q(2):
+        line = to_matrix(LineBundle(3, 2))
+        assert line_subbundle_probe(line, [Fraction(2)], 4) == line_subbundle_probe(line, [2], 4)
+
+
+def test_a_module_probed_at_two_q_matches_fresh_modules():
+    # the dual is computed once per module, and its Cramer relation once
+    # per q: the orbit s(v) = T(z) v(qz), and with it every candidate,
+    # changes with q
+    T = to_matrix(extension_fixture())
+    for q in (2, 3, 2):
+        with using_q(q):
+            relation = _cramer_relation(dual(T))
+            assert dual(T) is dual(T) and _cramer_relation(dual(T)) is relation
+            fresh = to_matrix(extension_fixture())
+            assert line_subbundle_probe(T, [1], 3) == line_subbundle_probe(fresh, [1], 3)
+            assert [c for c, _, _ in line_subbundle_probe(T, [1], 3)] == [
+                qpow(j) for j in range(-3, 4)
+            ]
 
 
 def test_line_subbundle_probe_line_module():
@@ -969,15 +1004,148 @@ def test_line_subbundle_probe_pinned_outputs(q, case, want):
 
 
 def test_probe_with_many_divisor_pairs_stays_fast():
-    """At q = 5/7 one charpoly of this probe has an end coefficient with
-    10,816 divisors; `rational_roots` divides out each root as it finds it
-    instead of testing every coprime divisor pair first."""
+    """At q = 5/7 the characteristic polynomial the probe once took here
+    had an end coefficient with 10,816 divisors (`rational_roots` divides
+    out each root as it finds it); the edge polynomials the probe reads its
+    scalars off now have degree at most 2."""
     with using_q(Fraction(5, 7)):
         T = MatrixModule(LaurentMatrix.from_strs([["-3/2", "0"], ["0", "-2"]]))
         start = time.perf_counter()
         found = line_subbundle_probe(T, range(-2, 3), window=3)
         assert time.perf_counter() - start < 3
     assert len(found) == 14
+
+
+def _probe_gauge(rng, n, q):
+    """T = G(z) diag(c_i z^m_i) G(qz)^-1 for G a unit upper times a unit
+    lower triangular n x n matrix: a sum of line bundles L(c_i, m_i) in a
+    twisted basis, with c_i mostly in the q-power class of 1 or 3, so that
+    its probes find eigenvectors."""
+    upper = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    lower = [row[:] for row in upper]
+    for i in range(n):
+        for j in range(i + 1, n):
+            upper[i][j] = rand_laurent(rng, 1, 1)
+            lower[j][i] = rand_unit(rng, 1)
+    g = LaurentMatrix(upper) * LaurentMatrix(lower)
+    _, g_inv_q = det_and_inverse(g.qshift(1))
+    cs = [rng.choice((1, q, 1 / q, 3, Fraction(1, 3))) for _ in range(n)]
+    diag = LaurentMatrix(
+        [
+            [LaurentPoly.monomial(c, rng.randint(-2, 2)) if i == j else ZERO for j in range(n)]
+            for i, c in enumerate(cs)
+        ]
+    )
+    return MatrixModule(g * diag * g_inv_q)
+
+
+@pytest.mark.parametrize("q", [2, 3, Fraction(-1, 2), Fraction(5, 7)])
+def test_probe_equals_the_charpoly_route(q):
+    """The probe against the route that took the nonzero rational
+    eigenvalues of the in-window map as its candidates (`charpoly_probe`),
+    on 52 modules per q: 2 x 2 and 3 x 3 gauge modules, random sigma
+    matrices up to 3 x 3 and companions of sigma-good elements of width 1
+    and 2, at windows 0, 3 and 10 in turn.  The charpoly route is the slow
+    side, up to minutes per probe: at q = 5/7 at window 10, and there on
+    3 x 3 modules at window 3 as well; at any q on 3 x 3 random sigma
+    matrices at window 10.  Those cases take the smaller windows in turn."""
+    q = Fraction(q)
+    rng = random.Random(f"probe-oracle-{q}")
+    found = 0
+    with using_q(q):
+        mods = [(_probe_gauge(rng, 2, q), True) for _ in range(16)]
+        mods += [(_probe_gauge(rng, 3, q), True) for _ in range(10)]
+        mods += [(rand_sigma_matrix(rng), False) for _ in range(16)]
+        mods += [(to_matrix(Good(rand_sigma_good(rng, 2))), False) for _ in range(10)]
+        for t, (T, gauge) in enumerate(mods):
+            if q == Fraction(5, 7):
+                windows = (0, 3) if T.n < 3 else (0,)
+            else:
+                windows = (0, 3) if T.n == 3 and not gauge else (0, 3, 10)
+            window = windows[t % len(windows)]
+            got = line_subbundle_probe(T, range(-2, 3), window)
+            assert got == charpoly_probe(T, range(-2, 3), window), (T, window)
+            found += len(got)
+    assert len(mods) == 52 and found >= 100
+
+
+def _candidates_of(T, k, window):
+    _, orbit, coeffs = _cramer_relation(dual(T))
+    return [(str(c), w) for c, w in _candidates(_adjugate_spans(orbit), coeffs, k, window)]
+
+
+def test_probe_candidates_and_their_windows():
+    """The scalars the probe solves and the window each is solved at.
+    3 z^2 v(qz) = c z^2 v(z) has the solution z^N at c = 3 q^N and no other,
+    so the windows are exactly |N|; the others are pinned as computed, and
+    each window holds every solution at the full window."""
+    with using_q(2):
+        want = sorted((3 * Fraction(2) ** N, abs(N)) for N in range(-10, 11))
+        assert _candidates_of(to_matrix(LineBundle(3, 2)), 2, 10) == [
+            (str(c), w) for c, w in want
+        ]
+        cases = [
+            # [[z, 1], [0, 1]]: v = (z^j, 0) at c = q^j, k = 1; the
+            # adjugate spans (-1, -1) and (0, 0) differ by one step in i
+            (extension_fixture(), 1, 4, [
+                ("1/16", 4), ("1/8", 3), ("1/4", 2), ("1/2", 1), ("1", 0),
+                ("2", 1), ("4", 2), ("8", 3), ("16", 4),
+            ]),
+            (extension_fixture(), 0, 4, []),
+            (extension_fixture(), -1, 4, []),
+            (extension_fixture(), 2, 4, []),
+            # k = -1: the roots at the two ends differ by q^-2, d < 0
+            (MatrixModule(LaurentMatrix.from_strs([["2*z", "z^3"], ["0", "3*z^-1"]])), -1, 4,
+             []),
+            (MatrixModule(LaurentMatrix.from_strs([["2*z", "z^3"], ["0", "3*z^-1"]])), 1, 4, [
+                ("1/8", 4), ("1/4", 4), ("1/2", 4), ("1", 4), ("2", 4), ("4", 3),
+                ("8", 2), ("16", 3), ("32", 4), ("64", 4), ("128", 4), ("256", 4),
+                ("512", 4),
+            ]),
+            (_probe_gauge(random.Random(5), 2, Fraction(2)), -2, 4, [
+                ("3/32", 4), ("3/16", 4), ("3/8", 4), ("3/4", 3), ("3/2", 2), ("3", 1),
+                ("6", 2), ("12", 3), ("24", 4), ("48", 4), ("96", 4),
+            ]),
+            (_probe_gauge(random.Random(5), 2, Fraction(2)), 2, 4, [
+                ("1/192", 4), ("1/96", 4), ("1/48", 4), ("1/24", 3), ("1/12", 2),
+                ("1/6", 1), ("1/3", 2), ("2/3", 3), ("4/3", 4), ("8/3", 4), ("16/3", 4),
+            ]),
+        ]
+        for M, k, window, want in cases:
+            T = to_matrix(M)
+            assert _candidates_of(T, k, window) == want, (T, k)
+            for c, w in want:
+                c = Fraction(c)
+                assert _window_coords(window_eigenspace(T, w, k, c), window) == (
+                    _window_coords(window_eigenspace(T, window, k, c), window)
+                )
+
+
+def test_a_3x3_gauge_probe_at_q_5_7_is_fast():
+    """The charpoly route took 52 s on this probe: its root search walks the
+    divisors of the end coefficients of a 21-square map's characteristic
+    polynomial.  The edge polynomials of the dual relation have degree at
+    most 3.  The answer is the charpoly route's."""
+    q = Fraction(5, 7)
+    with using_q(q):
+        T = _probe_gauge(random.Random("probe-5/7-13"), 3, q)
+        start = time.perf_counter()
+        found = line_subbundle_probe(T, range(-2, 3), window=3)
+        assert time.perf_counter() - start < 2
+    assert _show(found) == [
+        "25/49 -1 z + 9/5*z^2 - 6/5*z^3 ; 9/10 - 4/5*z^2 ; 3/5*z",
+        "5/7 -1 1 + 9/5*z - 6/5*z^2 ; 9/10*z^-1 - 4/5*z ; 3/5",
+        "1 -1 z^-1 + 9/5 - 6/5*z ; 9/10*z^-2 - 4/5 ; 3/5*z^-1",
+        "7/5 -1 z^-2 + 9/5*z^-1 - 6/5 ; 9/10*z^-3 - 4/5*z^-1 ; 3/5*z^-2",
+        "5/21 0 z^2 - 2*z^3 ; 3/2 ; z",
+        "1/3 0 z - 2*z^2 ; 3/2*z^-1 ; 1",
+        "7/15 0 1 - 2*z ; 3/2*z^-2 ; z^-1",
+        "49/75 0 z^-1 - 2 ; 3/2*z^-3 ; z^-2",
+        "5/7 1 z - 1/2*z^2 + 4*z^3 ; -3 - z^2 ; -2*z",
+        "1 1 1 - 1/2*z + 4*z^2 ; -3*z^-1 - z ; -2",
+        "7/5 1 z^-1 - 1/2 + 4*z ; -3*z^-2 - 1 ; -2*z^-1",
+        "49/25 1 z^-2 - 1/2*z^-1 + 4 ; -3*z^-3 - z^-1 ; -2*z^-2",
+    ]
 
 
 def _window_coords(vecs, window):

@@ -12,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qec import ideals, modules
 from qec.aq import parse
@@ -25,6 +26,7 @@ from qec.modules import (
     MatrixModule,
     Torsion,
     _cramer_slopes,
+    dual,
     hom,
     module_from_json,
     rank_A,
@@ -118,6 +120,31 @@ DIRECT_SUM_Q3 = [
     ["0", "-4/3*z", "0"],
     ["-1/2*z + 3/2*z^2", "0", "-1/3"],
 ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from(QS),
+    st.sampled_from(("sigma", "good", "gauge2", "gauge3")),
+)
+def test_the_dual_negates_the_slopes_and_keeps_rank_S(seed, q, kind):
+    # cohomology reads rank_S off the Cramer relation of dual(T) on its
+    # window route: the dual's slopes are T's negated at both ends, and
+    # since the lengths times the slopes sum to deg det T at each end, the
+    # rank does not change
+    rng = random.Random(seed)
+    with using_q(q):
+        if kind == "sigma":
+            T = rand_sigma_matrix(rng)
+        elif kind == "good":
+            T = to_matrix(rand_good(rng))
+        else:
+            T = _gauge_module(rng, [rng.randint(-2, 2) for _ in range(int(kind[-1]))])
+        at_inf, at_zero = slopes(T)
+        negated = tuple(sorted((-lam, n) for lam, n in side) for side in (at_inf, at_zero))
+        assert slopes(dual(T)) == negated
+        assert rank_S(dual(T)) == rank_S(T)
 
 
 def test_rank_S_answers_where_the_search_gave_up():
@@ -261,8 +288,9 @@ def test_cramer_certificate_survives_python_O():
         if modules.rank_S(M) != 1:
             raise SystemExit("wrong rank before corruption")
         modules._det_rows = lambda rows, n: ONE
+        # M keeps the relation it certified; a fresh module recomputes it
         try:
-            modules.slopes(M)
+            modules.slopes(modules.extension_fixture())
         except CertificateFailure as e:
             print("CertificateFailure:", e)
         """
