@@ -11,12 +11,18 @@ when both extreme s-coefficients are units of K[z,z^-1], "z-good" when both
 extreme z-coefficients (z-normal form) are units of K[s,s^-1].
 
 `parse` splits its text into tokens in one regex pass: a run of decimal
-digits (the characters int() reads) or one other non-space character.  A
-monomial atom, and a power of a monomial, is carried as the triple
-(c, a, b) = c z^a s^b in closed form: (c z^a s^b)^n = c^n q^(ab n(n-1)/2)
-z^(an) s^(bn), and (c z^a s^b)^-1 = c^-1 q^(ab) z^-a s^-b.  It becomes an
-AqElement where it meets a sum or a product, and every "*" in the text is
-one AqElement product, so the q-commutation rule has one statement.
+digits (the characters int() reads) or one other non-space character.  One
+grammar builds in the ring the text needs: K[z^±1], as LaurentPoly, when
+no token is "s" (every text `laurent.laurent_from_str` is given for a
+matrix entry), and the quantum torus otherwise.  A monomial atom, and a
+power of a monomial, is carried as the triple (c, a, b) = c z^a s^b in
+closed form: (c z^a s^b)^n = c^n q^(ab n(n-1)/2) z^(an) s^(bn), and
+(c z^a s^b)^-1 = c^-1 q^(ab) z^-a s^-b, with c an int until a Fraction is
+needed.  In K[z^±1] a product of two monomials is one more triple,
+(c z^a)(d z^e) = cd z^(a+e), since the ring is commutative.  In the torus
+a triple becomes an AqElement where it meets a sum or a product, and every
+"*" in the text is one AqElement product, so the q-commutation rule has
+one statement.
 """
 
 from __future__ import annotations
@@ -434,21 +440,32 @@ def _height_bits(c) -> int:
     return max(abs(c.numerator), c.denominator).bit_length() - 1
 
 
-def _width(x: AqElement) -> int:
-    """s-width plus z-width of a nonzero x."""
+def _width(x) -> int:
+    """s-width plus z-width of a nonzero x, an AqElement or a LaurentPoly
+    (s-width 0)."""
+    if type(x) is LaurentPoly:
+        return len(x.nums) - 1
     d = degrees(x)
     return d.deg_sigma + d.deg_z
 
 
-def _sum_span(x: AqElement, y: AqElement) -> int:
+def _span(f: LaurentPoly, g: LaurentPoly) -> int:
+    """z-span, top z-exponent minus bottom plus one, of f + g for nonzero f
+    and g."""
+    return max(f.lo + len(f.nums), g.lo + len(g.nums)) - min(f.lo, g.lo)
+
+
+def _sum_span(x, y) -> int:
     """Widest z-span of x + y at an s-exponent where both x and y have a
-    coefficient (0 if there is none)."""
+    coefficient (0 if there is none); x and y are both AqElements or both
+    LaurentPolys, which hold only s-exponent 0."""
+    if type(x) is LaurentPoly:
+        return _span(x, y) if x.nums and y.nums else 0
     span = 0
     for i, g in y._c.items():
         f = x._c.get(i)
         if f is not None:
-            top = max(f.lo + len(f.nums), g.lo + len(g.nums))
-            span = max(span, top - min(f.lo, g.lo))
+            span = max(span, _span(f, g))
     return span
 
 
@@ -474,6 +491,23 @@ def _product_power_bits(x: AqElement, y: AqElement) -> int:
     return i * j * _height_bits(get_q())
 
 
+def _reciprocal(c):
+    """1/c for a nonzero int or Fraction c: an int when it is one."""
+    n, d = c.numerator, c.denominator
+    if n == 1 or n == -1:
+        return n * d
+    return Fraction(d, n)
+
+
+def _poly(x) -> LaurentPoly:
+    """x as a LaurentPoly; the parser carries a monomial c z^a as the triple
+    (c, a, 0)."""
+    if type(x) is not tuple:
+        return x
+    c, a, _ = x
+    return _trusted(a, (c.numerator,), c.denominator) if c else ZERO
+
+
 def _element(x) -> AqElement:
     """x as an AqElement; the parser carries a monomial c z^a s^b as the
     triple (c, a, b)."""
@@ -488,7 +522,6 @@ def _element(x) -> AqElement:
 # one token: a run of decimal digits (exactly the characters int() reads) or
 # one other character, after any white space; "" at the end of the text
 _TOKEN = re.compile(r"\s*(\d+|\S|$)")
-_ONE = Fraction(1)
 
 
 class _Parser:
@@ -496,27 +529,31 @@ class _Parser:
     term := factor {"*" factor}; factor := ["-"] atom ["^" sint];
     atom := "z" | "s" | "q" | rational | "(" expr ")".
 
-    The text is split into tokens once, and `tok[i]` is the next one.  A
-    monomial atom, or a power of one, stays a triple (c, a, b) = c z^a s^b
-    until a sum or a product needs an AqElement.  A ParseError points at the
-    start of the token that does not fit, or, after `after=True`, at the
-    end of the last token taken."""
+    The text is split into tokens once, and `tok[i]` is the next one.  The
+    ring is chosen from the tokens: K[z^±1], as LaurentPoly, when no token
+    is "s", and the quantum torus, as AqElement, otherwise.  The grammar,
+    the limits and the errors are the same in both.  A monomial atom, or a
+    power of one, is a triple (c, a, b) = c z^a s^b, with b = 0 in
+    K[z^±1], and its coefficient stays an int until a Fraction is needed.
+    In K[z^±1] a product of two monomials is the triple (c d, a + e, 0):
+    the ring is commutative.  In the quantum torus a triple becomes an
+    AqElement where it meets a sum or a product, and every "*" is one
+    AqElement product, so the q-commutation rule keeps its one statement.
+
+    A ParseError points at the start of the token that does not fit, or,
+    after `after=True`, at the end of the last token taken."""
 
     def __init__(self, text):
         self.text = text
         self.tok = _TOKEN.findall(text)
         self.i = 0
+        self.laurent = "s" not in self.tok
+        self.element = _poly if self.laurent else _element
 
     def error(self, msg, after=False):
         # offsets are found only here, by a second pass of the same regex
         spans = [m.span(1) for m in _TOKEN.finditer(self.text)]
         raise ParseError(msg, spans[self.i - 1][1] if after else spans[self.i][0])
-
-    def take(self, ch):
-        if self.tok[self.i] == ch:
-            self.i += 1
-            return True
-        return False
 
     def integer(self):
         t = self.tok[self.i]
@@ -530,15 +567,17 @@ class _Parser:
         return n
 
     def sint(self):
-        neg = self.take("-")
-        n = self.integer()
-        return -n if neg else n
+        if self.tok[self.i] == "-":
+            self.i += 1
+            return -self.integer()
+        return self.integer()
 
     def expr(self):
         x = self.term()
-        while (op := self.tok[self.i]) in ("+", "-"):
+        tok, element = self.tok, self.element
+        while (op := tok[self.i]) == "+" or op == "-":
             self.i += 1
-            x, y = _element(x), _element(self.term())
+            x, y = element(x), element(self.term())
             span = _sum_span(x, y)
             if span > SPAN_LIMIT:
                 self.error(
@@ -549,45 +588,60 @@ class _Parser:
 
     def term(self):
         x = self.factor()
-        while self.take("*"):
-            x, y = _element(x), _element(self.factor())
+        tok, element = self.tok, self.element
+        while tok[self.i] == "*":
+            self.i += 1
+            y = self.factor()
+            if self.laurent and type(x) is tuple and type(y) is tuple:
+                # c z^a * d z^e = c d z^(a + e)
+                x = (x[0] * y[0], x[1] + y[1], 0)
+                continue
+            x, y = element(x), element(y)
             # errors point past y: at the end of its exponent, or, if y ends
             # in ")", at the next token, where the look for "^" ended
-            after = self.tok[self.i - 1] != ")"
-            if not any(f.is_zero() or f.is_unit() for f in (x, y)):
+            if not (x.is_zero() or x.is_unit() or y.is_zero() or y.is_unit()):
                 # x^e is a product of e copies, so a product has the same cap
                 width = _width(x) + _width(y)
                 if width > POWER_WIDTH_LIMIT:
                     self.error(
                         f"product of non-monomials reaches width {width},"
                         f" past the limit {POWER_WIDTH_LIMIT}",
-                        after=after,
+                        after=tok[self.i - 1] != ")",
                     )
-            bits = _product_power_bits(x, y)
-            if bits > POWER_BITS_LIMIT:
-                self.error(
-                    f"product forms a power of q of about {bits} bits,"
-                    f" past the limit {POWER_BITS_LIMIT}",
-                    after=after,
-                )
+            if not self.laurent:
+                bits = _product_power_bits(x, y)
+                if bits > POWER_BITS_LIMIT:
+                    self.error(
+                        f"product forms a power of q of about {bits} bits,"
+                        f" past the limit {POWER_BITS_LIMIT}",
+                        after=tok[self.i - 1] != ")",
+                    )
             x = x * y
         return x
 
     def factor(self):
-        neg = self.take("-")
+        tok = self.tok
+        neg = tok[self.i] == "-"
+        if neg:
+            self.i += 1
         x = self.atom()
-        if self.take("^"):
+        if tok[self.i] == "^":
+            self.i += 1
             e = self.sint()
             if type(x) is not tuple and x.is_unit():
-                ((b, f),) = x._c.items()
-                x = (*f.unit_decompose(), b)
+                if self.laurent:
+                    x = (*x.unit_decompose(), 0)
+                else:
+                    ((b, f),) = x._c.items()
+                    x = (*f.unit_decompose(), b)
             if type(x) is tuple:
                 c, a, b = x
                 if e < 0:
                     if not c:
                         self.error("negative power of a non-unit", after=True)
                     # (c z^a s^b)^-1 = c^-1 q^(ab) z^-a s^-b
-                    c, a, b, e = get_q() ** (a * b) / c, -a, -b, -e
+                    k = a * b
+                    c, a, b, e = get_q() ** k / c if k else _reciprocal(c), -a, -b, -e
                 bits = _monomial_power_bits(c, a, b, e)
                 if bits > POWER_BITS_LIMIT:
                     self.error(
@@ -595,10 +649,13 @@ class _Parser:
                         f" {bits} bits, past the limit {POWER_BITS_LIMIT}",
                         after=True,
                     )
-                # s^b z^a = q^(ab) z^a s^b, so moving every z of the e
-                # copies left past the s's collects q^(ab e(e-1)/2)
-                k = a * b * (e * (e - 1) // 2)
-                x = (c**e * get_q() ** k if k else c**e), a * e, b * e
+                if e != 1:
+                    # s^b z^a = q^(ab) z^a s^b, so moving every z of the e
+                    # copies left past the s's collects q^(ab e(e-1)/2)
+                    k = a * b * (e * (e - 1) // 2)
+                    x = (c**e * get_q() ** k if k else c**e), a * e, b * e
+                else:
+                    x = c, a, b
             else:
                 if e < 0:
                     self.error("negative power of a non-unit", after=True)
@@ -622,33 +679,36 @@ class _Parser:
         if t == "(":
             self.i += 1
             x = self.expr()
-            if not self.take(")"):
+            if self.tok[self.i] != ")":
                 self.error("expected ')'")
+            self.i += 1
             return x
         if t == "z":
             self.i += 1
-            return (_ONE, 1, 0)
+            return (1, 1, 0)
         if t == "s":
             self.i += 1
-            return (_ONE, 0, 1)
+            return (1, 0, 1)
         if t == "q":
             self.i += 1
             return (get_q(), 0, 0)
         if t.isdecimal():
             num = self.integer()
-            if self.take("/"):
+            if self.tok[self.i] == "/":
+                self.i += 1
                 den = self.integer()
                 if den == 0:
                     self.error("zero denominator", after=True)
                 return (Fraction(num, den), 0, 0)
-            return (Fraction(num), 0, 0)
+            return (num, 0, 0)
         self.error("expected atom")
 
     def parse(self):
+        """The element the text denotes, in the parser's ring."""
         x = self.expr()
         if self.tok[self.i]:
             self.error("unexpected trailing input")
-        return _element(x)
+        return self.element(x)
 
 
 def parse(text: str) -> AqElement:
@@ -658,5 +718,7 @@ def parse(text: str) -> AqElement:
     wider than POWER_WIDTH_LIMIT, for a power of a monomial whose
     coefficient would need more than POWER_BITS_LIMIT bits, for a product
     that would form a power of q of more bits than that, and for a sum
-    whose z-span at one s-exponent would pass SPAN_LIMIT."""
-    return _Parser(text).parse()
+    whose z-span at one s-exponent would pass SPAN_LIMIT.  A text with no
+    "s" is built in K[z^±1] and taken into the torus at the end."""
+    x = _Parser(text).parse()
+    return AqElement.from_laurent(x) if type(x) is LaurentPoly else x

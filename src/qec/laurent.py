@@ -454,10 +454,16 @@ def laurent_to_str(f: LaurentPoly, var: str = "z") -> str:
 
 
 def laurent_from_str(text: str) -> LaurentPoly:
-    """Parse a z-only expression (the aq grammar restricted to z)."""
-    from .aq import parse  # local import: aq builds on this module
+    """Parse a sigma-free expression in the grammar of `aq.parse`.
 
-    x = parse(text)
+    A text with no "s" token is built in K[z^±1] alone, as LaurentPoly.
+    One with an "s" is built in the quantum torus and must then equal its
+    s^0 coefficient (so "s*s^-1" is 1), else PreconditionViolation."""
+    from .aq import _Parser  # local import: aq builds on this module
+
+    x = _Parser(text).parse()
+    if type(x) is LaurentPoly:
+        return x
     f = x.coefficient(0)
     if x != x.from_laurent(f):
         raise PreconditionViolation(f"expression is not sigma-free: {text}")

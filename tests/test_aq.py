@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from qec.aq import (
     POWER_BITS_LIMIT,
     POWER_WIDTH_LIMIT,
+    SPAN_LIMIT,
     AqElement,
     degrees,
     epsilon,
@@ -24,7 +25,7 @@ from qec.aq import (
     z_divide,
 )
 from qec.errors import ParseError, PreconditionViolation, ZeroInput
-from qec.laurent import LaurentPoly, laurent_to_str, qshift
+from qec.laurent import LaurentPoly, laurent_from_str, laurent_to_str, qshift
 from qec.samples import rand_aq, rand_laurent, rand_sigma_good
 from qec.scalars import get_q, using_q
 from reference_parser import reference_parse
@@ -170,6 +171,98 @@ def test_parse_matches_the_reference_parser_on_benchmark_texts(q, seed, kind):
     with using_q(q):
         for text in texts:
             _same_as_reference(text)
+
+
+def _same_as_reference_coefficient(text):
+    """laurent_from_str(text) is the reference's s^0 coefficient when the
+    reference element is sigma-free, and refuses it otherwise; a ParseError
+    has the reference's message and position."""
+    try:
+        x = reference_parse(text)
+    except ParseError as e:
+        want = ("error", str(e), e.pos)
+    except ValueError:
+        # the reference's digit test also takes digits int() does not read
+        with pytest.raises(ParseError):
+            laurent_from_str(text)
+        return
+    else:
+        f = x.coefficient(0)
+        if x != AqElement.from_laurent(f):
+            with pytest.raises(PreconditionViolation, match="not sigma-free"):
+                laurent_from_str(text)
+            return
+        want = ("poly", f.lo, f.nums, f.den)
+    try:
+        f = laurent_from_str(text)
+    except ParseError as e:
+        got = ("error", str(e), e.pos)
+    else:
+        assert type(f) is LaurentPoly, text
+        got = ("poly", f.lo, f.nums, f.den)
+    assert got == want, text
+
+
+# the grammar without s: each such text is built in K[z^±1] alone
+_Z_ALPHABET = _PARSE_ALPHABET.replace("s", "")
+_Z_PIECES = [*_Z_ALPHABET, "(1+z^20)", "(z + 2)", "17", "-2", "2000", "(2/3*z^-1)"]
+
+
+@settings(max_examples=600, derandomize=True, deadline=None, database=None)
+@given(q=st.sampled_from([2, 3, Fraction(-1, 2), Fraction(5, 7)]),
+       text=st.one_of(st.text(alphabet=_Z_ALPHABET, max_size=14),
+                      st.lists(st.sampled_from(_Z_PIECES), max_size=8).map("".join)),
+       seed=st.integers(0, 2**32))
+def test_laurent_from_str_matches_the_reference_parser(q, text, seed):
+    desc, _, _ = bench_inputs.gauge_module(random.Random(seed), Fraction(q))
+    with using_q(q):
+        for t in [text, *(e for row in desc["entries"] for e in row)]:
+            _same_as_reference_coefficient(t)
+
+
+_EDGE = POWER_WIDTH_LIMIT // 2
+
+
+@pytest.mark.parametrize("text", [
+    # monomials in K[z^±1]: a product whose left factor has a z-exponent, a
+    # power of a product, a power of a sum that is a unit, a non-monomial
+    # times a monomial
+    "z*z^-3*2", "(2*z)^3", "(2/3*z^-1)^-2", "(z + z)^3", "(z + z)^-2",
+    "(1 + z)*2*z", "3*z*(z - 1)",
+    # inverses of coefficients with numerator -1, 1, -2 in both rings
+    "(-2*z)^-1", "(-1/3*z)^-1", "(1/3*s)^-1", "(-2/3*s)^-2",
+    # exactly at the width limit in both rings, at the bit limit (at q = 2,
+    # s^64*z^128 forms q^(64*128) = q^POWER_BITS_LIMIT) and at the span limit
+    f"(1 + z^{_EDGE})^2", f"(1 + z^{_EDGE})*(1 + z^{_EDGE})", f"(1 + s^{_EDGE})^2",
+    "s^64*z^128", f"1 + z^{SPAN_LIMIT - 1}",
+])
+def test_parse_at_the_ring_and_limit_edges_matches_the_reference_parser(text):
+    with using_q(2):
+        _same_as_reference(text)
+        _same_as_reference_coefficient(text)
+
+
+def test_a_sum_past_the_span_limit_is_refused_in_both_rings():
+    n = SPAN_LIMIT - 1
+    for text in (f"z^-1 + z^{n}", f"z^{n} + z^-1", f"z^-1*s + z^{n}*s", f"z^{n}*s - z^-1*s"):
+        for parse_text in (parse, laurent_from_str):
+            with pytest.raises(ParseError, match=rf"sum reaches z-span {SPAN_LIMIT + 1}, past"):
+                parse_text(text)
+    assert len(laurent_from_str(f"z^-1 + z^{n - 1}").nums) == SPAN_LIMIT
+    assert parse(f"z^{n - 1}*s + z^-1*s").sigma_support() == [1]
+
+
+@pytest.mark.parametrize("text, want", [
+    ("s*s^-1", "1"), ("s*z*s^-1", "2*z"), ("z + s - s", "z"), ("s + 1", None),
+])
+def test_laurent_from_str_with_an_s_goes_through_the_torus(text, want):
+    _same_as_reference_coefficient(text)
+    if want is None:
+        with pytest.raises(PreconditionViolation) as e:
+            laurent_from_str(text)
+        assert str(e.value) == f"expression is not sigma-free: {text}"
+    else:
+        assert laurent_to_str(laurent_from_str(text)) == want
 
 
 @pytest.mark.parametrize(

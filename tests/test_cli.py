@@ -23,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import qec.cli
+import qec.modules
 import qec.suites
 from qec.aq import POWER_BITS_LIMIT, POWER_WIDTH_LIMIT, SPAN_LIMIT, AqElement, to_str
 from qec.cli import main
@@ -633,6 +634,25 @@ def test_certificate_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(qec.cli, "cohomology", broken)
     code, out, err = run(capsys, "coh", MATRIX_DESC)
     assert (code, out, err) == (1, "", "error: window solution fails\n")
+
+
+def test_pic_eq_certificate_failure_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(qec.modules, "q_power_class", lambda c: None)
+    code, out, err = run(capsys, "pic", "eq", L32_DESC, L32_DESC)
+    assert (code, out) == (1, "")
+    assert err == "error: orbit representatives disagree with 1\n"
+
+
+def test_euler_certificate_failure_exits_1(capsys, monkeypatch):
+    # halved slopes: L(1, 3) against O then sums to 3/2, no integer
+    # (the package exports the function cohomology under the module's name)
+    module = sys.modules["qec.cohomology"]
+    real = module.slopes
+    monkeypatch.setattr(module, "slopes", lambda M: tuple(
+        [(lam / 2, n) for lam, n in polygon] for polygon in real(M)))
+    code, out, err = run(capsys, "euler", L13_DESC, O_DESC)
+    assert (code, out) == (1, "")
+    assert err == "error: slope sum 3/2 is not an integer\n"
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import qec.duality
 from qec.aq import degrees, epsilon, parse
 from qec.duality import (
     GoodNormalForm,
@@ -24,7 +25,7 @@ from qec.duality import (
     pi_product,
     right_partition_sum,
 )
-from qec.errors import PreconditionViolation, SearchExhausted
+from qec.errors import CertificateFailure, PreconditionViolation, SearchExhausted
 from qec.cohomology import cohomology, fixed_space
 from qec.laurent import ONE, LaurentPoly
 from qec.modules import (
@@ -71,6 +72,31 @@ def test_normalize_good_rejects_non_good():
         normalize_good(parse("(1+z)*s + 1"))
     with pytest.raises(PreconditionViolation):
         GoodNormalForm((LaurentPoly(0, [1, 1]),))
+
+
+def test_normalize_good_rejects_a_wrong_normal_form(monkeypatch):
+    real = qec.duality.good_normal_coeffs
+
+    def doubled_p0(p):
+        u, coeffs = real(p)
+        return u, [2 * coeffs[0], *coeffs[1:]]
+
+    monkeypatch.setattr(qec.duality, "good_normal_coeffs", doubled_p0)
+    with pytest.raises(CertificateFailure, match="is not its normal form"):
+        normalize_good(parse("s^2 - 3*s + 2"))
+
+
+def test_good_dual_rejects_a_dual_generator_of_other_widths(monkeypatch):
+    monkeypatch.setattr(qec.duality, "epsilon", lambda x: epsilon(x) * parse("1 + z"))
+    with pytest.raises(CertificateFailure, match="changed the widths"):
+        good_dual(parse("s^2 - 3*s + 2"))
+
+
+def test_good_dual_rejects_a_dual_generator_that_is_not_sigma_good(monkeypatch):
+    # same widths (2, 1) as p, but the top coefficient 1 + z is no unit
+    monkeypatch.setattr(qec.duality, "epsilon", lambda x: parse("(1 + z)*s^2 + 1"))
+    with pytest.raises(CertificateFailure, match="is not sigma-good"):
+        good_dual(parse("s^2 + (1 + z)*s + 1"))
 
 
 def test_good_dual_two_generator_example():

@@ -9,7 +9,10 @@ from pathlib import Path
 import pytest
 
 from qec.aq import AqElement, degrees, parse
-from qec.errors import NonSplitSpectrum, ParseError, PreconditionViolation, ZeroInput
+import qec.modules
+from qec.errors import (
+    CertificateFailure, NonSplitSpectrum, ParseError, PreconditionViolation, ZeroInput
+)
 from qec.laurent import ZERO, LaurentMatrix, LaurentPoly, laurent_to_str
 from qec.linalg import jordan_structure_constant, nullspace, shift_rows
 from qec.modules import (
@@ -38,6 +41,7 @@ from qec.modules import (
     tensor,
     to_matrix,
     torsion_tensor_rank_check,
+    _whole,
     window_eigenspace,
 )
 from qec.samples import (
@@ -247,6 +251,24 @@ def test_pic_group():
         # representative normalizes against 1/q when |q| < 1
         assert pic_class(LineBundle(9, 0)) == PicClass(1, 0)
         assert pic_trivial(LineBundle(Fraction(1, 27), 0))
+
+
+def test_pic_eq_rejects_orbit_representatives_that_disagree(monkeypatch):
+    # at q = 2: equal representatives (3/2) whose ratio is said to lie off
+    # q^Z, and different ones (3/2 and 5/4) whose ratio is said to lie on it
+    monkeypatch.setattr(qec.modules, "q_power_class", lambda c: None)
+    with pytest.raises(CertificateFailure, match="orbit representatives disagree with 1"):
+        pic_eq(LineBundle(3, 2), LineBundle(6, 2))
+    monkeypatch.setattr(qec.modules, "q_power_class", lambda c: 0)
+    with pytest.raises(CertificateFailure, match="orbit representatives disagree with 6/5"):
+        pic_eq(LineBundle(3, 2), LineBundle(5, 2))
+
+
+def test_a_rank_read_off_slopes_must_be_whole():
+    assert _whole(Fraction(6, 3)) == 2
+    assert type(_whole(Fraction(6, 3))) is int
+    with pytest.raises(CertificateFailure, match="slope sum 1/2 is not an integer"):
+        _whole(Fraction(1, 2))
 
 
 def test_pic_random_group_laws(rng):
