@@ -354,6 +354,11 @@ def unit_normalize(x: AqElement) -> AqElement:
 # -- division -----------------------------------------------------------------
 
 
+def _s_width(x: AqElement) -> int:
+    """Top minus bottom s-exponent of a nonzero x."""
+    return max(x._c) - min(x._c)
+
+
 def sigma_divide(r: AqElement, w: AqElement, bottom: bool = False):
     """Left division in s-normal form: returns (g, h, rem) with g in K[z,z^-1],
     g*r = h*w + rem, and deg_sigma(rem) < deg_sigma(w).
@@ -362,31 +367,62 @@ def sigma_divide(r: AqElement, w: AqElement, bottom: bool = False):
     bottom.  g is a product of shifts of the eliminated extreme coefficient of
     w, hence a unit whenever that coefficient is a unit.  Zero dividend gives
     (1, 0, 0).
+
+    In place and fraction-free (pseudo-division): with w_k the eliminated
+    coefficient of w and c that of the remainder, at l, a step multiplies
+    the remainder by factor = qshift(w_k, l - k) and subtracts c s^(l-k) w.
+    c is popped with no arithmetic: factor*c = c*qshift(w_k, l - k) in the
+    commutative K[z^±1].  The shifts move one way, so h = sum_m c_m
+    (factor_(m+1) ... factor_last) s^shift_m and g = the product of the
+    factors are built in one backward pass after the loop: O(steps^2)
+    coefficient products, where rescaling h at each step took O(steps^3).
     """
     if w.is_zero():
         raise PreconditionViolation("division by zero")
     if r.is_zero():
         return ONE, AqElement.zero(), AqElement.zero()
-    dw = degrees(w).deg_sigma
-    if degrees(r).deg_sigma < dw:
+    dw = _s_width(w)
+    if _s_width(r) < dw:
         raise PreconditionViolation("divisor has larger sigma-degree than dividend")
-    wsup = w.sigma_support()
-    k = wsup[0] if bottom else wsup[-1]
-    wk = w.coefficient(k)
-    g_total = ONE
-    h_total = AqElement.zero()
-    cur = r
-    while not cur.is_zero():
-        csup = cur.sigma_support()
-        if csup[-1] - csup[0] < dw:
+    k = min(w._c) if bottom else max(w._c)
+    wk = w._c[k]
+    if wk == ONE:
+        wk = ONE  # qshift returns a constant itself, so every factor is ONE
+    others = [(j, f) for j, f in w._c.items() if j != k]
+    cur = dict(r._c)
+    steps = []
+    while cur:
+        top, bot = max(cur), min(cur)
+        if top - bot < dw:
             break
-        l = csup[0] if bottom else csup[-1]
-        factor = qshift(wk, l - k)
-        piece = AqElement({l - k: cur.coefficient(l)})
-        cur = factor * cur - piece * w
-        g_total = factor * g_total
-        h_total = factor * h_total + piece
-    return g_total, h_total, cur
+        l = bot if bottom else top
+        shift = l - k
+        c = cur.pop(l)
+        factor = qshift(wk, shift)
+        if factor is not ONE:
+            for i, f in cur.items():
+                cur[i] = factor * f
+        for j, f in others:
+            i = shift + j
+            piece = c * qshift(f, shift)
+            old = cur.get(i)
+            if old is None:
+                cur[i] = -piece
+            else:
+                diff = old - piece
+                if diff.nums:
+                    cur[i] = diff
+                else:
+                    del cur[i]
+        steps.append((shift, c, factor))
+    g, h = ONE, {}
+    for shift, c, factor in reversed(steps):
+        h[shift] = c if g is ONE else c * g
+        if factor is not ONE:
+            g = factor if g is ONE else factor * g
+    quotient, rem = AqElement.__new__(AqElement), AqElement.__new__(AqElement)
+    quotient._c, rem._c = h, cur
+    return g, quotient, rem
 
 
 def z_divide(r: AqElement, w: AqElement, bottom: bool = False):
@@ -395,15 +431,16 @@ def z_divide(r: AqElement, w: AqElement, bottom: bool = False):
     deg_z(rem) < deg_z(w).
 
     This is sigma_divide on the fourier images, pulled back along
-    fourier^-1, which sends y_j(z) s^j to y_j(s^-1) z^j."""
+    fourier^-1, which sends y_j(z) s^j to y_j(s^-1) z^j.  fourier carries
+    z-widths to s-widths, so the widths are checked on the images."""
     if w.is_zero():
         raise PreconditionViolation("division by zero")
     if r.is_zero():
         return ONE, AqElement.zero(), AqElement.zero()
-    dw = degrees(w).deg_z
-    if degrees(r).deg_z < dw:
+    fr, fw = fourier(r), fourier(w)
+    if _s_width(fr) < _s_width(fw):
         raise PreconditionViolation("divisor has larger z-degree than dividend")
-    g, h, rem = sigma_divide(fourier(r), fourier(w), bottom)
+    g, h, rem = sigma_divide(fr, fw, bottom)
 
     def back(y):
         return from_z_form({j: _reflect(f) for j, f in y.terms()})

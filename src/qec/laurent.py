@@ -453,13 +453,19 @@ def laurent_to_str(f: LaurentPoly, var: str = "z") -> str:
     return _terms_to_str((c, ((var, k),)) for k, c in f.terms())
 
 
+# `aq._Parser`, bound by the first `laurent_from_str`
+_Parser = None
+
+
 def laurent_from_str(text: str) -> LaurentPoly:
     """Parse a sigma-free expression in the grammar of `aq.parse`.
 
     A text with no "s" token is built in K[z^±1] alone, as LaurentPoly.
     One with an "s" is built in the quantum torus and must then equal its
     s^0 coefficient (so "s*s^-1" is 1), else PreconditionViolation."""
-    from .aq import _Parser  # local import: aq builds on this module
+    global _Parser
+    if _Parser is None:
+        from .aq import _Parser  # imported on first use: aq builds on this module
 
     x = _Parser(text).parse()
     if type(x) is LaurentPoly:

@@ -173,6 +173,17 @@ def test_powers_up_to_the_width_limit_and_monomial_powers_expand(capsys):
     assert run(capsys, "eval", "z^100000000000000")[:2] == (0, "z^100000000000000\n")
 
 
+def _child(code):
+    """Run `code` in a fresh Python with this checkout's src on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
 def test_a_sum_past_the_span_limit_is_a_parse_error_under_a_memory_cap():
     # a coefficient is stored densely, so without the cap "1 + z^N" asks for
     # N cells; the child runs under a 1 GB address space so a regression
@@ -188,13 +199,7 @@ def test_a_sum_past_the_span_limit_is_a_parse_error_under_a_memory_cap():
         sys.exit(rc if time.perf_counter() - start < 1.0 else 3)
         """
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
+    proc = _child(code)
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert proc.stderr == (
         f"error: sum reaches z-span 1000000001, past the limit {SPAN_LIMIT} (at position 16)\n"
@@ -225,13 +230,7 @@ def test_a_product_forming_a_huge_power_of_q_is_refused_at_once():
         sys.exit(rc if time.perf_counter() - start < 1.0 else 3)
         """
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
+    proc = _child(code)
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert proc.stderr.startswith("error: product forms a power of q")
     assert proc.stderr.count("\n") == 1
@@ -259,6 +258,26 @@ def test_result_past_the_digit_limit_is_a_usage_error(capsys):
     code, out, err = run(capsys, "eval", "2^8000*2^8000")
     assert (code, out) == (2, "")
     assert err.startswith("error: scalar has more than") and err.count("\n") == 1
+
+
+def test_a_division_past_the_digit_limit_is_refused_within_a_second():
+    # g is the product of 200 q-shifts of 1 + z, so the answer has more
+    # digits than Python prints; the loop that rescaled the quotient at
+    # every step took seconds to reach that refusal.  The child exits 3 in
+    # place of the CLI's code if it took a second or more
+    code = textwrap.dedent(
+        """
+        import sys, time
+        from qec.cli import main
+        start = time.perf_counter()
+        rc = main(["div", "s^200 + 1", "(1+z)*s + 1"])
+        sys.exit(rc if time.perf_counter() - start < 1.0 else 3)
+        """
+    )
+    proc = _child(code)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("error: scalar has more than")
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(
