@@ -386,8 +386,6 @@ def sigma_divide(r: AqElement, w: AqElement, bottom: bool = False):
         raise PreconditionViolation("divisor has larger sigma-degree than dividend")
     k = min(w._c) if bottom else max(w._c)
     wk = w._c[k]
-    if wk == ONE:
-        wk = ONE  # qshift returns a constant itself, so every factor is ONE
     others = [(j, f) for j, f in w._c.items() if j != k]
     cur = dict(r._c)
     steps = []
@@ -399,9 +397,8 @@ def sigma_divide(r: AqElement, w: AqElement, bottom: bool = False):
         shift = l - k
         c = cur.pop(l)
         factor = qshift(wk, shift)
-        if factor is not ONE:
-            for i, f in cur.items():
-                cur[i] = factor * f
+        for i, f in cur.items():
+            cur[i] = factor * f
         for j, f in others:
             i = shift + j
             piece = c * qshift(f, shift)
@@ -418,8 +415,7 @@ def sigma_divide(r: AqElement, w: AqElement, bottom: bool = False):
     g, h = ONE, {}
     for shift, c, factor in reversed(steps):
         h[shift] = c if g is ONE else c * g
-        if factor is not ONE:
-            g = factor if g is ONE else factor * g
+        g = factor if g is ONE else factor * g
     quotient, rem = AqElement.__new__(AqElement), AqElement.__new__(AqElement)
     quotient._c, rem._c = h, cur
     return g, quotient, rem
