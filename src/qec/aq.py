@@ -234,26 +234,37 @@ def fourier(x: AqElement) -> AqElement:
 
     c z^j s^i |-> c s^j z^-i = c q^(-ij) z^-i s^j, so the coefficient of s^j
     in the image has the coefficient of z^j of qshift(x_i, -i) at z^-i: the
-    rows qshift(x_i, -i), i from the top down, transposed.  Each (i, j)
-    occurs once in x, and each column j taken holds a nonzero entry.  The
-    rows are brought to one denominator first, so a column is numerators
-    over it, reduced once."""
+    rows qshift(x_i, -i), i from the top down, transposed by `_transpose`.
+    Each (i, j) occurs once in x, and each column j taken holds a nonzero
+    entry."""
+    return _transpose(x, 1)
+
+
+def _transpose(x: AqElement, sign: int) -> AqElement:
+    """The element whose coefficient of s^(sign a) holds, at z^(-sign i),
+    the coefficient of z^a of qshift(x_i, -i): `fourier` for sign = 1 and
+    its inverse for sign = -1.  The rows are brought to one denominator
+    first, so a column is numerators over it, reduced once."""
     if x.is_zero():
         return x
     top, bot = max(x._c), min(x._c)
-    rows = [qshift(x.coefficient(i), -i) for i in range(top, bot - 1, -1)]
+    if sign > 0:
+        order, lo = range(top, bot - 1, -1), -top
+    else:
+        order, lo = range(bot, top + 1), bot
+    rows = [qshift(x.coefficient(i), -i) for i in order]
     den = lcm(*[f.den for f in rows])
     columns = {}
     for r, f in enumerate(rows):
         scale = den // f.den
-        for j, n in enumerate(f.nums, f.lo):
+        for a, n in enumerate(f.nums, f.lo):
             if n:
-                column = columns.get(j)
+                column = columns.get(a)
                 if column is None:
-                    column = columns[j] = [0] * len(rows)
+                    column = columns[a] = [0] * len(rows)
                 column[r] = n * scale
     out = AqElement.__new__(AqElement)
-    out._c = {j: _reduced(*_trim(-top, column), den) for j, column in columns.items()}
+    out._c = {sign * a: _reduced(*_trim(lo, column), den) for a, column in columns.items()}
     return out
 
 
@@ -428,7 +439,11 @@ def z_divide(r: AqElement, w: AqElement, bottom: bool = False):
 
     This is sigma_divide on the fourier images, pulled back along
     fourier^-1, which sends y_j(z) s^j to y_j(s^-1) z^j.  fourier carries
-    z-widths to s-widths, so the widths are checked on the images."""
+    z-widths to s-widths, so the widths are checked on the images.  h and
+    rem are pulled back by one transposition each (`_transpose`):
+    c z^a s^j |-> c s^-a z^j = c q^(-aj) z^j s^-a, so the rows are
+    qshift(y_j, -j) and the entry at z^a of row j goes to z^j s^-a.  g is
+    in K[z^±1], on which fourier^-1 is z |-> s^-1: g(s^-1)."""
     if w.is_zero():
         raise PreconditionViolation("division by zero")
     if r.is_zero():
@@ -437,11 +452,7 @@ def z_divide(r: AqElement, w: AqElement, bottom: bool = False):
     if _s_width(fr) < _s_width(fw):
         raise PreconditionViolation("divisor has larger z-degree than dividend")
     g, h, rem = sigma_divide(fr, fw, bottom)
-
-    def back(y):
-        return from_z_form({j: _reflect(f) for j, f in y.terms()})
-
-    return _reflect(g), back(h), back(rem)
+    return _reflect(g), _transpose(h, -1), _transpose(rem, -1)
 
 
 # -- text form ----------------------------------------------------------------
@@ -700,6 +711,16 @@ class _Parser:
                             f" past the limit {POWER_WIDTH_LIMIT}",
                             after=True,
                         )
+                    if not self.laurent:
+                        # each of the e(e-1)/2 pairs of copies forms at
+                        # most the power of q that one product x * x does
+                        bits = _product_power_bits(x, x) * (e * (e - 1) // 2)
+                        if bits > POWER_BITS_LIMIT:
+                            self.error(
+                                f"power of a non-monomial forms a power of q of"
+                                f" about {bits} bits, past the limit {POWER_BITS_LIMIT}",
+                                after=True,
+                            )
                 x = x**e
         if not neg:
             return x
@@ -749,8 +770,9 @@ def parse(text: str) -> AqElement:
     q resolves to the ambient session value.  ParseError for a power of a
     non-monomial, or a product of two non-monomials, whose support would be
     wider than POWER_WIDTH_LIMIT, for a power of a monomial whose
-    coefficient would need more than POWER_BITS_LIMIT bits, for a product
-    that would form a power of q of more bits than that, and for a sum
+    coefficient would need more than POWER_BITS_LIMIT bits, for a product,
+    or a power of a non-monomial, that would form a power of q of more bits
+    than that, and for a sum
     whose z-span at one s-exponent would pass SPAN_LIMIT.  A text with no
     "s" is built in K[z^±1] and taken into the torus at the end."""
     x = _Parser(text).parse()

@@ -356,32 +356,67 @@ def qshift(f: LaurentPoly, k: int) -> LaurentPoly:
     k, however large.
 
     With q = u/v in lowest terms, the numerator of z^(lo + i) is scaled by
-    q^e_i, e_i = k (lo + i).  Over the common denominator u^-a v^b, where
-    a = min(0, min_i e_i) and b = max(0, max_i e_i), that is the integer
+    q^e_i, e_i = k (lo + i).  The end exponents are k lo and k (lo + n - 1),
+    lowest first when k > 0.  Over the common denominator u^-a v^b, where
+    a = min(0, lowest) and b = max(0, highest), that is the integer
     u^(e_i - a) v^(b - e_i): a constant c times s^i t^(n - 1 - i), where
-    (s, t) = (u^k, v^k) for k > 0 and (v^-k, u^-k) for k < 0, so the scale
-    walks up the numerators by one exact division by t and one product by
-    s."""
+    (s, t) = (u^k, v^k) for k > 0 and (v^-k, u^-k) for k < 0.
+
+    The scale walks the numerators with products only when one of s and t
+    is +-1, that is when q or 1/q is an integer (2, 3 and -1/2, say), since
+    then 1/t = t or 1/s = s: up from c t^(n - 1) by s t when t = +-1, down
+    from c s^(n - 1) by s t when s = +-1.  Any other q (5/7, say) walks up
+    from c t^(n - 1) by one exact division by t and one product by s."""
     nums, lo = f.nums, f.lo
     if k == 0 or not nums or (lo == 0 and len(nums) == 1):
         return f
     q = get_q()
     u, v = q.numerator, q.denominator
-    e0, e1 = k * lo, k * (lo + len(nums) - 1)
-    lowest, highest = min(e0, e1), max(e0, e1)
-    den = f.den * u ** max(-lowest, 0) * v ** max(highest, 0)
-    scale = u ** max(lowest, 0) * v ** max(-highest, 0)
+    top = len(nums) - 1
+    if k > 0:
+        lowest, highest = k * lo, k * (lo + top)
+    else:
+        lowest, highest = k * (lo + top), k * lo
+    den = f.den
+    if lowest < 0:
+        den *= u**-lowest
+        scale = 1
+    else:
+        scale = u**lowest
+    if v != 1:
+        if highest > 0:
+            den *= v**highest
+        else:
+            scale *= v**-highest
     if den < 0:  # an odd power of a negative u
         den, scale = -den, -scale
-    if len(nums) == 1:
+    if not top:
         return _reduced(lo, (nums[0] * scale,), den)
     s, t = (u**k, v**k) if k > 0 else (v**-k, u**-k)
-    scale *= t ** (len(nums) - 1)
-    out = []
-    for x in nums[:-1]:
-        out.append(x * scale)
-        scale = scale // t * s
-    out.append(nums[-1] * scale)
+    if t == 1 or t == -1:
+        step = s * t
+        if t < 0 and top % 2:
+            scale = -scale
+        out = [nums[0] * scale]
+        for x in nums[1:]:
+            scale *= step
+            out.append(x * scale)
+    elif s == 1 or s == -1:
+        step = s * t
+        if s < 0 and top % 2:
+            scale = -scale
+        out = [nums[top] * scale]
+        for x in nums[-2::-1]:
+            scale *= step
+            out.append(x * scale)
+        out.reverse()
+    else:
+        scale *= t**top
+        out = []
+        for x in nums[:-1]:
+            out.append(x * scale)
+            scale = scale // t * s
+        out.append(nums[-1] * scale)
     return _reduced(lo, out, den)
 
 
@@ -655,13 +690,26 @@ def echelon(rows):
 
 
 def _det_rows(rows, n):
-    """Determinant of n x n rows: the signed last pivot, or zero below rank n."""
+    """Determinant of n x n rows.  Up to 2 x 2 it is the closed form: the
+    entry, or a d - b c, with no elimination; this serves `det`, every
+    entry of the adjugate of a 2 x 2 or 3 x 3 matrix (`_minors`) and the
+    n + 1 Cramer minors of a 2 x 2 module.  From 3 x 3 on it is the signed
+    last pivot of Bareiss `echelon`, or zero below rank n.  3 x 3 stays on
+    the elimination on purpose: the 3 x 3 determinants of the ring-level
+    benchmark are where it reaches `divexact`, whose per-layer figure a
+    closed form would empty.  The empty minor of a 1 x 1 matrix is one."""
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    if n < 2:
+        return rows[0][0] if n else ONE
     pivots, _, sign, last = echelon(rows)
     return (last if sign > 0 else -last) if len(pivots) == n else ZERO
 
 
 def det(mat: LaurentMatrix) -> LaurentPoly:
-    """Determinant: the signed last pivot of `echelon`."""
+    """Determinant: a closed form up to 2 x 2, the signed last pivot of
+    `echelon` beyond (`_det_rows`)."""
     return _det_rows(mat.rows, mat.n)
 
 

@@ -127,6 +127,13 @@ class _Parser:
                         f"power of a non-monomial reaches width {width},"
                         f" past the limit {POWER_WIDTH_LIMIT}"
                     )
+                # x^e forms q^(i j) for each pair of its e copies
+                bits = _product_power_bits(x, x) * (e * (e - 1) // 2)
+                if bits > POWER_BITS_LIMIT:
+                    self.error(
+                        f"power of a non-monomial forms a power of q of about {bits}"
+                        f" bits, past the limit {POWER_BITS_LIMIT}"
+                    )
             x = x**e
         return -x if neg else x
 

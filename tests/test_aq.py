@@ -111,6 +111,28 @@ def test_parse_power_limits_are_strict():
             parse(text)
 
 
+def test_a_power_of_a_non_monomial_is_refused_past_the_bit_limit():
+    # x = (z^127 + z^128) s^b has width 1, |s-exponent| b and |z-exponent|
+    # 128, so x^2 forms q^(128 b): at q = 2 that is POWER_BITS_LIMIT bits for
+    # b = 64, and x^3 forms at most three times as many
+    assert 64 * 128 == POWER_BITS_LIMIT
+    with using_q(2):
+        at_limit = parse("((z^127 + z^128)*s^64)^2")
+        x = parse("(z^127 + z^128)*s^64")
+        assert at_limit == x * x
+        texts = ["((z^127 + z^128)*s^65)^2", "((z^127 + z^128)*s^64)^3",
+                 "((z^127 + z^128)*s^-65)^2", "((z^-128 + z^-127)*s^65)^2"]
+        for text in texts:
+            with pytest.raises(ParseError, match="power of a non-monomial forms a power of q"):
+                parse(text)
+            _same_as_reference(text)
+        # no power of q forms in K[z^±1]
+        assert laurent_from_str("((z^127 + z^128)*z^6500)^2").nums == (1, 2, 1)
+    with using_q(Fraction(10**400 + 1, 10**400 - 3)):
+        with pytest.raises(ParseError, match=r"about 159360 bits.* \(at position 14\)"):
+            parse("(1+z+s+z*s)^16")
+
+
 def _parse_outcome(parse_text, text):
     """The element as its monomials, or the ParseError's message and pos."""
     try:

@@ -280,6 +280,26 @@ def test_a_division_past_the_digit_limit_is_refused_within_a_second():
     assert proc.stderr.count("\n") == 1
 
 
+def test_a_power_of_a_non_monomial_at_a_huge_q_is_refused_within_a_second():
+    # at a q of about 1,330 bits the 16th power forms q^120, far past the
+    # digit limit; expanding it took seconds to reach that refusal.  The
+    # child exits 3 in place of the CLI's code if it took a second or more
+    code = textwrap.dedent(
+        """
+        import sys, time
+        from qec.cli import main
+        q = f"{10**400 + 1}/{10**400 - 3}"
+        start = time.perf_counter()
+        rc = main(["--q", q, "eval", "(1+z+s+z*s)^16"])
+        sys.exit(rc if time.perf_counter() - start < 1.0 else 3)
+        """
+    )
+    proc = _child(code)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("error: power of a non-monomial forms a power of q")
+    assert proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "expr",
     ["(2*z)^100000000000", "(z*s)^100000000000", "2^100000000000",

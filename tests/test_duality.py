@@ -213,6 +213,56 @@ def test_dual_certificate(rng):
         assert dual_certificate(rand_sigma_good(rng, t_max=3), extra=4)
 
 
+def _planted(real, bad):
+    """`real` with ONE added to its value at the argument `bad` alone."""
+
+    def fault(*args):
+        value = real(*args)
+        return value + ONE if args[-1] == bad else value
+
+    return fault
+
+
+def test_is_unitriangular_rejects_one_planted_table_entry(monkeypatch):
+    _, nf = normalize_good(parse("s^3 + z*s + 2"))
+    real = PairingTable.table
+    assert nf.t == 3 and PairingTable(nf).is_unitriangular()
+    # the diagonal and every entry above it are checked; below it f is free
+    for i in range(3):
+        for j in range(3):
+            def faulty(self, i=i, j=j):
+                tab = real(self)
+                tab[i][j] = tab[i][j] + ONE
+                return tab
+
+            monkeypatch.setattr(PairingTable, "table", faulty)
+            assert PairingTable(nf).is_unitriangular() is (i > j), (i, j)
+
+
+def test_dual_certificate_rejects_a_planted_fault(monkeypatch):
+    p, extra = parse("s^2 - 3*s + 2"), 6
+    _, nf = normalize_good(p)
+    last = nf.t + extra
+    assert dual_certificate(p, extra)
+    # a fault at either end of a check's sweep is caught; one just past an
+    # end is not read, so the certificate still holds
+    sweeps = [
+        (qec.duality, "closed_form_value", nf.t),
+        (qec.duality, "right_partition_sum", 1),
+        (qec.duality, "left_partition_sum", 1),
+        (PairingTable, "annihilation_sum", -last),
+    ]
+    for owner, name, first in sweeps:
+        for s, holds in ((first, False), (last, False), (first - 1, True), (last + 1, True)):
+            with monkeypatch.context() as m:
+                m.setattr(owner, name, _planted(getattr(owner, name), s))
+                assert dual_certificate(p, extra) is holds, (name, s)
+    # the pairing table is read at all, and first
+    monkeypatch.setattr(PairingTable, "is_unitriangular", lambda self: False)
+    monkeypatch.setattr(qec.duality, "closed_form_value", None)
+    assert dual_certificate(p, extra) is False
+
+
 def test_double_dual_constant_coefficients_literal():
     p = parse("s^2 - 3*s + 2")
     assert double_dual_twist(p) == normalize_good(p)[1].element()

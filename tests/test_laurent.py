@@ -12,6 +12,7 @@ from qec.laurent import (
     Z,
     LaurentMatrix,
     LaurentPoly,
+    _minors,
     det,
     det_and_inverse,
     divexact,
@@ -99,6 +100,22 @@ def test_qshift_is_substitution(rng):
     with using_q(Fraction(-3, 2)):
         f = LaurentPoly(-1, (1, 0, 2))
         assert qshift(f, 2).eval(x) == f.eval(Fraction(9, 4) * x)
+    # every walk of the scale at each sign of k and widths 1 to 5: q an
+    # integer (up from the bottom for k > 0, down from the top for k < 0),
+    # 1/q an integer (the other way round, by a negative step at q = -1/2
+    # and odd k), and neither, with a numerator 2 or -2 that is no unit
+    qs = (2, -3, Fraction(-1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(-2, 3), Fraction(5, 7))
+    for q in qs:
+        with using_q(q):
+            for lo in (-2, 0, 1):
+                for width in range(1, 6):
+                    cs = [Fraction((-1) ** i * (i + 2), 3) for i in range(width)]
+                    if width == 4:
+                        cs[1] = cs[2] = 0
+                    f = LaurentPoly(lo, cs)
+                    for k in range(-3, 4):
+                        want = [c * Fraction(q) ** (k * (lo + i)) for i, c in enumerate(cs)]
+                        assert qshift(f, k) == LaurentPoly(lo, want), (q, lo, width, k)
 
 
 def test_shift_multiplies_by_z_power():
@@ -418,10 +435,23 @@ def _det_cofactor(rows):
 
 
 def test_det_against_cofactor_expansion(rng):
-    for n in (1, 2, 3, 4):
-        for _ in range(6):
-            a = _rand_matrix(rng, n)
-            assert det(a) == _det_cofactor([list(r) for r in a.rows])
+    mats = [_rand_matrix(rng, n) for n in (1, 2, 3, 4) for _ in range(6)]
+    # a zero (0, 0) entry, where Bareiss would swap the rows and flip the
+    # sign, and a singular 2 x 2
+    mats += [LaurentMatrix.from_strs([["0", "1 + z"], ["2*z^-1", "3"]]),
+             LaurentMatrix.from_strs([["1 + z", "z"], ["2 + 2*z", "2*z"]])]
+    for a in mats:
+        assert det(a) == _det_cofactor([list(r) for r in a.rows])
+    assert det(mats[-2]) == LaurentPoly.monomial(-2, -1) * (ONE + Z) and det(mats[-1]).is_zero()
+    # every minor of a 2 x 2 and a 3 x 3 adjugate; the empty minor is one
+    assert _minors(mats[0].rows, 1) == [[ONE]]
+    for a in (mats[-2], _rand_matrix(rng, 2), _rand_matrix(rng, 3)):
+        n = a.n
+        minors = _minors(a.rows, n)
+        for i in range(n):
+            for j in range(n):
+                rest = [r[:i] + r[i + 1:] for k, r in enumerate(a.rows) if k != j]
+                assert minors[i][j] == _det_cofactor(rest), (i, j)
 
 
 def test_det_and_inverse(rng):
