@@ -227,7 +227,7 @@ def test_is_unitriangular_rejects_one_planted_table_entry(monkeypatch):
     _, nf = normalize_good(parse("s^3 + z*s + 2"))
     real = PairingTable.table
     assert nf.t == 3 and PairingTable(nf).is_unitriangular()
-    # the diagonal and every entry above it are checked; below it f is free
+    # the diagonal and every entry above it are checked; below it nothing is
     for i in range(3):
         for j in range(3):
             def faulty(self, i=i, j=j):
@@ -240,10 +240,11 @@ def test_is_unitriangular_rejects_one_planted_table_entry(monkeypatch):
 
 
 def test_dual_certificate_rejects_a_planted_fault(monkeypatch):
-    p, extra = parse("s^2 - 3*s + 2"), 6
+    # the default sweep, extra = 6 past t
+    p = parse("s^2 - 3*s + 2")
     _, nf = normalize_good(p)
-    last = nf.t + extra
-    assert dual_certificate(p, extra)
+    last = nf.t + 6
+    assert dual_certificate(p)
     # a fault at either end of a check's sweep is caught; one just past an
     # end is not read, so the certificate still holds
     sweeps = [
@@ -256,11 +257,11 @@ def test_dual_certificate_rejects_a_planted_fault(monkeypatch):
         for s, holds in ((first, False), (last, False), (first - 1, True), (last + 1, True)):
             with monkeypatch.context() as m:
                 m.setattr(owner, name, _planted(getattr(owner, name), s))
-                assert dual_certificate(p, extra) is holds, (name, s)
+                assert dual_certificate(p) is holds, (name, s)
     # the pairing table is read at all, and first
     monkeypatch.setattr(PairingTable, "is_unitriangular", lambda self: False)
     monkeypatch.setattr(qec.duality, "closed_form_value", None)
-    assert dual_certificate(p, extra) is False
+    assert dual_certificate(p) is False
 
 
 def test_double_dual_constant_coefficients_literal():
