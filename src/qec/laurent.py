@@ -360,13 +360,9 @@ def qshift(f: LaurentPoly, k: int) -> LaurentPoly:
     lowest first when k > 0.  Over the common denominator u^-a v^b, where
     a = min(0, lowest) and b = max(0, highest), that is the integer
     u^(e_i - a) v^(b - e_i): a constant c times s^i t^(n - 1 - i), where
-    (s, t) = (u^k, v^k) for k > 0 and (v^-k, u^-k) for k < 0.
-
-    The scale walks the numerators with products only when one of s and t
-    is +-1, that is when q or 1/q is an integer (2, 3 and -1/2, say), since
-    then 1/t = t or 1/s = s: up from c t^(n - 1) by s t when t = +-1, down
-    from c s^(n - 1) by s t when s = +-1.  Any other q (5/7, say) walks up
-    from c t^(n - 1) by one exact division by t and one product by s."""
+    (s, t) = (u^k, v^k) for k > 0 and (v^-k, u^-k) for k < 0.  The scale
+    walks up from c t^(n - 1) by one exact division by t and one product
+    by s per numerator."""
     nums, lo = f.nums, f.lo
     if k == 0 or not nums or (lo == 0 and len(nums) == 1):
         return f
@@ -383,40 +379,21 @@ def qshift(f: LaurentPoly, k: int) -> LaurentPoly:
         scale = 1
     else:
         scale = u**lowest
-    if v != 1:
-        if highest > 0:
-            den *= v**highest
-        else:
-            scale *= v**-highest
+    if highest > 0:
+        den *= v**highest
+    else:
+        scale *= v**-highest
     if den < 0:  # an odd power of a negative u
         den, scale = -den, -scale
     if not top:
         return _reduced(lo, (nums[0] * scale,), den)
     s, t = (u**k, v**k) if k > 0 else (v**-k, u**-k)
-    if t == 1 or t == -1:
-        step = s * t
-        if t < 0 and top % 2:
-            scale = -scale
-        out = [nums[0] * scale]
-        for x in nums[1:]:
-            scale *= step
-            out.append(x * scale)
-    elif s == 1 or s == -1:
-        step = s * t
-        if s < 0 and top % 2:
-            scale = -scale
-        out = [nums[top] * scale]
-        for x in nums[-2::-1]:
-            scale *= step
-            out.append(x * scale)
-        out.reverse()
-    else:
-        scale *= t**top
-        out = []
-        for x in nums[:-1]:
-            out.append(x * scale)
-            scale = scale // t * s
-        out.append(nums[-1] * scale)
+    scale *= t**top
+    out = []
+    for x in nums[:-1]:
+        out.append(x * scale)
+        scale = scale // t * s
+    out.append(nums[-1] * scale)
     return _reduced(lo, out, den)
 
 

@@ -100,10 +100,9 @@ def test_qshift_is_substitution(rng):
     with using_q(Fraction(-3, 2)):
         f = LaurentPoly(-1, (1, 0, 2))
         assert qshift(f, 2).eval(x) == f.eval(Fraction(9, 4) * x)
-    # every walk of the scale at each sign of k and widths 1 to 5: q an
-    # integer (up from the bottom for k > 0, down from the top for k < 0),
-    # 1/q an integer (the other way round, by a negative step at q = -1/2
-    # and odd k), and neither, with a numerator 2 or -2 that is no unit
+    # a fixed grid over each sign of k and widths 1 to 5: q an integer,
+    # 1/q an integer (a negative divisor t at q = -1/2 and odd k), and
+    # neither, with a numerator 2 or -2 that is no unit
     qs = (2, -3, Fraction(-1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(-2, 3), Fraction(5, 7))
     for q in qs:
         with using_q(q):
